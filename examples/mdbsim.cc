@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/capability.h"
@@ -548,10 +549,11 @@ int main(int argc, char** argv) {
     if (!options.trace_out.empty()) {
       mdbs::obs::ChromeTraceOptions trace_options;
       for (size_t i = 0; i < options.sites.size(); ++i) {
-        trace_options.site_names.emplace_back(
-            static_cast<int64_t>(i),
-            "s" + std::to_string(i) + " (" +
-                mdbs::lcc::ProtocolKindName(options.sites[i]) + ")");
+        std::string name = "s";
+        name.append(std::to_string(i)).append(" (");
+        name.append(mdbs::lcc::ProtocolKindName(options.sites[i])).append(")");
+        trace_options.site_names.emplace_back(static_cast<int64_t>(i),
+                                              std::move(name));
       }
       mdbs::Status written = mdbs::obs::WriteChromeTraceFile(
           options.trace_out, events, trace_options);

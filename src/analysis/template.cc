@@ -74,8 +74,9 @@ StatusOr<TemplateOp> ParseAccess(const std::string& token, int line_no) {
 }  // namespace
 
 std::string TemplateOp::ToString() const {
-  return std::string(OpTypeName(type)) + std::to_string(key_class) + "@" +
-         mdbs::ToString(site);
+  std::string s(OpTypeName(type));
+  s.append(std::to_string(key_class)).append("@").append(mdbs::ToString(site));
+  return s;
 }
 
 std::vector<SiteId> TxnTemplate::Sites() const {
@@ -109,7 +110,7 @@ std::string TxnTemplate::ToString() const {
   char buf[32];
   std::snprintf(buf, sizeof(buf), " weight=%g :", weight);
   s += buf;
-  for (const TemplateOp& op : ops) s += " " + op.ToString();
+  for (const TemplateOp& op : ops) s.append(" ").append(op.ToString());
   return s;
 }
 

@@ -56,10 +56,13 @@ using GlobalTxnId = Id<GlobalTxnTag>;
 /// Identifies a data item within a site.
 using DataItemId = Id<DataItemTag>;
 
+// Built with append: GCC 12 at -O3 reports a false -Wrestrict on
+// `operator+` string concatenation here.
 template <typename Tag>
 std::string ToString(Id<Tag> id) {
-  if (!id.valid()) return std::string(Tag::Prefix()) + "<invalid>";
-  return std::string(Tag::Prefix()) + std::to_string(id.value());
+  std::string out(Tag::Prefix());
+  out.append(id.valid() ? std::to_string(id.value()) : "<invalid>");
+  return out;
 }
 
 }  // namespace mdbs

@@ -37,9 +37,10 @@ struct DataOp {
 
   std::string ToString() const {
     std::string s = OpTypeName(type);
-    s += "[" + mdbs::ToString(item);
-    if (type == OpType::kWrite) s += "=" + std::to_string(value);
-    s += "]";
+    // Appends, not `"[" + ...`: see mdbs::ToString(Id).
+    s.append("[").append(mdbs::ToString(item));
+    if (type == OpType::kWrite) s.append("=").append(std::to_string(value));
+    s.append("]");
     return s;
   }
 };

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "sim/real_strand.h"
 
 namespace mdbs {
 
@@ -105,6 +106,7 @@ Status CommitLocalAndWait(site::LocalDbms* dbms, TxnId txn) {
 /// resubmitted as a fresh GTM job (same spec), with doubling backoff,
 /// mirroring the simulated driver's retry layer.
 void GlobalClientMain(RunState* state, Rng rng) {
+  sim::SetFineTimerSlack();  // Think time and backoff, like strand delays.
   Mdbs* mdbs = state->mdbs;
   while (!state->stop.load(std::memory_order_relaxed)) {
     gtm::GlobalTxnSpec spec;
@@ -173,6 +175,7 @@ void GlobalClientMain(RunState* state, Rng rng) {
 /// application the GTM never sees. Retries a transaction's operations after
 /// local aborts, like its simulated counterpart.
 void LocalClientMain(RunState* state, Rng rng, SiteId site) {
+  sim::SetFineTimerSlack();
   Mdbs* mdbs = state->mdbs;
   site::LocalDbms* dbms = &mdbs->site(site);
   while (!state->stop.load(std::memory_order_relaxed)) {

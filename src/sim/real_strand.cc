@@ -3,9 +3,20 @@
 #include <algorithm>
 #include <utility>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include "common/logging.h"
 
 namespace mdbs::sim {
+
+void SetFineTimerSlack() {
+#ifdef __linux__
+  // 1 ns is the smallest slack prctl accepts; 0 would restore the default.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
+}
 
 RealStrand::RealStrand(const RealTicker* ticker, std::string name)
     : ticker_(ticker), name_(std::move(name)) {
@@ -34,14 +45,11 @@ bool RealStrand::QuiescentBeyond(Time horizon) const {
 void RealStrand::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Second caller: fall through to join below only if the first caller
-      // already joined; joining twice is invalid.
-    }
     stopping_ = true;
     cv_.notify_all();
   }
-  if (worker_.joinable()) worker_.join();
+  // A concurrent second caller blocks here until the first one has joined.
+  std::call_once(join_once_, [this]() { worker_.join(); });
 }
 
 int64_t RealStrand::executed() const {
@@ -50,6 +58,7 @@ int64_t RealStrand::executed() const {
 }
 
 void RealStrand::ThreadMain() {
+  SetFineTimerSlack();
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (stopping_) return;

@@ -12,6 +12,14 @@
 
 namespace mdbs::sim {
 
+/// Asks the kernel to wake the calling thread's timed waits (condition
+/// variable deadlines, `sleep_for`) as close to their deadline as it can.
+/// Linux otherwise defers each such wake-up by the thread's timer slack,
+/// 50 µs by default, which is several times the modeled network and
+/// service delays the threaded engine sleeps for. Never makes a wait end
+/// early. A no-op off Linux.
+void SetFineTimerSlack();
+
 /// Shared real-time clock for a family of strands: microseconds since its
 /// construction, measured on the steady clock. All strands of one
 /// multidatabase share a ticker so their `now()` values are comparable (the
@@ -65,7 +73,9 @@ class RealStrand final : public TaskRunner {
   bool QuiescentBeyond(Time horizon) const;
 
   /// Finishes the in-flight task, discards the rest of the queue, and joins
-  /// the worker. Idempotent. After Stop the object is inert: pending and
+  /// the worker. Idempotent, also when called from several threads at once:
+  /// every caller returns after the worker has exited. Must not be called
+  /// from a task on this strand. After Stop the object is inert: pending and
   /// future Schedule calls are dropped.
   void Stop();
 
@@ -106,6 +116,7 @@ class RealStrand final : public TaskRunner {
   bool running_task_ = false;
   int64_t executed_ = 0;
 
+  std::once_flag join_once_;
   std::thread worker_;
 };
 

@@ -73,7 +73,8 @@ FuzzCase MakeCase(uint64_t seed) {
   int64_t class_pool = rng.NextInRange(2, 6);
   for (int t = 0; t < template_count; ++t) {
     analysis::TxnTemplate tmpl;
-    tmpl.name = "t" + std::to_string(t);
+    tmpl.name = "t";
+    tmpl.name.append(std::to_string(t));
     tmpl.weight = 1.0 + static_cast<double>(rng.NextBelow(3));
     int op_count = static_cast<int>(rng.NextInRange(1, 4));
     for (int o = 0; o < op_count; ++o) {
