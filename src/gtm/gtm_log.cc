@@ -9,25 +9,27 @@ namespace mdbs::gtm {
 
 namespace {
 
+using storage::ByteCounter;
+using storage::ByteWriter;
 using storage::Cursor;
-using storage::PutI64;
-using storage::PutU32;
-using storage::PutU8;
 
-void EncodeGtm1Stats(const Gtm1Stats& s, std::vector<uint8_t>* out) {
-  PutI64(out, s.submitted);
-  PutI64(out, s.committed);
-  PutI64(out, s.failed);
-  PutI64(out, s.attempts);
-  PutI64(out, s.aborted_attempts);
-  PutI64(out, s.scheme_aborts);
-  PutI64(out, s.timeouts);
-  PutI64(out, s.partial_commits);
-  PutI64(out, s.site_down_aborts);
-  PutI64(out, s.parked);
-  PutI64(out, s.unparked);
-  PutI64(out, s.park_timeouts);
-  PutI64(out, s.fast_path_attempts);
+// The encoders below write into a storage::ByteCounter (sizing) or a
+// storage::ByteWriter (writing in place).
+template <typename Out>
+void EncodeGtm1Stats(const Gtm1Stats& s, Out& out) {
+  out.I64(s.submitted);
+  out.I64(s.committed);
+  out.I64(s.failed);
+  out.I64(s.attempts);
+  out.I64(s.aborted_attempts);
+  out.I64(s.scheme_aborts);
+  out.I64(s.timeouts);
+  out.I64(s.partial_commits);
+  out.I64(s.site_down_aborts);
+  out.I64(s.parked);
+  out.I64(s.unparked);
+  out.I64(s.park_timeouts);
+  out.I64(s.fast_path_attempts);
 }
 
 void DecodeGtm1Stats(Cursor* c, Gtm1Stats* s) {
@@ -46,13 +48,14 @@ void DecodeGtm1Stats(Cursor* c, Gtm1Stats* s) {
   s->fast_path_attempts = c->I64();
 }
 
-void EncodeGtm2Stats(const Gtm2Stats& s, std::vector<uint8_t>* out) {
-  PutI64(out, s.processed_ops);
-  PutI64(out, s.wait_additions);
-  PutI64(out, s.ser_wait_additions);
-  PutI64(out, s.cond_evaluations);
-  PutI64(out, s.failed_rescan_steps);
-  PutI64(out, s.scheme_aborts);
+template <typename Out>
+void EncodeGtm2Stats(const Gtm2Stats& s, Out& out) {
+  out.I64(s.processed_ops);
+  out.I64(s.wait_additions);
+  out.I64(s.ser_wait_additions);
+  out.I64(s.cond_evaluations);
+  out.I64(s.failed_rescan_steps);
+  out.I64(s.scheme_aborts);
 }
 
 void DecodeGtm2Stats(Cursor* c, Gtm2Stats* s) {
@@ -64,12 +67,13 @@ void DecodeGtm2Stats(Cursor* c, Gtm2Stats* s) {
   s->scheme_aborts = c->I64();
 }
 
-void EncodeQueueOpInto(const QueueOp& op, std::vector<uint8_t>* out) {
-  PutU8(out, static_cast<uint8_t>(op.kind));
-  PutI64(out, op.txn.value());
-  PutI64(out, op.site.value());
-  PutU32(out, static_cast<uint32_t>(op.sites.size()));
-  for (SiteId site : op.sites) PutI64(out, site.value());
+template <typename Out>
+void EncodeQueueOpInto(const QueueOp& op, Out& out) {
+  out.U8(static_cast<uint8_t>(op.kind));
+  out.I64(op.txn.value());
+  out.I64(op.site.value());
+  out.U32(static_cast<uint32_t>(op.sites.size()));
+  for (SiteId site : op.sites) out.I64(site.value());
 }
 
 bool DecodeQueueOpFrom(Cursor* c, QueueOp* op) {
@@ -84,47 +88,48 @@ bool DecodeQueueOpFrom(Cursor* c, QueueOp* op) {
   return c->ok();
 }
 
-void EncodeCheckpoint(const GtmCheckpoint& cp, std::vector<uint8_t>* out) {
-  PutI64(out, cp.next_txn_id);
-  PutI64(out, cp.next_attempt_id);
-  PutI64(out, cp.next_job_id);
+template <typename Out>
+void EncodeCheckpoint(const GtmCheckpoint& cp, Out& out) {
+  out.I64(cp.next_txn_id);
+  out.I64(cp.next_attempt_id);
+  out.I64(cp.next_job_id);
   EncodeGtm1Stats(cp.gtm1_stats, out);
-  PutU32(out, static_cast<uint32_t>(cp.jobs.size()));
+  out.U32(static_cast<uint32_t>(cp.jobs.size()));
   for (const GtmCheckpoint::JobImage& job : cp.jobs) {
-    PutI64(out, job.id);
-    PutI64(out, job.submit_time);
-    PutI64(out, job.attempts);
-    PutI64(out, job.current_attempt);
-    PutU8(out, job.parked ? 1 : 0);
+    out.I64(job.id);
+    out.I64(job.submit_time);
+    out.I64(job.attempts);
+    out.I64(job.current_attempt);
+    out.U8(job.parked ? 1 : 0);
   }
-  PutU32(out, static_cast<uint32_t>(cp.attempts.size()));
+  out.U32(static_cast<uint32_t>(cp.attempts.size()));
   for (const GtmCheckpoint::AttemptImage& attempt : cp.attempts) {
-    PutI64(out, attempt.id);
-    PutI64(out, attempt.job);
-    PutU8(out, attempt.committing ? 1 : 0);
-    PutI64(out, attempt.commit_index);
-    PutU32(out, static_cast<uint32_t>(attempt.subs.size()));
+    out.I64(attempt.id);
+    out.I64(attempt.job);
+    out.U8(attempt.committing ? 1 : 0);
+    out.I64(attempt.commit_index);
+    out.U32(static_cast<uint32_t>(attempt.subs.size()));
     for (const auto& [site, sub] : attempt.subs) {
-      PutI64(out, site);
-      PutI64(out, sub);
+      out.I64(site);
+      out.I64(sub);
     }
-    PutU32(out, static_cast<uint32_t>(attempt.reads.size()));
+    out.U32(static_cast<uint32_t>(attempt.reads.size()));
     for (const auto& read : attempt.reads) {
-      PutI64(out, read[0]);
-      PutI64(out, read[1]);
-      PutI64(out, read[2]);
+      out.I64(read[0]);
+      out.I64(read[1]);
+      out.I64(read[2]);
     }
   }
-  PutU32(out, static_cast<uint32_t>(cp.quarantined.size()));
-  for (int64_t site : cp.quarantined) PutI64(out, site);
-  PutU32(out, static_cast<uint32_t>(cp.wait.size()));
+  out.U32(static_cast<uint32_t>(cp.quarantined.size()));
+  for (int64_t site : cp.quarantined) out.I64(site);
+  out.U32(static_cast<uint32_t>(cp.wait.size()));
   for (const QueueOp& op : cp.wait) EncodeQueueOpInto(op, out);
-  PutU32(out, static_cast<uint32_t>(cp.dead_txns.size()));
-  for (int64_t txn : cp.dead_txns) PutI64(out, txn);
+  out.U32(static_cast<uint32_t>(cp.dead_txns.size()));
+  for (int64_t txn : cp.dead_txns) out.I64(txn);
   EncodeGtm2Stats(cp.gtm2_stats, out);
-  PutI64(out, cp.scheme_steps);
-  PutU32(out, static_cast<uint32_t>(cp.scheme_state.size()));
-  out->insert(out->end(), cp.scheme_state.begin(), cp.scheme_state.end());
+  out.I64(cp.scheme_steps);
+  out.U32(static_cast<uint32_t>(cp.scheme_state.size()));
+  out.Bytes(cp.scheme_state.data(), cp.scheme_state.size());
 }
 
 bool DecodeCheckpoint(Cursor* c, GtmCheckpoint* cp) {
@@ -188,69 +193,74 @@ bool DecodeCheckpoint(Cursor* c, GtmCheckpoint* cp) {
   return c->ok();
 }
 
-std::vector<uint8_t> EncodePayload(const GtmLogRecord& record) {
-  std::vector<uint8_t> payload;
-  PutU8(&payload, static_cast<uint8_t>(record.type));
+template <typename Out>
+void EncodePayload(const GtmLogRecord& record, Out& out) {
+  out.U8(static_cast<uint8_t>(record.type));
   switch (record.type) {
     case GtmLogRecordType::kSubmit:
-      PutI64(&payload, record.job);
-      PutI64(&payload, record.time);
+      out.I64(record.job);
+      out.I64(record.time);
       break;
     case GtmLogRecordType::kAttemptStart:
-      PutI64(&payload, record.attempt);
-      PutI64(&payload, record.job);
-      PutI64(&payload, record.index);
+      out.I64(record.attempt);
+      out.I64(record.job);
+      out.I64(record.index);
       break;
     case GtmLogRecordType::kBeginSite:
-      PutI64(&payload, record.attempt);
-      PutI64(&payload, record.site);
-      PutI64(&payload, record.sub);
+      out.I64(record.attempt);
+      out.I64(record.site);
+      out.I64(record.sub);
       break;
     case GtmLogRecordType::kRead:
-      PutI64(&payload, record.attempt);
-      PutI64(&payload, record.site);
-      PutI64(&payload, record.item);
-      PutI64(&payload, record.value);
+      out.I64(record.attempt);
+      out.I64(record.site);
+      out.I64(record.item);
+      out.I64(record.value);
       break;
     case GtmLogRecordType::kEnqueue:
-      PutU8(&payload, record.code);
-      PutI64(&payload, record.attempt);
-      PutI64(&payload, record.site);
-      PutU32(&payload, static_cast<uint32_t>(record.sites.size()));
-      for (int64_t site : record.sites) PutI64(&payload, site);
+      out.U8(record.code);
+      out.I64(record.attempt);
+      out.I64(record.site);
+      out.U32(static_cast<uint32_t>(record.sites.size()));
+      for (int64_t site : record.sites) out.I64(site);
       break;
     case GtmLogRecordType::kAbortCleanup:
-      PutI64(&payload, record.attempt);
+      out.I64(record.attempt);
       break;
     case GtmLogRecordType::kAttemptFail:
-      PutI64(&payload, record.attempt);
-      PutU8(&payload, record.code);
+      out.I64(record.attempt);
+      out.U8(record.code);
       break;
     case GtmLogRecordType::kCommitStart:
-      PutI64(&payload, record.attempt);
+      out.I64(record.attempt);
       break;
     case GtmLogRecordType::kCommitSite:
-      PutI64(&payload, record.attempt);
-      PutI64(&payload, record.index);
+      out.I64(record.attempt);
+      out.I64(record.index);
       break;
     case GtmLogRecordType::kFinish:
-      PutI64(&payload, record.job);
-      PutU8(&payload, record.code);
-      PutI64(&payload, record.index);
+      out.I64(record.job);
+      out.U8(record.code);
+      out.I64(record.index);
       break;
     case GtmLogRecordType::kPark:
     case GtmLogRecordType::kUnpark:
-      PutI64(&payload, record.job);
+      out.I64(record.job);
       break;
     case GtmLogRecordType::kSiteDown:
     case GtmLogRecordType::kSiteUp:
-      PutI64(&payload, record.site);
+      out.I64(record.site);
       break;
     case GtmLogRecordType::kCheckpoint:
-      EncodeCheckpoint(record.checkpoint, &payload);
+      EncodeCheckpoint(record.checkpoint, out);
       break;
   }
-  return payload;
+}
+
+size_t PayloadSize(const GtmLogRecord& record) {
+  ByteCounter counter;
+  EncodePayload(record, counter);
+  return counter.size();
 }
 
 }  // namespace
@@ -367,7 +377,8 @@ const char* GtmLogRecordTypeName(GtmLogRecordType type) {
 }
 
 std::vector<uint8_t> EncodeGtmLogRecord(const GtmLogRecord& record) {
-  return storage::FramePayload(EncodePayload(record));
+  auto encode = [&](ByteWriter& out) { EncodePayload(record, out); };
+  return storage::FrameEncoded(PayloadSize(record), encode);
 }
 
 Status ReadGtmLog(storage::LogDevice& device, GtmLogScan* out) {
@@ -394,15 +405,16 @@ Status ReadGtmLog(storage::LogDevice& device, GtmLogScan* out) {
 }
 
 void GtmLogWriter::Append(const GtmLogRecord& record) {
-  std::vector<uint8_t> payload = EncodePayload(record);
   bool is_checkpoint = record.type == GtmLogRecordType::kCheckpoint;
   bool is_commit_point = is_checkpoint ||
                          record.type == GtmLogRecordType::kCommitStart ||
                          record.type == GtmLogRecordType::kFinish;
-  frames_.AppendPayload(payload, is_checkpoint, is_commit_point);
-  if (shipper_) {
-    shipper_(frames_.records_written() - 1, storage::FramePayload(payload));
-  }
+  // The shipper gets a copy of the very frame the device got: one encode,
+  // one CRC pass.
+  auto encode = [&](ByteWriter& out) { EncodePayload(record, out); };
+  const std::vector<uint8_t>& frame = frames_.AppendEncoded(
+      PayloadSize(record), encode, is_checkpoint, is_commit_point);
+  if (shipper_) shipper_(frames_.records_written() - 1, frame);
 }
 
 namespace {

@@ -1,5 +1,10 @@
 #include "site/local_dbms.h"
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
+#include "audit/audit.h"
 #include "common/logging.h"
 #include "lcc/mvto.h"
 #include "lcc/occ.h"
@@ -166,6 +171,7 @@ int64_t LocalDbms::ApplyOp(TxnId txn, TxnState* state, const DataOp& op) {
   // Write.
   if (protocol_->WritesInPlace()) {
     int64_t before = store_.Put(op.item, op.value);
+    TouchImage(op.item);
     state->undo_log.emplace_back(op.item, before);
     if (wal_ != nullptr) {
       storage::WalRecord rec;
@@ -234,6 +240,7 @@ void LocalDbms::ProcessCommit(TxnId txn, TxnCallback cb) {
   }
   for (DataItemId item : state.write_order) {
     int64_t before = store_.Put(item, state.write_buffer.at(item));
+    TouchImage(item);
     if (protocol_->IsMultiversion()) {
       mv_initial_images_.try_emplace(item, before);
       MvLatest candidate{writer_ts, txn, state.write_buffer.at(item)};
@@ -264,8 +271,12 @@ void LocalDbms::ProcessCommit(TxnId txn, TxnCallback cb) {
     // crash can only lose unacknowledged commits.
     for (const auto& [item, before] : state.undo_log) {
       last_writer_[item] = txn;
+      TouchImage(item);
     }
-    for (DataItemId item : state.write_order) last_writer_[item] = txn;
+    for (DataItemId item : state.write_order) {
+      last_writer_[item] = txn;
+      TouchImage(item);
+    }
     storage::WalRecord rec;
     rec.type = storage::WalRecordType::kCommit;
     rec.txn = txn.value();
@@ -281,6 +292,7 @@ void LocalDbms::ProcessCommit(TxnId txn, TxnCallback cb) {
                             protocol_->SerializationKey(txn));
   }
   committed_txns_.insert(txn);
+  if (KeepsImage()) new_committed_.push_back(txn.value());
   txns_.erase(txn);
   // Checkpoint only after the committed transaction is fully retired: a
   // snapshot taken earlier would list it as active (with undo entries)
@@ -310,6 +322,7 @@ void LocalDbms::DoAbort(TxnId txn, TxnState* state) {
   for (auto undo_it = state->undo_log.rbegin();
        undo_it != state->undo_log.rend(); ++undo_it) {
     store_.Restore(undo_it->first, undo_it->second);
+    TouchImage(undo_it->first);
     if (wal_ != nullptr) {
       storage::WalRecord rec;
       rec.type = storage::WalRecordType::kClr;
@@ -411,6 +424,7 @@ void LocalDbms::Crash() {
   last_writer_.clear();
   mv_latest_.clear();
   committed_txns_.clear();
+  MarkImageStale();
   // The stale protocol instance stays (nothing touches it while down_);
   // Recover() builds the replacement.
 }
@@ -492,6 +506,7 @@ storage::RecoveredState LocalDbms::ReplayAndInstall() {
   for (int64_t txn : recovered.committed_set) {
     committed_txns_.insert(TxnId(txn));
   }
+  MarkImageStale();
 
   protocol_->RecoverClock(recovered.clock);
   if (protocol_->IsMultiversion()) {
@@ -528,15 +543,116 @@ storage::RecoveredState LocalDbms::ReplayAndInstall() {
   return recovered;
 }
 
-void LocalDbms::MaybeCheckpoint() {
-  if (wal_ == nullptr || config_.checkpoint_interval <= 0 ||
-      wal_->records_since_checkpoint() < config_.checkpoint_interval) {
-    return;
+namespace {
+
+int64_t EntryItem(const storage::CheckpointImage::Item& entry) {
+  return entry.item;
+}
+int64_t EntryItem(const std::pair<int64_t, int64_t>& entry) {
+  return entry.first;
+}
+int64_t EntryItem(const storage::CheckpointImage::MvVersion& entry) {
+  return entry.item;
+}
+
+/// Brings the entries of `table` (sorted by item) up to date for the
+/// sorted, unique `dirty` items: each becomes `fresh(item)`, or is dropped
+/// when that is empty. Entries that stay are overwritten in place; only
+/// when an entry comes or goes is the table rebuilt, in one merge.
+template <typename Entry, typename Fresh>
+void RefreshSorted(std::vector<Entry>* table,
+                   const std::vector<int64_t>& dirty, Fresh fresh) {
+  auto before = [](const Entry& entry, int64_t item) {
+    return EntryItem(entry) < item;
+  };
+  std::vector<std::pair<int64_t, std::optional<Entry>>> reshape;
+  auto at = table->begin();
+  for (int64_t item : dirty) {
+    at = std::lower_bound(at, table->end(), item, before);
+    bool present = at != table->end() && EntryItem(*at) == item;
+    std::optional<Entry> entry = fresh(item);
+    if (present && entry.has_value()) {
+      *at = *entry;
+    } else if (present || entry.has_value()) {
+      reshape.emplace_back(item, entry);
+    }
   }
-  storage::WalRecord rec;
-  rec.type = storage::WalRecordType::kCheckpoint;
-  storage::CheckpointImage& image = rec.checkpoint;
-  image.clock = protocol_->DurableClock();
+  if (reshape.empty()) return;
+  std::vector<Entry> out;
+  out.reserve(table->size() + reshape.size());
+  auto next = table->begin();
+  for (const auto& [item, entry] : reshape) {
+    at = std::lower_bound(next, table->end(), item, before);
+    out.insert(out.end(), next, at);
+    next = at;
+    if (next != table->end() && EntryItem(*next) == item) ++next;
+    if (entry.has_value()) out.push_back(*entry);
+  }
+  out.insert(out.end(), next, table->end());
+  table->swap(out);
+}
+
+}  // namespace
+
+void LocalDbms::MarkImageStale() {
+  image_ = storage::CheckpointImage{};
+  dirty_items_.clear();
+  new_committed_.clear();
+  if (!KeepsImage()) return;
+  for (const auto& [item, value] : store_.items()) {
+    dirty_items_.push_back(item.value());
+  }
+  for (const auto& [item, value] : mv_initial_images_) {
+    dirty_items_.push_back(item.value());
+  }
+  for (const auto& [item, latest] : mv_latest_) {
+    dirty_items_.push_back(item.value());
+  }
+  for (TxnId txn : committed_txns_) new_committed_.push_back(txn.value());
+}
+
+void LocalDbms::RefreshImage() {
+  std::sort(dirty_items_.begin(), dirty_items_.end());
+  dirty_items_.erase(std::unique(dirty_items_.begin(), dirty_items_.end()),
+                     dirty_items_.end());
+  using Image = storage::CheckpointImage;
+  auto item_entry = [this](int64_t item) -> std::optional<Image::Item> {
+    auto stored = store_.items().find(DataItemId(item));
+    if (stored == store_.items().end()) return std::nullopt;
+    auto writer = last_writer_.find(DataItemId(item));
+    return Image::Item{
+        item, stored->second,
+        writer != last_writer_.end() ? writer->second.value() : -1};
+  };
+  auto initial_entry =
+      [this](int64_t item) -> std::optional<std::pair<int64_t, int64_t>> {
+    auto initial = mv_initial_images_.find(DataItemId(item));
+    if (initial == mv_initial_images_.end()) return std::nullopt;
+    return std::pair<int64_t, int64_t>{item, initial->second};
+  };
+  auto latest_entry = [this](int64_t item) -> std::optional<Image::MvVersion> {
+    auto latest = mv_latest_.find(DataItemId(item));
+    if (latest == mv_latest_.end()) return std::nullopt;
+    return Image::MvVersion{item, latest->second.wts,
+                            latest->second.writer.value(),
+                            latest->second.value};
+  };
+  RefreshSorted(&image_.items, dirty_items_, item_entry);
+  RefreshSorted(&image_.mv_initial, dirty_items_, initial_entry);
+  RefreshSorted(&image_.mv_latest, dirty_items_, latest_entry);
+  dirty_items_.clear();
+  std::sort(new_committed_.begin(), new_committed_.end());
+  size_t merged = image_.committed.size();
+  image_.committed.insert(image_.committed.end(), new_committed_.begin(),
+                          new_committed_.end());
+  std::inplace_merge(image_.committed.begin(),
+                     image_.committed.begin() + merged,
+                     image_.committed.end());
+  new_committed_.clear();
+}
+
+storage::CheckpointImage LocalDbms::BuildImageFromScratch() const {
+  storage::CheckpointImage image;
   for (TxnId txn : committed_txns_) image.committed.push_back(txn.value());
   std::sort(image.committed.begin(), image.committed.end());
   for (const auto& [item, value] : store_.items()) {
@@ -564,6 +680,51 @@ void LocalDbms::MaybeCheckpoint() {
   }
   std::sort(image.mv_latest.begin(), image.mv_latest.end(),
             [](const auto& a, const auto& b) { return a.item < b.item; });
+  return image;
+}
+
+void LocalDbms::AuditCheckpointImage(const storage::CheckpointImage& image) {
+  storage::CheckpointImage oracle = BuildImageFromScratch();
+  std::string diff;
+  auto compare = [&diff](const char* table, const auto& kept,
+                         const auto& built) {
+    if (kept == built) return;
+    diff.append(diff.empty() ? "" : ", ")
+        .append(table)
+        .append(" (kept ")
+        .append(std::to_string(kept.size()))
+        .append(" entries, built ")
+        .append(std::to_string(built.size()))
+        .append(")");
+  };
+  compare("committed", image.committed, oracle.committed);
+  compare("items", image.items, oracle.items);
+  compare("mv_initial", image.mv_initial, oracle.mv_initial);
+  compare("mv_latest", image.mv_latest, oracle.mv_latest);
+  if (diff.empty()) return;
+  auditor_->Report(audit::AuditViolation{
+      "checkpoint-image",
+      ToString(config_.id) +
+          " checkpoint image differs from the live tables: " + diff,
+      {}});
+}
+
+void LocalDbms::MaybeCheckpoint() {
+  if (!KeepsImage() ||
+      wal_->records_since_checkpoint() < config_.checkpoint_interval) {
+    return;
+  }
+  RefreshImage();
+  if (audit::kAuditCompiledIn && auditor_ != nullptr) {
+    AuditCheckpointImage(image_);
+  }
+  storage::WalRecord rec;
+  rec.type = storage::WalRecordType::kCheckpoint;
+  // Lend the kept tables to the record instead of copying them.
+  rec.checkpoint = std::move(image_);
+  storage::CheckpointImage& image = rec.checkpoint;
+  image.clock = protocol_->DurableClock();
+  image.active.clear();
   for (const auto& [txn, state] : txns_) {
     storage::CheckpointImage::ActiveTxn active;
     active.txn = txn.value();
@@ -576,6 +737,7 @@ void LocalDbms::MaybeCheckpoint() {
   std::sort(image.active.begin(), image.active.end(),
             [](const auto& a, const auto& b) { return a.txn < b.txn; });
   wal_->Append(rec);
+  image_ = std::move(rec.checkpoint);
   ++durability_stats_.checkpoints;
 }
 

@@ -104,7 +104,9 @@ class LocalDbms : public lcc::ProtocolHost {
 
   /// Forwards invariant auditing to the protocol (no-op for protocols
   /// without an audit surface). Remembered so a protocol instance rebuilt
-  /// by durable recovery is re-audited.
+  /// by durable recovery is re-audited. A durable site with an auditor also
+  /// checks every checkpoint image against one built from scratch
+  /// (`checkpoint-image`).
   void EnableAudit(audit::Auditor* auditor) {
     auditor_ = auditor;
     protocol_->EnableAudit(auditor);
@@ -171,7 +173,10 @@ class LocalDbms : public lcc::ProtocolHost {
   /// Direct store access for test setup and invariant checks; bypasses
   /// concurrency control, so only use it while the site is quiescent.
   int64_t UnsafePeek(DataItemId item) const { return store_.Get(item); }
-  void UnsafePoke(DataItemId item, int64_t value) { store_.Put(item, value); }
+  void UnsafePoke(DataItemId item, int64_t value) {
+    store_.Put(item, value);
+    TouchImage(item);
+  }
 
   // ProtocolHost:
   void ResumeTransaction(TxnId txn) override;
@@ -208,6 +213,28 @@ class LocalDbms : public lcc::ProtocolHost {
   /// Appends a fuzzy checkpoint when `checkpoint_interval` non-checkpoint
   /// records accumulated since the last one. No-op when not durable.
   void MaybeCheckpoint();
+
+  /// True when this site takes checkpoints, and so keeps `image_` current.
+  bool KeepsImage() const {
+    return wal_ != nullptr && config_.checkpoint_interval > 0;
+  }
+  /// Marks `item`'s checkpoint entries for refresh at the next checkpoint.
+  /// Called wherever the store, the writer map or the mv tables change.
+  void TouchImage(DataItemId item) {
+    if (KeepsImage()) dirty_items_.push_back(item.value());
+  }
+  /// Drops `image_` and marks every live item and commit dirty, so the next
+  /// checkpoint rebuilds it through the same refresh (crash, replay).
+  void MarkImageStale();
+  /// Brings `image_` up to date: re-reads the touched items from the live
+  /// tables and merges in the commits since the last checkpoint.
+  void RefreshImage();
+  /// The tables `image_` mirrors, built from scratch out of the live ones —
+  /// the audit oracle for RefreshImage, never written to the log.
+  storage::CheckpointImage BuildImageFromScratch() const;
+  /// Reports a `checkpoint-image` violation when `image` differs from
+  /// BuildImageFromScratch().
+  void AuditCheckpointImage(const storage::CheckpointImage& image);
 
   /// Durable restart: replays the log, reinstalls the store / writer map /
   /// mv images, rebuilds the protocol with its clock fast-forwarded, and
@@ -250,6 +277,14 @@ class LocalDbms : public lcc::ProtocolHost {
   /// the commit-order value would serve a version the pre-crash site never
   /// did and break serializability.
   std::unordered_map<DataItemId, MvLatest> mv_latest_;
+  /// Sites that checkpoint: the sorted committed / items / mv_initial /
+  /// mv_latest tables of the last checkpoint, so the next one costs what
+  /// changed since. `active` is rebuilt at every checkpoint.
+  storage::CheckpointImage image_;
+  /// Items touched since the last checkpoint (repeats allowed) and the
+  /// transactions committed since then. Empty unless KeepsImage().
+  std::vector<int64_t> dirty_items_;
+  std::vector<int64_t> new_committed_;
   std::shared_ptr<storage::LogDevice> wal_device_;
   std::unique_ptr<storage::WalWriter> wal_;
   SiteDurabilityStats durability_stats_;

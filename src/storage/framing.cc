@@ -8,26 +8,51 @@
 namespace mdbs::storage {
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// kCrcTables[0] is the bytewise table of the reflected polynomial;
+/// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, which
+/// lets one step fold in eight bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+uint32_t LoadU32(const uint8_t* at) {
+  return uint32_t{at[0]} | (uint32_t{at[1]} << 8) | (uint32_t{at[2]} << 16) |
+         (uint32_t{at[3]} << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xFF];
+  for (; size >= 8; bytes += 8, size -= 8) {
+    uint32_t lo = LoadU32(bytes) ^ crc;
+    uint32_t hi = LoadU32(bytes + 4);
+    crc = kCrcTables[7][lo & 0xFF] ^ kCrcTables[6][(lo >> 8) & 0xFF] ^
+          kCrcTables[5][(lo >> 16) & 0xFF] ^ kCrcTables[4][lo >> 24] ^
+          kCrcTables[3][hi & 0xFF] ^ kCrcTables[2][(hi >> 8) & 0xFF] ^
+          kCrcTables[1][(hi >> 16) & 0xFF] ^ kCrcTables[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ kCrcTables[0][(crc ^ *bytes) & 0xFF];
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -35,21 +60,21 @@ uint32_t Crc32(const void* data, size_t size) {
 void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
 
 void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xFF);
+  out->resize(out->size() + 4);
+  StoreU32(out->data() + out->size() - 4, v);
 }
 
 void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  uint64_t u = static_cast<uint64_t>(v);
-  for (int i = 0; i < 8; ++i) out->push_back((u >> (8 * i)) & 0xFF);
+  out->resize(out->size() + 8);
+  StoreI64(out->data() + out->size() - 8, v);
 }
 
-std::vector<uint8_t> FramePayload(const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> frame;
-  frame.reserve(payload.size() + 8);
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload.data(), payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+void SealFrame(std::vector<uint8_t>* frame) {
+  MDBS_CHECK(frame->size() >= kFrameHeaderSize);
+  size_t payload_size = frame->size() - kFrameHeaderSize;
+  StoreU32(frame->data(), static_cast<uint32_t>(payload_size));
+  StoreU32(frame->data() + 4,
+           Crc32(frame->data() + kFrameHeaderSize, payload_size));
 }
 
 Status ScanFrames(const std::vector<uint8_t>& image, FrameScan* out) {
@@ -112,11 +137,19 @@ StatusOr<WalSyncConfig> ParseWalSyncSpec(const std::string& spec) {
 
 void FrameWriter::AppendPayload(const std::vector<uint8_t>& payload,
                                 bool is_checkpoint, bool is_commit_point) {
-  std::vector<uint8_t> frame = FramePayload(payload);
-  Status appended = device_->Append(frame.data(), frame.size());
+  auto encode = [&](ByteWriter& out) {
+    out.Bytes(payload.data(), payload.size());
+  };
+  AppendEncoded(payload.size(), encode, is_checkpoint, is_commit_point);
+}
+
+const std::vector<uint8_t>& FrameWriter::AppendFrame(bool is_checkpoint,
+                                                     bool is_commit_point) {
+  SealFrame(&frame_);
+  Status appended = device_->Append(frame_.data(), frame_.size());
   MDBS_CHECK(appended.ok()) << appended.message();
   ++records_written_;
-  bytes_written_ += static_cast<int64_t>(frame.size());
+  bytes_written_ += static_cast<int64_t>(frame_.size());
   if (is_checkpoint) {
     records_since_checkpoint_ = 0;
   } else {
@@ -140,6 +173,7 @@ void FrameWriter::AppendPayload(const std::vector<uint8_t>& payload,
     ++syncs_;
     records_since_sync_ = 0;
   }
+  return frame_;
 }
 
 }  // namespace mdbs::storage

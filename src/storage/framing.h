@@ -1,7 +1,9 @@
 #ifndef MDBS_STORAGE_FRAMING_H_
 #define MDBS_STORAGE_FRAMING_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -10,14 +12,69 @@
 
 namespace mdbs::storage {
 
-/// CRC-32 (IEEE 802.3, reflected) over `size` bytes.
+/// CRC-32 (IEEE 802.3, reflected) over `size` bytes. Slice-by-8: eight
+/// table lookups fold in eight bytes per step; the values are those of the
+/// bytewise algorithm.
 uint32_t Crc32(const void* data, size_t size);
 
 /// Little-endian fixed-width encoding, independent of host byte order so a
 /// log written on one machine replays byte-for-byte on another.
+inline void StoreU32(uint8_t* at, uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof(v));
+  } else {
+    for (int i = 0; i < 4; ++i) at[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+inline void StoreI64(uint8_t* at, int64_t v) {
+  uint64_t u = static_cast<uint64_t>(v);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &u, sizeof(u));
+  } else {
+    for (int i = 0; i < 8; ++i) at[i] = static_cast<uint8_t>(u >> (8 * i));
+  }
+}
+
+/// Appends one field to a growing buffer.
 void PutU8(std::vector<uint8_t>* out, uint8_t v);
 void PutU32(std::vector<uint8_t>* out, uint32_t v);
 void PutI64(std::vector<uint8_t>* out, int64_t v);
+
+/// Record encoders are written once as templates over an output with the
+/// interface below. ByteCounter only sizes the record; ByteWriter then
+/// writes it in place into exactly that many bytes, in one pass.
+class ByteCounter {
+ public:
+  void U8(uint8_t) { size_ += 1; }
+  void U32(uint32_t) { size_ += 4; }
+  void I64(int64_t) { size_ += 8; }
+  void Bytes(const uint8_t*, size_t size) { size_ += size; }
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
+class ByteWriter {
+ public:
+  explicit ByteWriter(uint8_t* out) : out_(out) {}
+  void U8(uint8_t v) { *out_++ = v; }
+  void U32(uint32_t v) {
+    StoreU32(out_, v);
+    out_ += 4;
+  }
+  void I64(int64_t v) {
+    StoreI64(out_, v);
+    out_ += 8;
+  }
+  void Bytes(const uint8_t* data, size_t size) {
+    if (size > 0) std::memcpy(out_, data, size);
+    out_ += size;
+  }
+
+ private:
+  uint8_t* out_;
+};
 
 /// Bounds-checked little-endian decoding cursor. A structural overrun in a
 /// CRC-valid payload still counts as corruption (ok() goes false).
@@ -60,11 +117,25 @@ class Cursor {
   bool ok_ = true;
 };
 
-/// Wraps one payload as a CRC frame:
+/// Bytes of the frame header: [u32 payload_len][u32 crc32(payload)].
+inline constexpr size_t kFrameHeaderSize = 8;
+
+/// Fills in the header of `frame`, whose payload already follows the
+/// kFrameHeaderSize bytes reserved for it. A frame is
 ///   [u32 payload_len][u32 crc32(payload)][payload]
 /// This is the one framing implementation shared by the site WAL and the
 /// GTM log; the two differ only in their payload (record) schemas.
-std::vector<uint8_t> FramePayload(const std::vector<uint8_t>& payload);
+void SealFrame(std::vector<uint8_t>* frame);
+
+/// Frames the `payload_size`-byte payload `encode(ByteWriter&)` writes.
+template <typename Encode>
+std::vector<uint8_t> FrameEncoded(size_t payload_size, Encode&& encode) {
+  std::vector<uint8_t> frame(kFrameHeaderSize + payload_size);
+  ByteWriter out(frame.data() + kFrameHeaderSize);
+  encode(out);
+  SealFrame(&frame);
+  return frame;
+}
 
 /// Result of scanning a framed device image front to back, before any
 /// payload decoding.
@@ -125,6 +196,20 @@ class FrameWriter {
   void AppendPayload(const std::vector<uint8_t>& payload, bool is_checkpoint,
                      bool is_commit_point = false);
 
+  /// As AppendPayload, for the `payload_size`-byte payload
+  /// `encode(ByteWriter&)` writes straight into the frame buffer. Returns
+  /// the appended frame, valid until the next append.
+  template <typename Encode>
+  const std::vector<uint8_t>& AppendEncoded(size_t payload_size,
+                                            Encode&& encode,
+                                            bool is_checkpoint,
+                                            bool is_commit_point = false) {
+    frame_.resize(kFrameHeaderSize + payload_size);
+    ByteWriter out(frame_.data() + kFrameHeaderSize);
+    encode(out);
+    return AppendFrame(is_checkpoint, is_commit_point);
+  }
+
   int64_t records_written() const { return records_written_; }
   int64_t bytes_written() const { return bytes_written_; }
   /// Records appended since the last checkpoint record.
@@ -135,8 +220,14 @@ class FrameWriter {
   int64_t syncs() const { return syncs_; }
 
  private:
+  /// Seals `frame_`, appends it to the device and applies the sync policy.
+  const std::vector<uint8_t>& AppendFrame(bool is_checkpoint,
+                                          bool is_commit_point);
+
   LogDevice* device_;
   WalSyncConfig sync_;
+  /// The frame being appended; reused so appends do not allocate.
+  std::vector<uint8_t> frame_;
   int64_t records_written_ = 0;
   int64_t bytes_written_ = 0;
   int64_t records_since_checkpoint_ = 0;

@@ -8,69 +8,78 @@
 namespace mdbs::storage {
 namespace {
 
-void EncodePayload(const WalRecord& record, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(record.type));
+/// Writes the payload [u8 type][little-endian fixed-width fields...] into
+/// `out`, a ByteCounter or a ByteWriter.
+template <typename Out>
+void EncodePayload(const WalRecord& record, Out& out) {
+  out.U8(static_cast<uint8_t>(record.type));
   switch (record.type) {
     case WalRecordType::kBegin:
-      PutI64(out, record.txn);
-      PutI64(out, record.global);
-      PutI64(out, record.clock);
+      out.I64(record.txn);
+      out.I64(record.global);
+      out.I64(record.clock);
       break;
     case WalRecordType::kWrite:
-      PutI64(out, record.txn);
-      PutI64(out, record.item);
-      PutI64(out, record.before);
-      PutI64(out, record.value);
-      PutI64(out, record.clock);
+      out.I64(record.txn);
+      out.I64(record.item);
+      out.I64(record.before);
+      out.I64(record.value);
+      out.I64(record.clock);
       break;
     case WalRecordType::kClr:
-      PutI64(out, record.txn);
-      PutI64(out, record.item);
-      PutI64(out, record.value);
+      out.I64(record.txn);
+      out.I64(record.item);
+      out.I64(record.value);
       break;
     case WalRecordType::kCommit:
-      PutI64(out, record.txn);
-      PutI64(out, record.clock);
+      out.I64(record.txn);
+      out.I64(record.clock);
       break;
     case WalRecordType::kAbort:
-      PutI64(out, record.txn);
+      out.I64(record.txn);
       break;
     case WalRecordType::kCheckpoint: {
       const CheckpointImage& image = record.checkpoint;
-      PutI64(out, image.clock);
-      PutU32(out, static_cast<uint32_t>(image.committed.size()));
-      for (int64_t txn : image.committed) PutI64(out, txn);
-      PutU32(out, static_cast<uint32_t>(image.items.size()));
+      out.I64(image.clock);
+      out.U32(static_cast<uint32_t>(image.committed.size()));
+      for (int64_t txn : image.committed) out.I64(txn);
+      out.U32(static_cast<uint32_t>(image.items.size()));
       for (const CheckpointImage::Item& item : image.items) {
-        PutI64(out, item.item);
-        PutI64(out, item.value);
-        PutI64(out, item.last_committed_writer);
+        out.I64(item.item);
+        out.I64(item.value);
+        out.I64(item.last_committed_writer);
       }
-      PutU32(out, static_cast<uint32_t>(image.mv_initial.size()));
+      out.U32(static_cast<uint32_t>(image.mv_initial.size()));
       for (const auto& [item, value] : image.mv_initial) {
-        PutI64(out, item);
-        PutI64(out, value);
+        out.I64(item);
+        out.I64(value);
       }
-      PutU32(out, static_cast<uint32_t>(image.mv_latest.size()));
+      out.U32(static_cast<uint32_t>(image.mv_latest.size()));
       for (const CheckpointImage::MvVersion& v : image.mv_latest) {
-        PutI64(out, v.item);
-        PutI64(out, v.wts);
-        PutI64(out, v.writer);
-        PutI64(out, v.value);
+        out.I64(v.item);
+        out.I64(v.wts);
+        out.I64(v.writer);
+        out.I64(v.value);
       }
-      PutU32(out, static_cast<uint32_t>(image.active.size()));
+      out.U32(static_cast<uint32_t>(image.active.size()));
       for (const CheckpointImage::ActiveTxn& txn : image.active) {
-        PutI64(out, txn.txn);
-        PutI64(out, txn.global);
-        PutU32(out, static_cast<uint32_t>(txn.undo.size()));
+        out.I64(txn.txn);
+        out.I64(txn.global);
+        out.U32(static_cast<uint32_t>(txn.undo.size()));
         for (const auto& [item, before] : txn.undo) {
-          PutI64(out, item);
-          PutI64(out, before);
+          out.I64(item);
+          out.I64(before);
         }
       }
       break;
     }
   }
+}
+
+size_t PayloadSize(const WalRecord& record) {
+  ByteCounter counter;
+  EncodePayload(record, counter);
+  return counter.size();
 }
 
 bool DecodePayload(const uint8_t* data, size_t size, WalRecord* out) {
@@ -186,9 +195,8 @@ const char* WalRecordTypeName(WalRecordType type) {
 }
 
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
-  std::vector<uint8_t> payload;
-  EncodePayload(record, &payload);
-  return FramePayload(payload);
+  auto encode = [&](ByteWriter& out) { EncodePayload(record, out); };
+  return FrameEncoded(PayloadSize(record), encode);
 }
 
 Status ReadWal(const LogDevice& device, WalScan* out) {
@@ -214,12 +222,12 @@ Status ReadWal(const LogDevice& device, WalScan* out) {
 }
 
 void WalWriter::Append(const WalRecord& record) {
-  std::vector<uint8_t> payload;
-  EncodePayload(record, &payload);
   bool is_checkpoint = record.type == WalRecordType::kCheckpoint;
   bool is_commit_point =
       is_checkpoint || record.type == WalRecordType::kCommit;
-  frames_.AppendPayload(payload, is_checkpoint, is_commit_point);
+  auto encode = [&](ByteWriter& out) { EncodePayload(record, out); };
+  frames_.AppendEncoded(PayloadSize(record), encode, is_checkpoint,
+                        is_commit_point);
 }
 
 }  // namespace mdbs::storage

@@ -34,6 +34,8 @@ struct CheckpointImage {
     int64_t item = 0;
     int64_t value = 0;
     int64_t last_committed_writer = -1;
+
+    friend bool operator==(const Item&, const Item&) = default;
   };
   struct ActiveTxn {
     int64_t txn = -1;
@@ -46,6 +48,8 @@ struct CheckpointImage {
     int64_t wts = 0;
     int64_t writer = -1;
     int64_t value = 0;
+
+    friend bool operator==(const MvVersion&, const MvVersion&) = default;
   };
 
   int64_t clock = 0;  // Protocol clock at checkpoint time.

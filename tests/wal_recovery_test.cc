@@ -7,13 +7,16 @@
 // algorithm from storage::RecoverWal (no checkpoints, no CLRs, no undo).
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 #include "sim/event_loop.h"
@@ -38,9 +41,36 @@ using storage::WalScan;
 // Frame / record encoding
 // ----------------------------------------------------------------------
 
+/// Bytewise CRC-32 (reflected IEEE polynomial, one bit at a time): the
+/// reference the table-driven storage::Crc32 must agree with.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
 TEST(WalEncodingTest, Crc32MatchesTheKnownTestVector) {
   // The IEEE 802.3 check value for "123456789".
   EXPECT_EQ(storage::Crc32("123456789", 9), 0xCBF43926u);
+
+  // Every length 0..67 at every start offset 0..7: covers the eight-byte
+  // steps, the bytewise tail and misaligned starts.
+  std::vector<uint8_t> buffer(8 + 67);
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 67; ++length) {
+      EXPECT_EQ(storage::Crc32(buffer.data() + offset, length),
+                ReferenceCrc32(buffer.data() + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(WalEncodingTest, AllRecordTypesRoundTrip) {
@@ -545,6 +575,108 @@ TEST(WalRecoveryTest, DurableCrashLosesOnlyVolatileState) {
   EXPECT_GT(stats.replay_records, 0);
   EXPECT_EQ(stats.redo_writes, 1);
   EXPECT_EQ(stats.undone_writes, 1);
+}
+
+// ----------------------------------------------------------------------
+// The log's bytes are fixed
+// ----------------------------------------------------------------------
+
+/// FNV-1a (64-bit) over a device image.
+uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// Checkpoint images are kept incrementally and records are encoded in one
+// pass; neither may change a byte of what the log says. Every durable
+// protocol checkpoints every 4 records through a crash on every site, and
+// each site's WAL, like the log of the durable GTM that ships its frames to
+// a warm standby, must hash to the digest this exact run produced when the
+// checkpoint was still rebuilt from the live tables. Every site log must
+// also replay to its site's live store.
+TEST(WalDigestTest, FrequentCheckpointsThroughCrashesWriteTheRecordedBytes) {
+  const std::vector<ProtocolKind> protocols = {
+      ProtocolKind::kTwoPhaseLocking, ProtocolKind::kTimestampOrdering,
+      ProtocolKind::kSerializationGraph, ProtocolKind::kOptimistic,
+      ProtocolKind::kMultiversionTO};
+  // Site i's WAL digest for this run, one per protocol above.
+  const std::vector<uint64_t> kRecordedDigests = {
+      0x40c1c69e4272afc7ull, 0x82e8441b78e72b26ull, 0x51f3d297d28084caull,
+      0x14caee9dcc6d12faull, 0x55b05abdcbf630cfull};
+  const uint64_t kRecordedGtmDigest = 0x86b2d3e8edf05febull;
+
+  MdbsConfig config = MdbsConfig::Mixed(protocols, SchemeKind::kScheme3);
+  config.seed = 41;
+  config.gtm.attempt_timeout = 10'000;
+  config.gtm.retry_backoff = 200;
+  config.health.probe_interval = 300;
+  config.health.suspect_after = 600;
+  config.health.down_after = 1200;
+  StatusOr<fault::FaultPlan> plan = fault::ParseFaultPlan(
+      "crash@1500:s0:1200;crash@3000:s4:1500;crash@4500:s2:1000;"
+      "crash@6000:s1:1500;crash@7500:s3:1200;crash@9000:s4:800");
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  config.fault_plan = *plan;
+  auto gtm_device = std::make_shared<MemLogDevice>();
+  config.gtm.durable = true;
+  config.gtm.checkpoint_interval = 16;
+  config.gtm.wal_device = gtm_device;
+  config.gtm_standby = true;
+  std::vector<std::shared_ptr<MemLogDevice>> devices;
+  for (site::SiteConfig& site : config.sites) {
+    site.durable = true;
+    site.checkpoint_interval = 4;
+    devices.push_back(std::make_shared<MemLogDevice>());
+    site.wal_device = devices.back();
+  }
+  Mdbs system(config);
+  DriverConfig driver;
+  driver.global_clients = 5;
+  driver.local_clients_per_site = 1;
+  driver.target_global_commits = 80;
+  driver.global_workload.items_per_site = 20;
+  driver.local_workload.items_per_site = 20;
+  driver.retry.max_resubmissions = 3;
+  driver.retry.backoff = 400;
+  DriverReport report = RunDriver(&system, driver, 41);
+  EXPECT_TRUE(system.RunAuditOracle().ok());
+  EXPECT_EQ(report.durability.recoveries, 6);
+  EXPECT_GT(report.durability.checkpoints, 100);
+
+  auto hex = [](uint64_t digest) {
+    char text[19];
+    std::snprintf(text, sizeof(text), "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    return std::string(text);
+  };
+  EXPECT_EQ(Fnv1a64(gtm_device->bytes()), kRecordedGtmDigest)
+      << "GTM log digest is now " << hex(Fnv1a64(gtm_device->bytes()))
+      << " over " << gtm_device->bytes().size() << " bytes";
+  for (size_t i = 0; i < protocols.size(); ++i) {
+    SCOPED_TRACE(lcc::ProtocolKindName(protocols[i]));
+    site::LocalDbms& site = system.site(SiteId{static_cast<int64_t>(i)});
+    ASSERT_FALSE(site.IsDown());
+    EXPECT_EQ(Fnv1a64(devices[i]->bytes()), kRecordedDigests[i])
+        << "site " << i << " WAL digest is now "
+        << hex(Fnv1a64(devices[i]->bytes())) << " over "
+        << devices[i]->bytes().size() << " bytes";
+
+    WalScan scan;
+    ASSERT_TRUE(ReadWal(*devices[i], &scan).ok());
+    RecoveredState state;
+    ASSERT_TRUE(RecoverWal(*devices[i],
+                           protocols[i] == ProtocolKind::kMultiversionTO,
+                           &state)
+                    .ok());
+    for (int64_t item : ItemUniverse(scan.records)) {
+      EXPECT_EQ(ValueOf(state.store, item), site.UnsafePeek(DataItemId{item}))
+          << "item " << item << " diverged from the live store";
+    }
+  }
 }
 
 }  // namespace
