@@ -299,8 +299,8 @@ void Mdbs::FinishThreadedRun() {
   // in-flight chains count as busy, while the only far-future timers —
   // attempt timeouts of already-finished transactions — don't keep the run
   // alive for hundreds of milliseconds. Observing strand A idle
-  // happens-after any task it posted to strand B was enqueued (A's mutex,
-  // then B's mutex), so a sweep where every strand is quiescent beyond the
+  // happens-after any task it posted to strand B was enqueued (A's worker
+  // mutex, then B's), so a sweep where every strand is quiescent beyond the
   // horizon is a true fixpoint once no external thread submits work.
   sim::Time horizon_ticks = 2 * config_.net_delay + 1000;
   horizon_ticks = std::max<sim::Time>(horizon_ticks,
@@ -364,7 +364,8 @@ void Mdbs::SampleStrandBacklogs() {
 
 void Mdbs::StopStrands() {
   if (!threaded_ || strands_stopped_) return;
-  // Joining the workers makes everything they wrote visible to this thread.
+  // Each Stop returns under its worker's mutex, taken after the strand's
+  // last task ended, so everything the strands wrote is visible here.
   gtm_strand_->Stop();
   for (auto& [id, strand] : site_strands_) strand->Stop();
   strands_stopped_ = true;

@@ -69,9 +69,10 @@ struct MdbsConfig {
   obs::MetricsConfig metrics;
   /// Execution mode. false: the single-threaded discrete-event simulator
   /// (deterministic; drive it with RunUntilIdle). true: real threads — one
-  /// RealStrand per site plus one for the GTM — with ticks interpreted as
-  /// real microseconds; drive it with RunThreadedDriver (or SubmitGlobal +
-  /// your own threads) and finish with FinishThreadedRun.
+  /// RealStrand per site plus one for the GTM, run on at most one worker
+  /// thread per usable CPU — with ticks interpreted as real microseconds;
+  /// drive it with RunThreadedDriver (or SubmitGlobal + your own threads)
+  /// and finish with FinishThreadedRun.
   bool threaded = false;
 
   /// Convenience: `count` sites with the given protocols round-robin.

@@ -3,9 +3,9 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/task_runner.h"
@@ -20,13 +20,27 @@ namespace mdbs::sim {
 /// early. A no-op off Linux.
 void SetFineTimerSlack();
 
-/// Shared real-time clock for a family of strands: microseconds since its
-/// construction, measured on the steady clock. All strands of one
-/// multidatabase share a ticker so their `now()` values are comparable (the
-/// recorder's timestamps, response-time measurements).
+/// CPUs the calling thread may run on: the size of its affinity mask on
+/// Linux, `std::thread::hardware_concurrency()` elsewhere. At least 1.
+int UsableCpus();
+
+/// Shared real-time clock and worker threads for a family of strands.
+/// `NowMicros` is microseconds since construction on the steady clock; all
+/// strands of one multidatabase share a ticker so their `now()` values are
+/// comparable (the recorder's timestamps, response-time measurements).
+///
+/// The ticker owns the threads that run its strands' tasks: at most W of
+/// them, W = `UsableCpus()` of the constructing thread. Each new strand
+/// gets a new worker until there are W; later strands are spread over them
+/// round-robin. A strand never moves between workers. The ticker must
+/// outlive every strand built on it; its destructor joins the workers.
 class RealTicker {
  public:
-  RealTicker() : epoch_(std::chrono::steady_clock::now()) {}
+  RealTicker();
+  ~RealTicker();
+
+  RealTicker(const RealTicker&) = delete;
+  RealTicker& operator=(const RealTicker&) = delete;
 
   Time NowMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -38,23 +52,40 @@ class RealTicker {
     return epoch_ + std::chrono::microseconds(at);
   }
 
+  /// Workers started so far (at most W).
+  int workers() const;
+
  private:
+  friend class RealStrand;
+  class Worker;
+
+  /// The worker a new strand runs on; starts one if fewer than W exist.
+  Worker* AssignWorker();
+
   std::chrono::steady_clock::time_point epoch_;
+  const int max_workers_;
+
+  mutable std::mutex workers_mu_;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  size_t next_worker_ = 0;
 };
 
-/// A TaskRunner backed by one worker thread draining a timed task queue —
-/// the threaded engine's unit of mutual exclusion. Tasks run strictly one
-/// at a time on the worker, so state touched only from one strand needs no
+/// A TaskRunner whose tasks run on one of its ticker's worker threads —
+/// the threaded engine's unit of mutual exclusion. A strand's tasks run
+/// strictly one at a time, so state touched only from one strand needs no
 /// further locking; `Schedule` may be called from any thread. Due tasks run
 /// in (due time, submission order), matching EventLoop's tie-breaking, so a
 /// sender posting two tasks with the same delay is guaranteed in-order
-/// delivery — the property GTM2's ser_k release order relies on.
+/// delivery — the property GTM2's ser_k release order relies on. Strands
+/// that share a worker take turns on it, so a task must never block: it
+/// would stall every strand of its worker.
 class RealStrand final : public TaskRunner {
  public:
-  /// `ticker` must outlive the strand. `name` labels the worker for logs.
-  RealStrand(const RealTicker* ticker, std::string name);
+  /// `ticker` must outlive the strand. `name` labels the strand for logs.
+  RealStrand(RealTicker* ticker, std::string name);
 
-  /// Stops the worker (discarding queued tasks) if Stop was not called.
+  /// Stops the strand if Stop was not called, then destroys the tasks Stop
+  /// discarded.
   ~RealStrand() override;
 
   RealStrand(const RealStrand&) = delete;
@@ -72,52 +103,38 @@ class RealStrand final : public TaskRunner {
   /// only far-future timers (stale attempt timeouts) remain.
   bool QuiescentBeyond(Time horizon) const;
 
-  /// Finishes the in-flight task, discards the rest of the queue, and joins
-  /// the worker. Idempotent, also when called from several threads at once:
-  /// every caller returns after the worker has exited. Must not be called
-  /// from a task on this strand. After Stop the object is inert: pending and
-  /// future Schedule calls are dropped.
+  /// Finishes the in-flight task and discards the rest of the queue; the
+  /// discarded tasks never run and are destroyed with the strand. Returns
+  /// once this strand has no task running, under the worker's mutex, so
+  /// everything its tasks wrote is visible to the caller. Idempotent, also
+  /// when called from several threads at once. Must not be called from a
+  /// task on this strand. After Stop the object is inert: pending and
+  /// future Schedule calls are dropped. The worker keeps serving the other
+  /// strands.
   void Stop();
 
   /// Tasks executed so far (approximate while running; exact after Stop).
   int64_t executed() const;
 
-  /// Tasks currently queued (due or timed). A sampled snapshot — the
-  /// observability backlog gauge in threaded runs.
-  int64_t PendingTasks() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int64_t>(queue_.size());
-  }
+  /// Tasks queued (due or timed) and not yet run, counting those Stop
+  /// discarded. A sampled snapshot — the observability backlog gauge in
+  /// threaded runs.
+  int64_t PendingTasks() const;
 
  private:
-  struct Task {
-    Time at;
-    int64_t seq;
-    Callback cb;
-  };
-  /// Min-heap order on (at, seq) for std::push_heap/pop_heap.
-  struct Later {
-    bool operator()(const Task& a, const Task& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  void ThreadMain();
+  friend class RealTicker;
 
   const RealTicker* ticker_;
+  RealTicker::Worker* worker_;
   std::string name_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Task> queue_;  // Heap ordered by Later.
-  int64_t next_seq_ = 0;
+  // Guarded by the worker's mutex.
   bool stopping_ = false;
   bool running_task_ = false;
   int64_t executed_ = 0;
-
-  std::once_flag join_once_;
-  std::thread worker_;
+  int64_t pending_ = 0;  // Scheduled and not yet run, discarded included.
+  std::vector<Callback> discarded_;
+  std::condition_variable idle_;  // Signalled when a task ends after Stop.
 };
 
 }  // namespace mdbs::sim

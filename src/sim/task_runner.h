@@ -18,9 +18,11 @@ using Time = int64_t;
 /// Two implementations exist:
 ///   - sim::EventLoop: the single-threaded deterministic simulator; every
 ///     strand is the same loop, so all callbacks trivially serialize.
-///   - sim::RealStrand: a worker thread draining a timed task queue; one
-///     strand per site plus one for the GTM gives real parallelism while
-///     each component's state stays single-threaded.
+///   - sim::RealStrand: a timed task queue served by one of a fixed set of
+///     worker threads, at most one per usable CPU; one strand per site plus
+///     one for the GTM gives real parallelism where there are CPUs for it,
+///     while each component's state stays single-threaded. Strands that
+///     share a worker take turns, so a task must never block.
 /// `Schedule` is safe to call from any thread on a RealStrand; the returned
 /// ordering guarantee is FIFO among tasks with equal due times, so message
 /// order between a fixed (sender strand, receiver strand) pair with a fixed

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #ifdef __linux__
+#include <sched.h>
 #include <sys/prctl.h>
 #endif
 
@@ -225,6 +226,195 @@ TEST(RealStrandTest, TimedTaskNeverRunsBeforeItsDelay) {
     }
   }
 }
+
+TEST(RealStrandTest, StartsOneWorkerPerStrandUpToTheUsableCpus) {
+  RealTicker ticker;
+  std::vector<std::unique_ptr<RealStrand>> strands;
+  for (int i = 0; i < 6; ++i) {
+    strands.push_back(std::make_unique<RealStrand>(&ticker, "w"));
+    EXPECT_EQ(ticker.workers(), std::min(i + 1, UsableCpus()));
+  }
+  // Every strand runs, whichever worker it landed on.
+  for (auto& strand : strands) Drain(strand.get());
+}
+
+TEST(RealStrandTest, StrandsOnTheirOwnWorkersRunConcurrently) {
+  if (UsableCpus() < 2) GTEST_SKIP() << "needs at least 2 usable CPUs";
+  RealTicker ticker;
+  RealStrand a(&ticker, "a");
+  RealStrand b(&ticker, "b");
+  ASSERT_EQ(ticker.workers(), 2);
+  Gate gate(&a);  // Holds a's worker.
+  auto ran = std::make_shared<std::promise<void>>();
+  std::future<void> ran_future = ran->get_future();
+  b.Schedule(0, [ran]() { ran->set_value(); });
+  EXPECT_EQ(ran_future.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  gate.Open();
+}
+
+#ifdef __linux__
+/// Restricts the calling thread to the first CPU of its affinity mask for
+/// the object's lifetime and restores the mask afterwards. A ticker built
+/// meanwhile has W = 1: all of its strands share one worker.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    CPU_ZERO(&saved_);
+    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~PinToOneCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  PinToOneCpu(const PinToOneCpu&) = delete;
+  PinToOneCpu& operator=(const PinToOneCpu&) = delete;
+
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
+
+TEST(RealStrandTest, StrandsSharingAWorkerKeepTheirOwnDueOrder) {
+  PinToOneCpu pin;
+  if (!pin.pinned()) GTEST_SKIP() << "sched_setaffinity failed";
+  RealTicker ticker;
+  RealStrand a(&ticker, "a");
+  RealStrand b(&ticker, "b");
+  ASSERT_EQ(ticker.workers(), 1);
+  // b's delays run in the reverse order of a's.
+  const std::vector<Time> forward = {3000, 1000, 2000, 1000, 3000, 1000, 2000};
+  const std::vector<Time> delays[2] = {
+      forward, std::vector<Time>(forward.rbegin(), forward.rend())};
+  RealStrand* strands[2] = {&a, &b};
+  // Per strand: [lo, hi] brackets each task's due time, as above, and the
+  // order its tasks ran in. Touched by the worker only, until drained.
+  std::vector<Time> lo[2], hi[2];
+  std::vector<size_t> ran[2];
+  Gate gate(&a);  // Holds the one worker, so b's tasks wait too.
+  for (size_t i = 0; i < forward.size(); ++i) {
+    for (int s = 0; s < 2; ++s) {
+      lo[s].push_back(ticker.NowMicros() + delays[s][i]);
+      strands[s]->Schedule(delays[s][i],
+                           [&ran, s, i]() { ran[s].push_back(i); });
+      hi[s].push_back(ticker.NowMicros() + delays[s][i]);
+    }
+  }
+  gate.Open();
+  Drain(&a, 3000);
+  Drain(&b, 3000);
+
+  for (int s = 0; s < 2; ++s) {
+    ASSERT_EQ(ran[s].size(), forward.size()) << "strand " << s;
+    for (size_t k = 0; k + 1 < ran[s].size(); ++k) {
+      size_t first = ran[s][k];
+      size_t next = ran[s][k + 1];
+      EXPECT_GE(hi[s][next], lo[s][first])
+          << "strand " << s << ": task " << next << " ran after " << first;
+    }
+    // Equal delays keep submission order within each strand.
+    for (Time d : {Time{1000}, Time{2000}, Time{3000}}) {
+      std::vector<size_t> same;
+      for (size_t i : ran[s]) {
+        if (delays[s][i] == d) same.push_back(i);
+      }
+      EXPECT_EQ(same.size(), d == 1000 ? 3u : 2u);
+      EXPECT_TRUE(std::is_sorted(same.begin(), same.end()))
+          << "strand " << s << ", delay " << d;
+    }
+  }
+}
+
+TEST(RealStrandTest, SharedWorkerParkedOnAFarDeadlineWakesForANearerTask) {
+  PinToOneCpu pin;
+  if (!pin.pinned()) GTEST_SKIP() << "sched_setaffinity failed";
+  RealTicker ticker;
+  RealStrand a(&ticker, "a");
+  RealStrand b(&ticker, "b");
+  ASSERT_EQ(ticker.workers(), 1);
+  constexpr Time kMinute = 60'000'000;
+  b.Schedule(kMinute, []() {});
+  Drain(&b);  // The worker goes back to its queue and parks on b's minute.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+  auto ran_at = std::make_shared<std::promise<Time>>();
+  std::future<Time> ran_future = ran_at->get_future();
+  Time scheduled_at = ticker.NowMicros();
+  a.Schedule(1000, [ran_at, &ticker]() {
+    ran_at->set_value(ticker.NowMicros());
+  });
+  ASSERT_EQ(ran_future.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready)
+      << "a's task waited behind b's deadline";
+  EXPECT_GE(ran_future.get() - scheduled_at, 1000);
+  EXPECT_EQ(b.PendingTasks(), 1);
+}
+
+TEST(RealStrandTest, StopOnOneStrandLeavesItsWorkerMateRunning) {
+  PinToOneCpu pin;
+  if (!pin.pinned()) GTEST_SKIP() << "sched_setaffinity failed";
+  RealTicker ticker;
+  RealStrand a(&ticker, "a");
+  RealStrand b(&ticker, "b");
+  ASSERT_EQ(ticker.workers(), 1);
+  std::atomic<int> ran_a{0};
+  std::atomic<int> ran_b{0};
+  Gate gate(&a);  // a's task is in flight when Stop(a) begins.
+  for (int i = 0; i < 5; ++i) {
+    a.Schedule(0, [&ran_a]() { ran_a.fetch_add(1); });
+    b.Schedule(0, [&ran_b]() { ran_b.fetch_add(1); });
+  }
+  std::thread stopper([&a]() { a.Stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  gate.Open();
+  stopper.join();
+  Drain(&b);
+
+  EXPECT_EQ(ran_a.load(), 0);
+  EXPECT_EQ(a.executed(), 1);
+  EXPECT_EQ(a.PendingTasks(), 5);
+  EXPECT_EQ(ran_b.load(), 5);
+  a.Schedule(0, [&ran_a]() { ran_a.fetch_add(1); });  // Dropped.
+  Drain(&b);
+  EXPECT_EQ(ran_a.load(), 0);
+  b.Stop();                    // Makes executed() exact.
+  EXPECT_EQ(b.executed(), 7);  // Five tasks and two drains.
+}
+
+TEST(RealStrandTest, DestroyingOneStrandLeavesItsWorkerMateWorking) {
+  PinToOneCpu pin;
+  if (!pin.pinned()) GTEST_SKIP() << "sched_setaffinity failed";
+  RealTicker ticker;
+  auto a = std::make_unique<RealStrand>(&ticker, "a");
+  RealStrand b(&ticker, "b");
+  ASSERT_EQ(ticker.workers(), 1);
+  constexpr Time kMinute = 60'000'000;
+  auto token = std::make_shared<int>(0);  // Held by a's queued callbacks.
+  std::atomic<int> ran_b{0};
+  for (int i = 0; i < 3; ++i) {
+    a->Schedule(kMinute, [token]() {});
+    b.Schedule(5000, [&ran_b]() { ran_b.fetch_add(1); });
+  }
+  a->Stop();
+  EXPECT_EQ(token.use_count(), 4);  // Discarded, not yet destroyed.
+  a.reset();
+  EXPECT_EQ(token.use_count(), 1);  // Destroyed with the strand.
+
+  Drain(&b, 5000);
+  EXPECT_EQ(ran_b.load(), 3);
+  EXPECT_EQ(RunOn(&b, []() { return 42; }), 42);
+}
+#endif  // __linux__
 
 #ifdef __linux__
 int TimerSlackNs() { return prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL); }
