@@ -122,14 +122,15 @@ void EncodeCheckpoint(const GtmCheckpoint& cp, Out& out) {
   }
   out.U32(static_cast<uint32_t>(cp.quarantined.size()));
   for (int64_t site : cp.quarantined) out.I64(site);
-  out.U32(static_cast<uint32_t>(cp.wait.size()));
-  for (const QueueOp& op : cp.wait) EncodeQueueOpInto(op, out);
-  out.U32(static_cast<uint32_t>(cp.dead_txns.size()));
-  for (int64_t txn : cp.dead_txns) out.I64(txn);
-  EncodeGtm2Stats(cp.gtm2_stats, out);
-  out.I64(cp.scheme_steps);
-  out.U32(static_cast<uint32_t>(cp.scheme_state.size()));
-  out.Bytes(cp.scheme_state.data(), cp.scheme_state.size());
+  const Gtm2::VolatileImage& gtm2 = cp.gtm2;
+  out.U32(static_cast<uint32_t>(gtm2.wait.size()));
+  for (const QueueOp& op : gtm2.wait) EncodeQueueOpInto(op, out);
+  out.U32(static_cast<uint32_t>(gtm2.dead_txns.size()));
+  for (int64_t txn : gtm2.dead_txns) out.I64(txn);
+  EncodeGtm2Stats(gtm2.stats, out);
+  out.I64(gtm2.scheme_steps);
+  out.U32(static_cast<uint32_t>(gtm2.scheme_state.size()));
+  out.Bytes(gtm2.scheme_state.data(), gtm2.scheme_state.size());
 }
 
 bool DecodeCheckpoint(Cursor* c, GtmCheckpoint* cp) {
@@ -174,21 +175,22 @@ bool DecodeCheckpoint(Cursor* c, GtmCheckpoint* cp) {
   for (uint32_t i = 0; i < quarantined && c->ok(); ++i) {
     cp->quarantined.push_back(c->I64());
   }
+  Gtm2::VolatileImage* gtm2 = &cp->gtm2;
   uint32_t wait = c->U32();
   for (uint32_t i = 0; i < wait && c->ok(); ++i) {
     QueueOp op;
     if (!DecodeQueueOpFrom(c, &op)) return false;
-    cp->wait.push_back(std::move(op));
+    gtm2->wait.push_back(std::move(op));
   }
   uint32_t dead = c->U32();
   for (uint32_t i = 0; i < dead && c->ok(); ++i) {
-    cp->dead_txns.push_back(c->I64());
+    gtm2->dead_txns.push_back(c->I64());
   }
-  DecodeGtm2Stats(c, &cp->gtm2_stats);
-  cp->scheme_steps = c->I64();
+  DecodeGtm2Stats(c, &gtm2->stats);
+  gtm2->scheme_steps = c->I64();
   uint32_t blob = c->U32();
   for (uint32_t i = 0; i < blob && c->ok(); ++i) {
-    cp->scheme_state.push_back(c->U8());
+    gtm2->scheme_state.push_back(c->U8());
   }
   return c->ok();
 }
@@ -218,11 +220,7 @@ void EncodePayload(const GtmLogRecord& record, Out& out) {
       out.I64(record.value);
       break;
     case GtmLogRecordType::kEnqueue:
-      out.U8(record.code);
-      out.I64(record.attempt);
-      out.I64(record.site);
-      out.U32(static_cast<uint32_t>(record.sites.size()));
-      for (int64_t site : record.sites) out.I64(site);
+      EncodeQueueOpInto(record.op, out);
       break;
     case GtmLogRecordType::kAbortCleanup:
       out.I64(record.attempt);
@@ -295,17 +293,9 @@ bool DecodeGtmLogPayload(const uint8_t* data, size_t size,
       record->item = c.I64();
       record->value = c.I64();
       break;
-    case GtmLogRecordType::kEnqueue: {
-      record->code = c.U8();
-      if (record->code > static_cast<uint8_t>(QueueOpKind::kFin)) return false;
-      record->attempt = c.I64();
-      record->site = c.I64();
-      uint32_t n = c.U32();
-      for (uint32_t i = 0; i < n && c.ok(); ++i) {
-        record->sites.push_back(c.I64());
-      }
+    case GtmLogRecordType::kEnqueue:
+      if (!DecodeQueueOpFrom(&c, &record->op)) return false;
       break;
-    }
     case GtmLogRecordType::kAbortCleanup:
       record->attempt = c.I64();
       break;
@@ -432,7 +422,6 @@ void RestoreFromCheckpoint(const GtmCheckpoint& cp, GtmLogAnalysis* out) {
     out->attempts[attempt.id] = attempt;
   }
   out->quarantined = cp.quarantined;
-  out->gtm2_replay.clear();
 }
 
 void InsertSorted(std::vector<int64_t>* values, int64_t value) {
@@ -501,7 +490,6 @@ Status GtmLogReplayer::Apply(const GtmLogRecord& r, size_t index) {
     }
     case GtmLogRecordType::kEnqueue:
     case GtmLogRecordType::kAbortCleanup:
-      out->gtm2_replay.push_back(index);
       break;
     case GtmLogRecordType::kAttemptFail: {
       auto attempt = out->attempts.find(r.attempt);
@@ -617,6 +605,25 @@ Status AnalyzeGtmLog(const std::vector<GtmLogRecord>& records,
   }
   *out = replayer.analysis();
   return Status::OK();
+}
+
+bool ReplayIntoGtm2(
+    const GtmLogRecord& record, Gtm2* gtm2,
+    const std::function<std::unique_ptr<Scheme>()>& fresh_scheme) {
+  switch (record.type) {
+    case GtmLogRecordType::kEnqueue:
+      gtm2->Enqueue(record.op);
+      return true;
+    case GtmLogRecordType::kAbortCleanup:
+      gtm2->AbortCleanup(GlobalTxnId(record.attempt));
+      return true;
+    case GtmLogRecordType::kCheckpoint:
+      gtm2->ResetForRecovery(fresh_scheme());
+      gtm2->RestoreFromCheckpoint(record.checkpoint.gtm2);
+      return false;
+    default:
+      return false;
+  }
 }
 
 }  // namespace mdbs::gtm

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "gtm/gtm1.h"
 #include "gtm/gtm2.h"
 #include "gtm/queue_op.h"
+#include "gtm/scheme.h"
 #include "storage/framing.h"
 #include "storage/log_device.h"
 
@@ -32,7 +34,7 @@ enum class GtmLogRecordType : uint8_t {
   kAttemptStart = 2,  // attempt created; index = 1-based attempt number
   kBeginSite = 3,     // sub-transaction allocated for (attempt, site)
   kRead = 4,          // data-op read observed (site, item, value)
-  kEnqueue = 5,       // GTM2 enqueue; code = QueueOpKind, sites for kInit
+  kEnqueue = 5,       // GTM2 enqueue of `op`
   kAbortCleanup = 6,  // GTM2 purge of a dead attempt
   kAttemptFail = 7,   // attempt retired; code = GtmAttemptFailReason
   kCommitStart = 8,   // validation passed, commit fan-out begins
@@ -97,14 +99,9 @@ struct GtmCheckpoint {
   std::vector<JobImage> jobs;          // sorted by id
   std::vector<AttemptImage> attempts;  // sorted by id
   std::vector<int64_t> quarantined;    // sorted
-
-  // GTM2 volatile image (QUEUE is empty at every strand-turn boundary, so
-  // only WAIT, the dead set, the counters and the scheme DS are captured).
-  std::vector<QueueOp> wait;       // in WAIT order
-  std::vector<int64_t> dead_txns;  // sorted
-  Gtm2Stats gtm2_stats;
-  int64_t scheme_steps = 0;
-  std::vector<uint8_t> scheme_state;
+  /// GTM2's volatile image (QUEUE is empty at every strand-turn boundary,
+  /// so WAIT, the dead set, the counters and the scheme DS are all of it).
+  Gtm2::VolatileImage gtm2;
 };
 
 /// One GTM WAL record. Field use depends on `type` (see the enum); unused
@@ -120,13 +117,12 @@ struct GtmLogRecord {
   /// kAttemptStart: attempt number; kCommitSite: committed site index;
   /// kFinish: attempts used.
   int64_t index = 0;
-  /// kEnqueue: QueueOpKind; kAttemptFail: GtmAttemptFailReason; kFinish:
-  /// GtmFinishOutcome.
+  /// kAttemptFail: GtmAttemptFailReason; kFinish: GtmFinishOutcome.
   uint8_t code = 0;
   /// kSubmit: submit tick.
   int64_t time = 0;
-  /// kEnqueue(kInit): the announced site set, in announcement order.
-  std::vector<int64_t> sites;
+  /// kEnqueue only: the operation GTM1 put into GTM2's QUEUE.
+  QueueOp op;
   /// kCheckpoint only.
   GtmCheckpoint checkpoint;
 };
@@ -197,10 +193,10 @@ class GtmLogWriter {
   Shipper shipper_;
 };
 
-/// State derived from a (possibly truncated) GTM log: the latest
+/// GTM1 state derived from a (possibly truncated) GTM log: the latest
 /// checkpoint, fast-forwarded through the suffix. Pure function of the
 /// record sequence — the crash-point fuzz battery runs it over every
-/// prefix.
+/// prefix. GTM2's state is not part of it: ReplayIntoGtm2 rebuilds that.
 struct GtmLogAnalysis {
   int64_t next_txn_id = 0;
   int64_t next_attempt_id = 0;
@@ -213,13 +209,11 @@ struct GtmLogAnalysis {
   /// Quarantine set as of the log end (sorted). Recovery supersedes it
   /// with the health monitor's current view; the fuzz oracle checks it.
   std::vector<int64_t> quarantined;
-  /// Index of the latest kCheckpoint record, or npos.
+  /// Index of the latest kCheckpoint record, or npos. Replaying the
+  /// records from here through ReplayIntoGtm2 rebuilds GTM2 exactly as
+  /// replaying them from the log head does.
   static constexpr size_t kNoCheckpoint = static_cast<size_t>(-1);
   size_t checkpoint_index = kNoCheckpoint;
-  /// Indices of kEnqueue / kAbortCleanup records after the checkpoint, in
-  /// log order: replaying them through a checkpoint-restored GTM2
-  /// reproduces the exact pre-crash WAIT / dead-set / scheme DS state.
-  std::vector<size_t> gtm2_replay;
 };
 
 Status AnalyzeGtmLog(const std::vector<GtmLogRecord>& records,
@@ -227,8 +221,9 @@ Status AnalyzeGtmLog(const std::vector<GtmLogRecord>& records,
 
 /// Incremental form of AnalyzeGtmLog: feed records one at a time and read
 /// the running analysis at any point. The warm standby applies shipped
-/// frames through this as they arrive, so promotion only has to analyze the
-/// unshipped tail; AnalyzeGtmLog itself is a loop over Apply.
+/// frames through this (and through ReplayIntoGtm2) as they arrive, so
+/// promotion only has to apply the unshipped tail; AnalyzeGtmLog itself is
+/// a loop over Apply.
 class GtmLogReplayer {
  public:
   GtmLogReplayer() = default;
@@ -245,6 +240,20 @@ class GtmLogReplayer {
  private:
   GtmLogAnalysis analysis_;
 };
+
+/// The one rule for turning a GTM log record back into a GTM2 call. Cold
+/// recovery, the warm standby and the crash-point battery all replay the
+/// log through it:
+///   kEnqueue / kAbortCleanup — re-applies the mutation; returns true;
+///   kCheckpoint — resets `gtm2` onto `fresh_scheme()` and restores the
+///                 checkpoint's image (it supersedes every earlier
+///                 mutation); returns false;
+///   anything else — GTM1-only state; no-op, returns false.
+/// Replaying a log from its head or from its latest checkpoint yields the
+/// same GTM2 state.
+bool ReplayIntoGtm2(
+    const GtmLogRecord& record, Gtm2* gtm2,
+    const std::function<std::unique_ptr<Scheme>()>& fresh_scheme);
 
 }  // namespace mdbs::gtm
 

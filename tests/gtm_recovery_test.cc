@@ -4,10 +4,12 @@
 // The fuzz core treats every frame boundary of a real run's GTM log as a
 // potential crash point and checks, with oracles independent of the code
 // under test's own bookkeeping:
-//   (1) State oracle — a standalone GTM2 rebuilt from the prefix (latest
-//       checkpoint + logged mutation suffix) must fingerprint-match the
-//       live GTM2 captured at exactly that mutation during the original
-//       run (via the mutation observer hook).
+//   (1) State oracle — a standalone GTM2 rebuilt from the prefix through
+//       ReplayIntoGtm2 must fingerprint-match the live GTM2 captured at
+//       exactly that mutation during the original run (via the mutation
+//       observer hook), whether the replay starts at the prefix's latest
+//       checkpoint, as cold recovery does, or at its head, as the warm
+//       standby does.
 //   (2) Committed-prefix oracle — a job that reached its committed kFinish
 //       record within the prefix is never resurrected as unfinished, and
 //       the committed count never regresses as the prefix grows.
@@ -18,6 +20,7 @@
 // and assert clients ride out the outage: buffered submissions drain in
 // order, nothing is lost, and the federation stays serializable.
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,7 +33,6 @@
 #include "gtm/gtm1.h"
 #include "gtm/gtm2.h"
 #include "gtm/gtm_log.h"
-#include "gtm/queue_op.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 #include "storage/framing.h"
@@ -64,38 +66,14 @@ std::unique_ptr<gtm::Gtm2> MakeReplayGtm2(SchemeKind scheme) {
                                      std::move(callbacks));
 }
 
-/// Rebuilds GTM2 state from a log prefix the way Gtm1::Recover does:
-/// restore the latest checkpoint, replay the logged mutation suffix.
-std::vector<uint8_t> ReplayPrefixFingerprint(
-    const std::vector<GtmLogRecord>& prefix, SchemeKind scheme) {
-  GtmLogAnalysis analysis;
-  Status ok = AnalyzeGtmLog(prefix, &analysis);
-  EXPECT_TRUE(ok.ok()) << ok.ToString();
+/// Replays `prefix` from record `first` through ReplayIntoGtm2 into a
+/// standalone GTM2 and fingerprints the result.
+std::vector<uint8_t> ReplayFingerprint(const std::vector<GtmLogRecord>& prefix,
+                                       size_t first, SchemeKind scheme) {
   std::unique_ptr<gtm::Gtm2> gtm2 = MakeReplayGtm2(scheme);
-  if (analysis.checkpoint_index != GtmLogAnalysis::kNoCheckpoint) {
-    const gtm::GtmCheckpoint& cp =
-        prefix[analysis.checkpoint_index].checkpoint;
-    gtm::Gtm2::VolatileImage image;
-    image.wait = cp.wait;
-    image.dead_txns = cp.dead_txns;
-    image.stats = cp.gtm2_stats;
-    image.scheme_steps = cp.scheme_steps;
-    image.scheme_state = cp.scheme_state;
-    gtm2->RestoreFromCheckpoint(image);
-  }
-  for (size_t index : analysis.gtm2_replay) {
-    const GtmLogRecord& record = prefix[index];
-    if (record.type == GtmLogRecordType::kEnqueue) {
-      gtm::QueueOp op;
-      op.kind = static_cast<gtm::QueueOpKind>(record.code);
-      op.txn = GlobalTxnId(record.attempt);
-      op.site = SiteId(record.site);
-      op.sites.reserve(record.sites.size());
-      for (int64_t site : record.sites) op.sites.emplace_back(site);
-      gtm2->Enqueue(std::move(op));
-    } else {
-      gtm2->AbortCleanup(GlobalTxnId(record.attempt));
-    }
+  for (size_t i = first; i < prefix.size(); ++i) {
+    gtm::ReplayIntoGtm2(prefix[i], gtm2.get(),
+                        [scheme]() { return gtm::MakeScheme(scheme); });
   }
   return gtm2->StateFingerprint();
 }
@@ -201,18 +179,27 @@ TEST_P(GtmCrashPointFuzzTest, EveryLogPrefixReplaysToTheLiveState) {
     }
     ASSERT_LE(mutations, captures.size());
 
-    // Oracle (1): replayed state == live state at the same mutation.
-    std::vector<uint8_t> replayed = ReplayPrefixFingerprint(prefix, scheme);
+    // Oracle (1): replayed state == live state at the same mutation, both
+    // from the prefix's latest checkpoint (as cold recovery replays) and
+    // from its head (as the standby applies it).
+    GtmLogAnalysis analysis;
+    ASSERT_TRUE(AnalyzeGtmLog(prefix, &analysis).ok());
+    size_t checkpoint =
+        analysis.checkpoint_index == GtmLogAnalysis::kNoCheckpoint
+            ? 0
+            : analysis.checkpoint_index;
     std::vector<uint8_t> expected =
         mutations == 0 ? MakeReplayGtm2(scheme)->StateFingerprint()
                        : captures[mutations - 1];
-    EXPECT_EQ(replayed, expected)
+    EXPECT_EQ(ReplayFingerprint(prefix, checkpoint, scheme), expected)
         << "prefix of " << cut << " records (mutation " << mutations
-        << ") replayed to a different GTM2 state";
+        << ") replayed from record " << checkpoint
+        << " to a different GTM2 state";
+    EXPECT_EQ(ReplayFingerprint(prefix, 0, scheme), expected)
+        << "prefix of " << cut << " records (mutation " << mutations
+        << ") replayed from the log head to a different GTM2 state";
 
     // Oracle (2): committed jobs stay committed and never reappear.
-    GtmLogAnalysis analysis;
-    ASSERT_TRUE(AnalyzeGtmLog(prefix, &analysis).ok());
     EXPECT_GE(analysis.stats.committed, last_committed)
         << "committed count regressed at cut " << cut;
     last_committed = analysis.stats.committed;
@@ -393,6 +380,95 @@ TEST(GtmRecoveryTest, IdAllocationResumesAboveTheLog) {
     max_attempt = r.attempt;
   }
   EXPECT_EQ(analysis.next_attempt_id, max_attempt + 1);
+}
+
+// ----------------------------------------------------------------------
+// The bytes recovery writes are fixed
+// ----------------------------------------------------------------------
+
+/// FNV-1a (64-bit) over a device image.
+uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+std::string Hex(uint64_t digest) {
+  char text[19];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(digest));
+  return text;
+}
+
+MdbsConfig DigestConfig(uint64_t seed) {
+  MdbsConfig config = MdbsConfig::Mixed(kProtocols, SchemeKind::kScheme3);
+  config.seed = seed;
+  config.gtm.durable = true;
+  config.gtm.checkpoint_interval = 64;
+  config.gtm.recovery_time_per_record = 2;
+  config.gtm.attempt_timeout = 10'000;
+  return config;
+}
+
+DriverConfig DigestWorkload() {
+  DriverConfig driver;
+  driver.global_clients = 6;
+  driver.local_clients_per_site = 2;
+  driver.target_global_commits = 50;
+  driver.global_workload.items_per_site = 25;
+  driver.local_workload.items_per_site = 25;
+  return driver;
+}
+
+// Cold recovery appends to the log it replayed: an attempt_fail and an
+// abort_cleanup per undecided attempt, then the records and checkpoints of
+// the resumed run. Two restarts of this run must leave exactly the bytes
+// they left when the digest was recorded.
+TEST(GtmLogDigestTest, ColdRecoveriesWriteTheRecordedBytes) {
+  const uint64_t kRecordedDigest = 0x49bdf4aa60af0290ull;
+  auto device = std::make_shared<storage::MemLogDevice>();
+  MdbsConfig config = DigestConfig(13);
+  config.gtm.wal_device = device;
+  fault::FaultPlan plan;
+  plan.gtm_crashes.push_back(fault::GtmCrashEvent{4000, 2500});
+  plan.gtm_crashes.push_back(fault::GtmCrashEvent{20'000, 1500});
+  config.fault_plan = plan;
+  Mdbs system(config);
+  DriverReport report = RunDriver(&system, DigestWorkload(), 19);
+  ASSERT_EQ(report.gtm_durability.recoveries, 2);
+  EXPECT_GT(report.gtm_durability.recovery_aborted_attempts, 0);
+  EXPECT_EQ(Fnv1a64(device->bytes()), kRecordedDigest)
+      << "GTM log digest is now " << Hex(Fnv1a64(device->bytes())) << " over "
+      << device->bytes().size() << " bytes";
+}
+
+// A promoted standby starts a fresh WAL with one checkpoint of the state
+// it replayed, then logs the resumed run. That log must hash to the digest
+// this run produced when it was recorded.
+TEST(GtmLogDigestTest, PromotedStandbyWritesTheRecordedBytes) {
+  const uint64_t kRecordedDigest = 0xb6bff9c4e8cc4534ull;
+  MdbsConfig config = DigestConfig(17);
+  config.gtm_standby = true;
+  config.standby_lag = 40;
+  fault::FaultPlan plan;
+  plan.gtm_failovers.push_back(fault::GtmFailoverEvent{20'000, 1500});
+  config.fault_plan = plan;
+  Mdbs system(config);
+  DriverReport report = RunDriver(&system, DigestWorkload(), 117);
+  EXPECT_GT(report.gtm_durability.recovery_aborted_attempts, 0);
+  ASSERT_EQ(report.gtm_standby.promotions, 1);
+  std::vector<uint8_t> image;
+  ASSERT_TRUE(system.standby_gtm()->wal_device()->ReadAll(&image).ok());
+  GtmLogScan scan;
+  ASSERT_TRUE(ReadGtmLog(*system.standby_gtm()->wal_device(), &scan).ok());
+  ASSERT_GT(scan.records.size(), 1u) << "the promoted GTM logged nothing";
+  EXPECT_EQ(scan.records.front().type, GtmLogRecordType::kCheckpoint);
+  EXPECT_EQ(Fnv1a64(image), kRecordedDigest)
+      << "promoted WAL digest is now " << Hex(Fnv1a64(image)) << " over "
+      << image.size() << " bytes";
 }
 
 }  // namespace
