@@ -23,6 +23,7 @@
 
 #include "fault/fault_plan.h"
 #include "gtm/gtm1.h"
+#include "gtm/gtm_log.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 #include "mdbs/threaded_driver.h"
@@ -215,6 +216,41 @@ TEST(GtmFailoverTest, FencedOldPrimaryCannotRecoverAndLateFramesDrop) {
             rejections_before + 1);
   EXPECT_EQ(&system.gtm(), system.standby_gtm());
   EXPECT_TRUE(system.CheckGloballySerializable().ok());
+}
+
+// The promotion tail's GTM2 mutations are replayed like cold recovery's and
+// counted the same way: replayed_enqueues equals the enqueue and
+// abort-cleanup records among the primary's last lag_records records.
+TEST(GtmFailoverTest, PromotionCountsTheMutationsItReplays) {
+  auto device = std::make_shared<storage::MemLogDevice>();
+  MdbsConfig config = StandbyConfig(SchemeKind::kScheme2, 17, /*at=*/600000,
+                                    /*detection=*/500, /*lag=*/250000);
+  config.gtm.wal_device = device;
+  Mdbs system(config);
+  DriverConfig driver;
+  driver.global_clients = 5;
+  driver.local_clients_per_site = 0;
+  driver.target_global_commits = 50;
+  driver.global_workload.items_per_site = 20;
+  driver.retry.max_resubmissions = 3;
+  RunDriver(&system, driver, 17);
+
+  gtm::GtmStandbyStats standby = system.gtm_standby_stats();
+  ASSERT_EQ(standby.promotions, 1);
+  gtm::GtmLogScan scan;
+  ASSERT_TRUE(gtm::ReadGtmLog(*device, &scan).ok());
+  ASSERT_LE(standby.lag_records, static_cast<int64_t>(scan.records.size()));
+  int64_t tail_mutations = 0;
+  for (size_t i = scan.records.size() - standby.lag_records;
+       i < scan.records.size(); ++i) {
+    gtm::GtmLogRecordType type = scan.records[i].type;
+    if (type == gtm::GtmLogRecordType::kEnqueue ||
+        type == gtm::GtmLogRecordType::kAbortCleanup) {
+      ++tail_mutations;
+    }
+  }
+  ASSERT_GT(tail_mutations, 0) << "the tail holds no GTM2 mutation to count";
+  EXPECT_EQ(system.gtm_durability_stats().replayed_enqueues, tail_mutations);
 }
 
 // Claim (4): the serializability battery stays green with a mid-run
