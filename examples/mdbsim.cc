@@ -337,7 +337,10 @@ void PrintUsage() {
       "  --wal_fsync=POLICY            WAL flush/sync policy for sites and\n"
       "                                the GTM: every_commit (default),\n"
       "                                interval:N, or off; forced barriers\n"
-      "                                are reported as wal.syncs\n"
+      "                                are reported as wal.syncs. A file\n"
+      "                                WAL is flushed to the OS cache, never\n"
+      "                                fsync'd: it survives a process crash,\n"
+      "                                not a power cut\n"
       "  --analyze                     run the static conflict-robustness\n"
       "                                analyzer on the mix and print the\n"
       "                                verdict (certificate or witness)\n"

@@ -23,11 +23,12 @@ class LogDevice {
   /// layer; partial appends only exist as test-constructed images.
   virtual Status Append(const void* data, size_t size) = 0;
 
-  /// Forces everything appended so far to stable storage. The default is a
-  /// no-op: the in-memory device IS stable storage under the deterministic
-  /// crash model. The file device flushes its stream — a modeled sync
-  /// barrier, counted by FrameWriter so the run report states what policy
-  /// actually ran (`wal.syncs`).
+  /// The sync barrier of the WAL's sync policy, counted by FrameWriter so
+  /// the run report states what policy actually ran (`wal.syncs`). The
+  /// default is a no-op: the in-memory device IS stable storage under the
+  /// deterministic crash model. The file device only flushes its stream
+  /// into the OS page cache — no fsync/fdatasync — so its bytes survive a
+  /// process crash but not a power cut.
   virtual Status Sync() { return Status::OK(); }
 
   /// Bytes currently on the device.
