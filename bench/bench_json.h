@@ -6,7 +6,14 @@
 // path with a `--json=PATH` argument), so sweeps can be diffed, plotted
 // and regression-checked without scraping stdout tables.
 //
-//   {"bench":"throughput","rows":[{"scheme":"Scheme3","mpl":8,...},...]}
+//   {"bench":"throughput",
+//    "env":{"git_sha":"...","build_type":"RelWithDebInfo",
+//           "compiler":"GNU 13.2.0","usable_cpus":4},
+//    "rows":[{"scheme":"Scheme3","mpl":8,...},...]}
+//
+// `env` says where the numbers came from. bench/CMakeLists.txt defines its
+// MDBS_BENCH_* macros at configure time, so the SHA is the commit the build
+// was configured at ("unknown" outside a git checkout).
 
 #include <cstdio>
 #include <sstream>
@@ -17,6 +24,7 @@
 
 #include "common/status.h"
 #include "obs/json.h"
+#include "sim/real_strand.h"
 
 namespace mdbs::bench {
 
@@ -61,6 +69,17 @@ class BenchReport {
       json.BeginObject();
       json.Key("bench");
       json.String(name_);
+      json.Key("env");
+      json.BeginObject();
+      json.Key("git_sha");
+      json.String(MDBS_BENCH_GIT_SHA);
+      json.Key("build_type");
+      json.String(*MDBS_BENCH_BUILD_TYPE ? MDBS_BENCH_BUILD_TYPE : "none");
+      json.Key("compiler");
+      json.String(MDBS_BENCH_COMPILER);
+      json.Key("usable_cpus");
+      json.Int(sim::UsableCpus());
+      json.EndObject();
       json.Key("rows");
       json.BeginArray(/*one_per_line=*/true);
       for (const Row& row : rows_) {

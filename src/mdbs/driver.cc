@@ -384,6 +384,10 @@ void DriverReport::AddToRegistry(sim::MetricsRegistry* registry) const {
   registry->Increment("gtm2.ser_wait_additions", gtm2.ser_wait_additions);
   registry->Increment("gtm2.cond_evaluations", gtm2.cond_evaluations);
   registry->Increment("gtm2.failed_rescan_steps", gtm2.failed_rescan_steps);
+  if (worker_waits) {
+    registry->Increment("sim.worker.spun_waits", worker_waits->spun);
+    registry->Increment("sim.worker.parked_waits", worker_waits->parked);
+  }
 }
 
 DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,

@@ -97,13 +97,15 @@ struct DriverReport {
   gtm::GtmDurabilityStats gtm_durability;
   /// Warm-standby shipping/failover counters (zeros without a standby).
   gtm::GtmStandbyStats gtm_standby;
+  /// Threaded runs only: how the strand workers waited for their next task.
+  std::optional<sim::WorkerWaits> worker_waits;
 
   std::string ToString() const;
 
   /// Contributes the report's counters and latency summaries to `registry`
-  /// under "driver." / "gtm1." / "gtm2." names, so the JSON run report
-  /// (src/obs/report) carries driver-level results next to the trace-derived
-  /// phase metrics.
+  /// under "driver." / "gtm1." / "gtm2." names, plus "sim.worker." in
+  /// threaded runs, so the JSON run report (src/obs/report) carries
+  /// driver-level results next to the trace-derived phase metrics.
   void AddToRegistry(sim::MetricsRegistry* registry) const;
 };
 

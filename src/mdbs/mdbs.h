@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -163,6 +164,13 @@ class Mdbs : public gtm::SiteGateway {
   /// The plan after sweep resolution and legacy-knob folding.
   const fault::FaultPlan& resolved_fault_plan() const {
     return injector_->plan();
+  }
+
+  /// Threaded mode: how the strand workers waited for their next task
+  /// (spun or parked) so far. Nullopt in simulation mode.
+  std::optional<sim::WorkerWaits> worker_waits() const {
+    if (!threaded_) return std::nullopt;
+    return ticker_->waits();
   }
 
   /// Threaded mode: waits until every strand is quiescent (nothing running

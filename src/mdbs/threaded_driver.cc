@@ -324,6 +324,7 @@ DriverReport RunThreadedDriver(Mdbs* mdbs, const DriverConfig& config,
   report.gtm2 = mdbs->gtm().gtm2().stats();
   report.gtm_durability = mdbs->gtm_durability_stats();
   report.gtm_standby = mdbs->gtm_standby_stats();
+  report.worker_waits = mdbs->worker_waits();
   for (SiteId site : mdbs->site_ids()) {
     report.site_blocked += mdbs->site(site).blocked_count();
     report.site_aborts += mdbs->site(site).abort_count();

@@ -1,8 +1,14 @@
 #include "sim/real_strand.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <thread>
 #include <utility>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #ifdef __linux__
 #include <sched.h>
@@ -12,6 +18,19 @@
 #include "common/logging.h"
 
 namespace mdbs::sim {
+namespace {
+
+/// Tells the CPU the caller is in a spin-wait loop, so it spends less power
+/// and yields pipeline resources to a sibling hyperthread.
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
 
 void SetFineTimerSlack() {
 #ifdef __linux__
@@ -56,6 +75,7 @@ class RealTicker::Worker {
   void Push(RealStrand* strand, Time at, Callback cb) {
     queue_.push_back(Task{at, next_seq_++, strand, std::move(cb)});
     std::push_heap(queue_.begin(), queue_.end(), Later{});
+    pushes_.fetch_add(1, std::memory_order_relaxed);  // Ends a spin.
     cv_.notify_all();
   }
 
@@ -84,6 +104,12 @@ class RealTicker::Worker {
     return std::this_thread::get_id() == thread_.get_id();
   }
 
+  /// Adds this worker's wait counts to `sum`. Caller holds `mu`.
+  void AddWaits(WorkerWaits* sum) const {
+    sum->spun += spun_waits_;
+    sum->parked += parked_waits_;
+  }
+
   std::mutex mu;
 
  private:
@@ -107,12 +133,20 @@ class RealTicker::Worker {
     for (;;) {
       if (shutting_down_) return;
       if (queue_.empty()) {
+        ++parked_waits_;
         cv_.wait(lock);
         continue;
       }
       Time due = queue_.front().at;
-      if (due > ticker_->NowMicros()) {
-        cv_.wait_until(lock, ticker_->ToTimePoint(due));
+      Time now = ticker_->NowMicros();
+      if (due > now) {
+        if (due - now <= kSpinBeforeParkUs) {
+          ++spun_waits_;
+          SpinUntil(due, lock);
+        } else {
+          ++parked_waits_;
+          cv_.wait_until(lock, ticker_->ToTimePoint(due));
+        }
         continue;
       }
       std::pop_heap(queue_.begin(), queue_.end(), Later{});
@@ -131,11 +165,27 @@ class RealTicker::Worker {
     }
   }
 
+  /// Releases `lock` and busy-waits until `due` or until Push queues a
+  /// task, then relocks; the caller re-reads the queue. `due` is at most
+  /// kSpinBeforeParkUs away, so a spin delays shutdown no longer than that.
+  void SpinUntil(Time due, std::unique_lock<std::mutex>& lock) {
+    uint64_t seen = pushes_.load(std::memory_order_relaxed);
+    lock.unlock();
+    while (ticker_->NowMicros() < due &&
+           pushes_.load(std::memory_order_relaxed) == seen) {
+      CpuRelax();
+    }
+    lock.lock();
+  }
+
   const RealTicker* ticker_;
   std::condition_variable cv_;
   std::vector<Task> queue_;  // Heap ordered by Later.
   int64_t next_seq_ = 0;
   bool shutting_down_ = false;
+  int64_t spun_waits_ = 0;
+  int64_t parked_waits_ = 0;
+  std::atomic<uint64_t> pushes_{0};  // Bumped under mu, read while spinning.
   std::thread thread_;  // Last: starts once the members above exist.
 };
 
@@ -147,6 +197,16 @@ RealTicker::~RealTicker() = default;
 int RealTicker::workers() const {
   std::lock_guard<std::mutex> lock(workers_mu_);
   return static_cast<int>(workers_.size());
+}
+
+WorkerWaits RealTicker::waits() const {
+  std::lock_guard<std::mutex> lock(workers_mu_);
+  WorkerWaits sum;
+  for (const std::unique_ptr<Worker>& worker : workers_) {
+    std::lock_guard<std::mutex> worker_lock(worker->mu);
+    worker->AddWaits(&sum);
+  }
+  return sum;
 }
 
 RealTicker::Worker* RealTicker::AssignWorker() {

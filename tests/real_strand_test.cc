@@ -3,6 +3,8 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -215,9 +217,12 @@ TEST(RealStrandTest, TimedTaskNeverRunsBeforeItsDelay) {
   RealTicker ticker;
   RealStrand strand(&ticker, "timers");
   // Only the contract's lower bound is asserted: how late a wake-up comes
-  // depends on the host.
-  for (Time delay : {Time{1}, Time{5}, Time{10}, Time{20}, Time{100},
-                     Time{1000}, Time{5000}}) {
+  // depends on the host. The delays straddle the spin bound, so both the
+  // spinning and the parking wait are covered.
+  constexpr Time kBound = RealTicker::kSpinBeforeParkUs;
+  for (Time delay : {Time{1}, Time{5}, Time{10}, Time{20}, kBound - 1, kBound,
+                     kBound + 1, Time{100}, Time{500}, Time{1000},
+                     Time{5000}}) {
     for (int rep = 0; rep < 5; ++rep) {
       Time scheduled_at = ticker.NowMicros();
       Time ran_at =
@@ -225,6 +230,36 @@ TEST(RealStrandTest, TimedTaskNeverRunsBeforeItsDelay) {
       EXPECT_GE(ran_at - scheduled_at, delay);
     }
   }
+}
+
+/// Runs `links` tasks on `strand`, each posted by the one before it and due
+/// at the spin bound, then fulfils `done`.
+void Chain(RealStrand* strand, int links,
+           std::shared_ptr<std::promise<void>> done) {
+  if (links == 0) {
+    done->set_value();
+    return;
+  }
+  strand->Schedule(RealTicker::kSpinBeforeParkUs, [strand, links, done]() {
+    Chain(strand, links - 1, done);
+  });
+}
+
+TEST(RealStrandTest, WorkerSpinsForNearTasksAndParksForFarOnes) {
+  RealTicker ticker;
+  RealStrand strand(&ticker, "waits");
+  Drain(&strand);
+  WorkerWaits before = ticker.waits();
+  // When a link returns, the worker's front task is the next link, due
+  // within the bound.
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> chain_done = done->get_future();
+  Chain(&strand, 20, done);
+  chain_done.wait();
+  Drain(&strand, 20'000);  // Far beyond the bound.
+  WorkerWaits after = ticker.waits();
+  EXPECT_GT(after.spun, before.spun);
+  EXPECT_GT(after.parked, before.parked);
 }
 
 TEST(RealStrandTest, StartsOneWorkerPerStrandUpToTheUsableCpus) {
@@ -254,23 +289,24 @@ TEST(RealStrandTest, StrandsOnTheirOwnWorkersRunConcurrently) {
 }
 
 #ifdef __linux__
-/// Restricts the calling thread to the first CPU of its affinity mask for
-/// the object's lifetime and restores the mask afterwards. A ticker built
-/// meanwhile has W = 1: all of its strands share one worker.
+/// Restricts the calling thread to the first CPU of its affinity mask (the
+/// `index`-th, counting from 0) for the object's lifetime and restores the
+/// mask afterwards. A ticker built meanwhile has W = 1: all of its strands
+/// share one worker. Not pinned if the mask has no such CPU.
 class PinToOneCpu {
  public:
-  PinToOneCpu() {
+  explicit PinToOneCpu(int index = 0) {
     CPU_ZERO(&saved_);
     if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
-    cpu_set_t one;
-    CPU_ZERO(&one);
     for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &saved_)) {
+      if (CPU_ISSET(cpu, &saved_) && index-- == 0) {
+        cpu_set_t one;
+        CPU_ZERO(&one);
         CPU_SET(cpu, &one);
-        break;
+        pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+        return;
       }
     }
-    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
   }
   ~PinToOneCpu() {
     if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
@@ -358,6 +394,129 @@ TEST(RealStrandTest, SharedWorkerParkedOnAFarDeadlineWakesForANearerTask) {
       << "a's task waited behind b's deadline";
   EXPECT_GE(ran_future.get() - scheduled_at, 1000);
   EXPECT_EQ(b.PendingTasks(), 1);
+}
+
+/// Builds a ticker and its strands while pinned to the first usable CPU, so
+/// they share one worker bound to it. Then the test thread moves to the
+/// second usable CPU, beside the worker, if there is one; under
+/// `taskset -c 0` it shares the worker's CPU.
+struct OneWorker {
+  explicit OneWorker(int strands) {
+    {
+      PinToOneCpu pin;
+      pinned = pin.pinned();
+      ticker = std::make_unique<RealTicker>();
+      for (int i = 0; i < strands; ++i) {
+        this->strands.push_back(std::make_unique<RealStrand>(
+            ticker.get(), "s" + std::to_string(i)));
+      }
+    }
+    beside.emplace(/*index=*/1);
+  }
+
+  /// Bounds on a task's due time, as above.
+  struct Due {
+    Time lo = 0;
+    Time hi = 0;
+  };
+
+  /// Has `strand`'s worker post `task` to it, due at the spin bound, and
+  /// returns a fifth of the bound after that: by then the worker has left
+  /// its mutex and spins for the task, unless it ran late enough to run the
+  /// task at once. Polls rather than blocks, since a blocked thread wakes
+  /// too late to catch a spin.
+  Due PostAndLetSpin(RealStrand* strand, TaskRunner::Callback task) {
+    constexpr Time kBound = RealTicker::kSpinBeforeParkUs;
+    Due due;  // Written by the worker before `posted`.
+    std::atomic<bool> posted{false};
+    strand->Schedule(0, [&, strand]() {
+      due.lo = ticker->NowMicros() + kBound;
+      strand->Schedule(kBound, std::move(task));
+      due.hi = ticker->NowMicros() + kBound;
+      posted.store(true);
+    });
+    while (!posted.load()) std::this_thread::yield();
+    while (ticker->NowMicros() < due.hi - kBound + kBound / 5) {
+      std::this_thread::yield();
+    }
+    return due;
+  }
+
+  std::optional<PinToOneCpu> beside;
+  bool pinned = false;
+  std::unique_ptr<RealTicker> ticker;
+  std::vector<std::unique_ptr<RealStrand>> strands;
+};
+
+TEST(RealStrandTest, TaskPostedWhileTheWorkerSpinsRunsByItsOwnDueTime) {
+  OneWorker one(1);
+  if (!one.pinned) GTEST_SKIP() << "sched_setaffinity failed";
+  ASSERT_EQ(one.ticker->workers(), 1);
+  RealTicker& ticker = *one.ticker;
+  RealStrand& strand = *one.strands[0];
+  constexpr Time kBound = RealTicker::kSpinBeforeParkUs;
+  for (int round = 0; round < 50; ++round) {
+    // Task 0 is the one the worker spins for. Task 1, posted meanwhile, is
+    // due at once in even rounds and after task 0 in odd ones: a new task
+    // ends the spin either way. Touched by the worker only, until drained.
+    std::vector<int> ran;
+    Time ran_at[2] = {0, 0};
+    auto record = [&ran, &ran_at, &ticker](int task) {
+      return [&ran, &ran_at, &ticker, task]() {
+        ran_at[task] = ticker.NowMicros();
+        ran.push_back(task);
+      };
+    };
+    OneWorker::Due due[2];
+    due[0] = one.PostAndLetSpin(&strand, record(0));
+    Time delay = round % 2 == 0 ? 0 : 2 * kBound;
+    due[1].lo = ticker.NowMicros() + delay;
+    strand.Schedule(delay, record(1));
+    due[1].hi = ticker.NowMicros() + delay;
+    Drain(&strand, 2 * kBound);
+
+    ASSERT_EQ(ran.size(), 2u);
+    // Task ran[1] ran after task ran[0], so it cannot have been due
+    // strictly earlier: the worker re-reads its queue after a spin.
+    EXPECT_GE(due[ran[1]].hi, due[ran[0]].lo) << "round " << round;
+    for (int task = 0; task < 2; ++task) {
+      EXPECT_GE(ran_at[task], due[task].lo)
+          << "round " << round << ": task " << task << " ran early";
+    }
+  }
+}
+
+TEST(RealStrandTest, StopReturnsWhileTheWorkerSpins) {
+  for (int round = 0; round < 20; ++round) {
+    OneWorker one(2);
+    if (!one.pinned) GTEST_SKIP() << "sched_setaffinity failed";
+    ASSERT_EQ(one.ticker->workers(), 1);
+    RealStrand& a = *one.strands[0];
+    RealStrand& b = *one.strands[1];
+    std::atomic<bool> ran{false};
+    one.PostAndLetSpin(&a, [&ran]() { ran.store(true); });
+    a.Stop();
+    // Either the task ran before Stop, or Stop discarded it. One more task
+    // ran: the one that posted it.
+    bool ran_before_stop = ran.load();
+    EXPECT_EQ(a.executed(), ran_before_stop ? 2 : 1);
+    EXPECT_EQ(a.PendingTasks(), ran_before_stop ? 0 : 1);
+    Drain(&b, 2 * RealTicker::kSpinBeforeParkUs);  // Its worker goes on.
+    EXPECT_EQ(ran.load(), ran_before_stop) << "a discarded task ran";
+  }
+}
+
+TEST(RealStrandTest, DestroyingTheTickerReturnsWhileTheWorkerSpins) {
+  for (int round = 0; round < 20; ++round) {
+    OneWorker one(1);
+    if (!one.pinned) GTEST_SKIP() << "sched_setaffinity failed";
+    std::atomic<bool> ran{false};
+    one.PostAndLetSpin(one.strands[0].get(), [&ran]() { ran.store(true); });
+    one.strands.clear();  // Stops the strand and destroys its task.
+    bool ran_before_stop = ran.load();
+    one.ticker.reset();  // Joins the worker.
+    EXPECT_EQ(ran.load(), ran_before_stop) << "a discarded task ran";
+  }
 }
 
 TEST(RealStrandTest, StopOnOneStrandLeavesItsWorkerMateRunning) {

@@ -12,6 +12,7 @@
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 #include "mdbs/threaded_driver.h"
+#include "sim/metrics.h"
 
 namespace mdbs {
 namespace {
@@ -88,6 +89,35 @@ TEST(ThreadedEngineTest, ReportsWallClockThroughput) {
   EXPECT_GE(report.global_committed, 10);
   EXPECT_GT(report.duration, 0);  // Real microseconds elapsed.
   EXPECT_GT(report.global_throughput, 0);  // Committed txns per second.
+}
+
+// Worker wait counts exist only for real threads; simulator reports keep
+// exactly the counters they had.
+TEST(ThreadedEngineTest, ReportsHowItsWorkersWaited) {
+  DriverConfig workload = Workload();
+  workload.target_global_commits = 10;
+
+  Mdbs threaded_system(SystemConfig(SchemeKind::kScheme3, /*threaded=*/true));
+  DriverReport threaded_report =
+      RunThreadedDriver(&threaded_system, workload, 5);
+  ASSERT_TRUE(threaded_report.worker_waits.has_value());
+  EXPECT_GT(threaded_report.worker_waits->spun +
+                threaded_report.worker_waits->parked,
+            0);
+  sim::MetricsRegistry threaded_registry;
+  threaded_report.AddToRegistry(&threaded_registry);
+  EXPECT_EQ(threaded_registry.Counter("sim.worker.spun_waits"),
+            threaded_report.worker_waits->spun);
+  EXPECT_EQ(threaded_registry.Counter("sim.worker.parked_waits"),
+            threaded_report.worker_waits->parked);
+
+  Mdbs sim_system(SystemConfig(SchemeKind::kScheme3, /*threaded=*/false));
+  DriverReport sim_report = RunDriver(&sim_system, workload, 5);
+  EXPECT_FALSE(sim_report.worker_waits.has_value());
+  sim::MetricsRegistry sim_registry;
+  sim_report.AddToRegistry(&sim_registry);
+  EXPECT_EQ(sim_registry.counters().count("sim.worker.spun_waits"), 0u);
+  EXPECT_EQ(sim_registry.counters().count("sim.worker.parked_waits"), 0u);
 }
 
 }  // namespace
