@@ -1,13 +1,13 @@
 // E9 — Threaded-engine throughput scaling: committed global transactions
-// per second against real client thread count, for each conservative
-// scheme, on the heterogeneous 4-site MDBS. Unlike E3, nothing here is
-// simulated — clients are std::threads blocking on condition variables,
-// every site and the GTM run on their own strands, and a tick is a real
-// microsecond.
+// per second against the closed-loop client count (the "threads" column),
+// for each conservative scheme, on the heterogeneous 4-site MDBS. Unlike
+// E3, nothing here is simulated — every site and the GTM run on their own
+// strands, the clients are callback tasks on one more strand, and a tick
+// is a real microsecond.
 //
-// Expected shape: throughput grows with the thread count as long as
-// clients spend most of their time blocked (think time, network delay,
-// lock waits) rather than contending for the scheduler — the closed-loop
+// Expected shape: throughput grows with the client count as long as
+// clients spend most of their time waiting (think time, network delay,
+// lock waits) rather than contending for the workers — the closed-loop
 // system overlaps waits even on a single core. Schemes permitting more
 // concurrency (Scheme 3) should hold their scaling longer than Scheme 0,
 // whose one-global-transaction-at-a-time discipline turns extra clients
@@ -33,8 +33,8 @@
 #include "analysis/template.h"
 #include "bench_json.h"
 #include "gtm/robust_fast_path.h"
+#include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 #include "obs/metrics.h"
 
 namespace {
@@ -43,7 +43,7 @@ using mdbs::DriverConfig;
 using mdbs::DriverReport;
 using mdbs::Mdbs;
 using mdbs::MdbsConfig;
-using mdbs::RunThreadedDriver;
+using mdbs::RunDriver;
 using mdbs::gtm::SchemeKind;
 using mdbs::lcc::ProtocolKind;
 using mdbs::obs::MetricsSnapshot;
@@ -80,7 +80,7 @@ RunResult RunOne(SchemeKind scheme, int clients, uint64_t seed,
   driver.global_workload.dav_max = 3;
   driver.local_workload.items_per_site = 200;
   RunResult result;
-  result.report = RunThreadedDriver(&system, driver, seed);
+  result.report = RunDriver(&system, driver, seed);
   if (system.metrics() != nullptr) {
     result.snapshot = system.metrics()->Snapshot();
   }
@@ -146,17 +146,17 @@ DriverReport RunMix(const mdbs::analysis::TemplateMix& mix, bool fast_path,
   driver.target_global_commits = 200;
   driver.global_think = 200;
   driver.templates = mix;
-  return RunThreadedDriver(&system, driver, seed);
+  return RunDriver(&system, driver, seed);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   mdbs::bench::BenchReport results("threaded");
-  std::printf("E9 — threaded engine: committed global txns/sec vs thread "
+  std::printf("E9 — threaded engine: committed global txns/sec vs client "
               "count\n");
-  std::printf("4 heterogeneous sites (2PL, TO, SGT, OCC), real client "
-              "threads, 200 global commits per cell\n\n");
+  std::printf("4 heterogeneous sites (2PL, TO, SGT, OCC), clients on a "
+              "client strand, 200 global commits per cell\n\n");
   std::printf("%-10s %8s %12s %10s %10s %10s %9s  %s\n", "scheme", "threads",
               "txns/sec", "resp_p50", "resp_p95", "duration", "scale_x1",
               "bottleneck");

@@ -8,7 +8,7 @@
 //          [--scheme=0|1|2|3|ticket|none]
 //          [--global-clients=8] [--local-clients=1] [--commits=200]
 //          [--items=100] [--dav=2-3] [--read-ratio=0.5] [--zipf=0.0]
-//          [--seed=42] [--crash-interval=0] [--timeout=200000]
+//          [--seed=42] [--loss=0] [--timeout=200000]
 //          [--fault_plan=SPEC|FILE] [--retry=MAX,BACKOFF]
 //          [--dump-schedule=0]
 //
@@ -31,7 +31,6 @@
 #include "gtm/robust_fast_path.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 #include "obs/report.h"
 #include "obs/trace_export.h"
 #include "sched/stats.h"
@@ -58,7 +57,6 @@ struct Options {
   double zipf = 0.0;
   uint64_t seed = 42;
   double loss = 0.0;
-  mdbs::sim::Time crash_interval = 0;
   mdbs::sim::Time timeout = 200'000;
   int dump_schedule = 0;
   bool threaded = false;
@@ -163,9 +161,6 @@ bool ParseOptions(int argc, char** argv, Options* options) {
       options->seed = std::strtoull(value_of("--seed=").c_str(), nullptr, 10);
     } else if (arg.rfind("--loss=", 0) == 0) {
       options->loss = std::atof(value_of("--loss=").c_str());
-    } else if (arg.rfind("--crash-interval=", 0) == 0) {
-      options->crash_interval =
-          std::atoll(value_of("--crash-interval=").c_str());
     } else if (arg.rfind("--timeout=", 0) == 0) {
       options->timeout = std::atoll(value_of("--timeout=").c_str());
     } else if (arg.rfind("--dump-schedule=", 0) == 0) {
@@ -274,11 +269,13 @@ void PrintUsage() {
       "  --dav=LO-HI                   sites per global txn\n"
       "  --read-ratio=R --zipf=THETA   access mix and skew\n"
       "  --seed=S                      RNG seed (runs are deterministic)\n"
-      "  --loss=P                      drop op responses with prob P\n"
-      "  --crash-interval=T            inject a site crash every T ticks\n"
+      "  --loss=P                      drop op responses with prob P (the\n"
+      "                                plan's resp_loss, if it sets none)\n"
       "  --fault_plan=SPEC|FILE        deterministic fault plan, e.g.\n"
       "                                'sweep@2000:3000:1500;req_loss=0.02;\n"
-      "                                dup=0.01;spike=0.05:200' (see\n"
+      "                                dup=0.01;spike=0.05:200', or\n"
+      "                                'periodic@15000:2000' for a site\n"
+      "                                crash every 15000 ticks (see\n"
       "                                src/fault/fault_plan.h)\n"
       "  --retry=MAX[,BACKOFF]         client-level resubmissions of failed\n"
       "                                retry-safe global txns\n"
@@ -363,7 +360,6 @@ int main(int argc, char** argv) {
       mdbs::MdbsConfig::Mixed(options.sites, options.scheme);
   config.seed = options.seed;
   config.gtm.attempt_timeout = options.timeout;
-  config.response_loss_probability = options.loss;
   config.threaded = options.threaded;
   if (!options.fault_plan.empty()) {
     mdbs::StatusOr<mdbs::fault::FaultPlan> plan =
@@ -374,6 +370,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     config.fault_plan = *plan;
+  }
+  if (options.loss > 0 && config.fault_plan.response_loss <= 0) {
+    config.fault_plan.response_loss = options.loss;
   }
   mdbs::storage::WalSyncConfig wal_sync;
   if (!options.wal_fsync.empty()) {
@@ -527,14 +526,11 @@ int main(int argc, char** argv) {
   driver.local_workload.items_per_site = options.items;
   driver.local_workload.read_ratio = options.read_ratio;
   driver.local_workload.zipf_theta = options.zipf;
-  driver.crash_interval = options.crash_interval;
   driver.retry.max_resubmissions = options.retry_max;
   driver.retry.backoff = options.retry_backoff;
   driver.templates = mix;
 
-  mdbs::DriverReport report =
-      options.threaded ? RunThreadedDriver(&system, driver, options.seed)
-                       : RunDriver(&system, driver, options.seed);
+  mdbs::DriverReport report = RunDriver(&system, driver, options.seed);
   std::printf("%s", report.ToString().c_str());
 
   std::vector<mdbs::obs::TraceEvent> events;

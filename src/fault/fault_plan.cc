@@ -103,6 +103,18 @@ Status ParseOneDirective(const std::string& token, FaultPlan* plan) {
     plan->gtm_failovers.push_back(event);
     return Status::OK();
   }
+  if (token.rfind("periodic@", 0) == 0) {
+    // periodic@I:D
+    std::vector<std::string> parts = SplitColons(token.substr(9));
+    PeriodicCrashes periodic;
+    if (plan->periodic.has_value() || parts.size() != 2 ||
+        !ParseTicks(parts[0], &periodic.interval) || periodic.interval <= 0 ||
+        !ParseTicks(parts[1], &periodic.duration) || periodic.duration <= 0) {
+      return malformed();
+    }
+    plan->periodic = periodic;
+    return Status::OK();
+  }
   if (token.rfind("sweep@", 0) == 0) {
     // sweep@T:G:D
     std::vector<std::string> parts = SplitColons(token.substr(6));
@@ -155,7 +167,8 @@ Status ParseOneDirective(const std::string& token, FaultPlan* plan) {
 
 bool FaultPlan::Empty() const {
   return crashes.empty() && sweeps.empty() && gtm_crashes.empty() &&
-         gtm_failovers.empty() && !HasMessageFaults();
+         gtm_failovers.empty() && !periodic.has_value() &&
+         !HasMessageFaults();
 }
 
 bool FaultPlan::HasMessageFaults() const {
@@ -181,6 +194,11 @@ std::string FaultPlan::ToSpec() const {
   }
   for (const GtmFailoverEvent& f : gtm_failovers) {
     os << sep << "gtm_failover@" << f.at << ":" << f.duration;
+    sep = ";";
+  }
+  if (periodic.has_value()) {
+    os << sep << "periodic@" << periodic->interval << ":"
+       << periodic->duration;
     sep = ";";
   }
   if (request_loss > 0) {

@@ -1,6 +1,7 @@
 #ifndef MDBS_FAULT_FAULT_PLAN_H_
 #define MDBS_FAULT_FAULT_PLAN_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,11 +59,26 @@ struct SweepEvent {
   friend bool operator==(const SweepEvent&, const SweepEvent&) = default;
 };
 
+/// Crashes that recur while the multidatabase is busy: every `interval`
+/// ticks one site crashes for `duration` ticks. The victim is drawn from a
+/// stream of its own, seeded from the plan, among the sites no periodic
+/// window currently holds down. The loop runs on the GTM's runner only
+/// while the GTM has transactions in flight, and GTM activity restarts it,
+/// so an idle multidatabase has no perpetual timer.
+struct PeriodicCrashes {
+  sim::Time interval = 0;
+  sim::Time duration = 0;
+
+  friend bool operator==(const PeriodicCrashes&,
+                         const PeriodicCrashes&) = default;
+};
+
 /// A deterministic, seedable fault-injection plan for one run. The plan has
 /// two layers:
 ///   - scheduled crashes (`crashes`, `sweeps`): armed when the multidatabase
 ///     is built, so the same plan reproduces the same outage windows
-///     tick-for-tick in the simulator;
+///     tick-for-tick in the simulator; `periodic` crashes recur while the
+///     GTM is busy, and replay just as exactly;
 ///   - per-message fault rates, drawn from one seeded stream by the
 ///     FaultInjector: request loss, response loss, duplicate delivery
 ///     (at-least-once networks) and delay spikes (gray failure — the message
@@ -74,6 +90,7 @@ struct FaultPlan {
   std::vector<SweepEvent> sweeps;
   std::vector<GtmCrashEvent> gtm_crashes;
   std::vector<GtmFailoverEvent> gtm_failovers;
+  std::optional<PeriodicCrashes> periodic;
   /// Probability a begin/data request is lost before reaching the site.
   double request_loss = 0;
   /// Probability the site's response is lost on the way back.
@@ -85,9 +102,10 @@ struct FaultPlan {
   /// [1, spike_ticks] ticks (gray-failure slowdown).
   double delay_spike = 0;
   sim::Time spike_ticks = 0;
-  /// Seed for the injector's message-fate stream. 0 means "derive from the
-  /// multidatabase seed", so a plan embedded in a config stays reproducible
-  /// without repeating the seed.
+  /// Seed for the injector's message-fate stream and, apart from it, for
+  /// the periodic victim stream. 0 means "derive from the multidatabase
+  /// seed", so a plan embedded in a config stays reproducible without
+  /// repeating the seed.
   uint64_t seed = 0;
 
   /// True when the plan injects nothing.
@@ -117,6 +135,8 @@ struct FaultPlan {
 ///   gtm_failover@T:D  crash the primary GTM at tick T; promote the warm
 ///                  standby D ticks later (durable GTM + standby only; at
 ///                  most one per plan, never mixed with gtm_crash)
+///   periodic@I:D   every I ticks while the GTM has work in flight, crash
+///                  one site for D ticks (I, D > 0; at most one per plan)
 ///   req_loss=P     drop requests with probability P
 ///   resp_loss=P    drop responses with probability P
 ///   dup=P          duplicate delivered messages with probability P

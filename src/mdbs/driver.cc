@@ -1,5 +1,7 @@
 #include "mdbs/driver.h"
 
+#include <algorithm>
+#include <future>
 #include <memory>
 #include <sstream>
 
@@ -9,8 +11,11 @@ namespace mdbs {
 
 namespace {
 
+/// Every client's state and every tally lives on the client runner (see
+/// Mdbs::ClientRunner), so none of it needs a lock.
 struct RunState {
   Mdbs* mdbs = nullptr;
+  sim::TaskRunner* runner = nullptr;
   DriverConfig config;
   int64_t global_committed = 0;
   int64_t global_failed = 0;
@@ -23,12 +28,34 @@ struct RunState {
   sim::Summary response;
   sim::Summary attempts;
   bool stop_issuing = false;
+  /// Clients still issuing or finishing work; the last to finish fulfils
+  /// `all_done`, which the threaded engine waits on before its sweep.
+  int clients_running = 0;
+  std::promise<void> all_done;
 
   bool TargetReached() const {
     return global_committed + global_failed >=
            config.target_global_commits;
   }
+
+  void ClientDone() {
+    if (--clients_running == 0) all_done.set_value();
+  }
 };
+
+/// Wraps a GTM or site callback so that `fn` runs on the client runner:
+/// inline in the simulator, where every callback already runs on the one
+/// loop, and as a task on the client strand in the threaded engine.
+template <typename Fn>
+auto OnClientRunner(const std::shared_ptr<RunState>& state, Fn fn) {
+  return [state, fn = std::move(fn)](const auto&... args) {
+    if (!state->mdbs->threaded()) {
+      fn(args...);
+      return;
+    }
+    state->runner->Schedule(0, [fn, args...]() { fn(args...); });
+  };
+}
 
 void GlobalClientIssue(const std::shared_ptr<RunState>& state,
                        const std::shared_ptr<Rng>& rng);
@@ -47,8 +74,9 @@ struct GlobalTxnTry {
 
 void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
   gtm::GlobalTxnSpec spec = txn->spec;
-  txn->state->mdbs->gtm().Submit(
-      std::move(spec), [txn](const gtm::GlobalTxnResult& result) {
+  txn->state->mdbs->SubmitGlobal(
+      std::move(spec),
+      OnClientRunner(txn->state, [txn](const gtm::GlobalTxnResult& result) {
         RunState& state = *txn->state;
         txn->attempts_total += result.attempts;
         if (result.status.ok()) {
@@ -69,7 +97,7 @@ void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
           // submission.
           sim::Time base = state.config.retry.backoff;
           for (int i = 1; i < txn->resubmissions && i < 4; ++i) base *= 2;
-          state.mdbs->loop().Schedule(
+          state.runner->Schedule(
               base + static_cast<sim::Time>(txn->rng->NextBelow(
                          static_cast<uint64_t>(base) + 1)),
               [txn]() { SubmitGlobalTry(txn); });
@@ -86,20 +114,23 @@ void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
         }
         if (state.TargetReached()) {
           state.stop_issuing = true;
+          state.ClientDone();
           return;
         }
-        state.mdbs->loop().Schedule(
-            state.config.global_think,
-            [state_ptr = txn->state, rng = txn->rng]() {
-              GlobalClientIssue(state_ptr, rng);
-            });
-      });
+        state.runner->Schedule(state.config.global_think,
+                               [state_ptr = txn->state, rng = txn->rng]() {
+                                 GlobalClientIssue(state_ptr, rng);
+                               });
+      }));
 }
 
 /// One closed-loop global client.
 void GlobalClientIssue(const std::shared_ptr<RunState>& state,
                        const std::shared_ptr<Rng>& rng) {
-  if (state->stop_issuing) return;
+  if (state->stop_issuing) {
+    state->ClientDone();
+    return;
+  }
   auto txn = std::make_shared<GlobalTxnTry>();
   txn->state = state;
   txn->rng = rng;
@@ -112,7 +143,7 @@ void GlobalClientIssue(const std::shared_ptr<RunState>& state,
     txn->spec = MakeGlobalTxn(state->config.global_workload,
                               state->mdbs->site_ids(), rng.get());
   }
-  txn->start = state->mdbs->loop().now();
+  txn->start = state->runner->now();
   SubmitGlobalTry(txn);
 }
 
@@ -144,91 +175,89 @@ void LocalTxnRetryOrFinish(const std::shared_ptr<LocalTxnRun>& run,
     // Retry the same operations after a randomized backoff.
     ++state.local_retries;
     run->next_op = 0;
-    state.mdbs->loop().Schedule(
-        static_cast<sim::Time>(50 + run->rng->NextBelow(100)),
-        [run]() {
-          StatusOr<TxnId> txn = run->state->mdbs->BeginLocal(run->site);
-          if (!txn.ok()) {
-            // Site down: count the attempt and keep retrying.
-            ++run->attempt;
-            LocalTxnRetryOrFinish(run, /*committed=*/false);
-            return;
-          }
-          run->txn = *txn;
-          ++run->attempt;
-          LocalTxnStep(run);
+    state.runner->Schedule(
+        static_cast<sim::Time>(50 + run->rng->NextBelow(100)), [run]() {
+          run->state->mdbs->BeginLocal(
+              run->site, [run](const StatusOr<TxnId>& txn) {
+                ++run->attempt;
+                if (!txn.ok()) {
+                  // Site down: count the attempt and keep retrying.
+                  LocalTxnRetryOrFinish(run, /*committed=*/false);
+                  return;
+                }
+                run->txn = *txn;
+                LocalTxnStep(run);
+              });
         });
     return;
   }
-  if (state.stop_issuing) return;
-  state.mdbs->loop().Schedule(state.config.local_think,
-                              [state_ptr = run->state, rng = run->rng,
-                               site = run->site]() {
-                                LocalClientIssue(state_ptr, rng, site);
-                              });
+  if (state.stop_issuing) {
+    state.ClientDone();
+    return;
+  }
+  state.runner->Schedule(state.config.local_think,
+                         [state_ptr = run->state, rng = run->rng,
+                          site = run->site]() {
+                           LocalClientIssue(state_ptr, rng, site);
+                         });
 }
 
 void LocalTxnStep(const std::shared_ptr<LocalTxnRun>& run) {
   Mdbs* mdbs = run->state->mdbs;
   if (run->next_op == run->ops.size()) {
-    mdbs->site(run->site).Commit(run->txn, [run](const Status& status) {
-      LocalTxnRetryOrFinish(run, status.ok());
-    });
+    mdbs->site(run->site).Commit(
+        run->txn, OnClientRunner(run->state, [run](const Status& status) {
+          LocalTxnRetryOrFinish(run, status.ok());
+        }));
     return;
   }
   const DataOp& op = run->ops[run->next_op];
   mdbs->site(run->site).Submit(
-      run->txn, op, [run](const Status& status, int64_t) {
+      run->txn, op,
+      OnClientRunner(run->state, [run](const Status& status, int64_t) {
         if (!status.ok()) {
           LocalTxnRetryOrFinish(run, /*committed=*/false);
           return;
         }
         ++run->next_op;
         LocalTxnStep(run);
-      });
+      }));
 }
 
 void LocalClientIssue(const std::shared_ptr<RunState>& state,
                       const std::shared_ptr<Rng>& rng, SiteId site) {
-  if (state->stop_issuing) return;
+  if (state->stop_issuing) {
+    state->ClientDone();
+    return;
+  }
   auto run = std::make_shared<LocalTxnRun>();
   run->state = state;
   run->rng = rng;
   run->site = site;
   run->ops = MakeLocalTxn(state->config.local_workload, rng.get());
   if (run->ops.empty()) run->ops.push_back(DataOp::Read(DataItemId(0)));
-  StatusOr<TxnId> txn = state->mdbs->BeginLocal(site);
-  if (!txn.ok()) {
-    // Site down right now; try again shortly.
-    state->mdbs->loop().Schedule(
-        static_cast<sim::Time>(200 + rng->NextBelow(200)),
-        [state, rng, site]() { LocalClientIssue(state, rng, site); });
-    return;
-  }
-  run->txn = *txn;
-  run->attempt = 1;
-  LocalTxnStep(run);
+  state->mdbs->BeginLocal(site, [run](const StatusOr<TxnId>& txn) {
+    if (!txn.ok()) {
+      // Site down right now; try again shortly.
+      run->state->runner->Schedule(
+          static_cast<sim::Time>(200 + run->rng->NextBelow(200)),
+          [state = run->state, rng = run->rng, site = run->site]() {
+            LocalClientIssue(state, rng, site);
+          });
+      return;
+    }
+    run->txn = *txn;
+    run->attempt = 1;
+    LocalTxnStep(run);
+  });
 }
 
-/// Failure injection: every crash_interval ticks, crash a random up-site
-/// and recover it crash_duration later, until the run stops issuing work.
-void ArmCrashInjection(const std::shared_ptr<RunState>& state,
-                       const std::shared_ptr<Rng>& rng) {
-  if (state->stop_issuing) return;
-  Mdbs* mdbs = state->mdbs;
-  mdbs->loop().Schedule(state->config.crash_interval, [state, rng]() {
-    if (state->stop_issuing) return;
-    Mdbs* inner = state->mdbs;
-    SiteId victim =
-        inner->site_ids()[rng->NextBelow(inner->site_ids().size())];
-    if (!inner->site(victim).IsDown()) {
-      inner->site(victim).Crash();
-      inner->loop().Schedule(
-          state->config.crash_duration,
-          [state, victim]() { state->mdbs->site(victim).Recover(); });
-    }
-    ArmCrashInjection(state, rng);
-  });
+/// Threaded runs with tracing on: gauges every strand's queue depth once a
+/// millisecond while clients run — the kStrandBacklog series.
+void SampleBacklogs(const std::shared_ptr<RunState>& state) {
+  if (state->clients_running == 0) return;
+  state->mdbs->SampleStrandBacklogs();
+  state->runner->Schedule(1000, [state]() { SampleBacklogs(state); });
 }
 
 }  // namespace
@@ -394,31 +423,49 @@ DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,
                        uint64_t seed) {
   auto state = std::make_shared<RunState>();
   state->mdbs = mdbs;
+  state->runner = mdbs->ClientRunner();
   state->config = config;
+  state->clients_running =
+      config.global_clients +
+      std::max(config.local_clients_per_site, 0) *
+          static_cast<int>(mdbs->site_ids().size());
+  std::future<void> all_done = state->all_done.get_future();
+  if (state->clients_running == 0) state->all_done.set_value();
   Rng root(seed);
 
-  sim::Time start_time = mdbs->loop().now();
+  sim::Time start_time = mdbs->NowTicks();
   for (int i = 0; i < config.global_clients; ++i) {
     auto rng = std::make_shared<Rng>(root.Fork());
-    mdbs->loop().Schedule(static_cast<sim::Time>(i),
-                          [state, rng]() { GlobalClientIssue(state, rng); });
+    state->runner->Schedule(static_cast<sim::Time>(i), [state, rng]() {
+      GlobalClientIssue(state, rng);
+    });
   }
   if (config.local_clients_per_site > 0) {
     for (SiteId site : mdbs->site_ids()) {
       for (int i = 0; i < config.local_clients_per_site; ++i) {
         auto rng = std::make_shared<Rng>(root.Fork());
-        mdbs->loop().Schedule(
-            static_cast<sim::Time>(i),
-            [state, rng, site]() { LocalClientIssue(state, rng, site); });
+        state->runner->Schedule(static_cast<sim::Time>(i),
+                                [state, rng, site]() {
+                                  LocalClientIssue(state, rng, site);
+                                });
       }
     }
   }
-  if (config.crash_interval > 0) {
-    auto crash_rng = std::make_shared<Rng>(root.Fork());
-    ArmCrashInjection(state, crash_rng);
-  }
 
-  mdbs->RunUntilIdle();
+  sim::Time end_time = 0;
+  if (mdbs->threaded()) {
+    if (mdbs->trace_sink() != nullptr) {
+      state->runner->Schedule(0, [state]() { SampleBacklogs(state); });
+    }
+    all_done.wait();
+    end_time = mdbs->NowTicks();
+    // Drain in-flight tails (fire-and-forget aborts, last acknowledgements)
+    // and stop the strands; from here on the stack is single-threaded.
+    mdbs->FinishThreadedRun();
+  } else {
+    mdbs->RunUntilIdle();
+    end_time = mdbs->NowTicks();
+  }
 
   // End-of-run oracle: the recorded schedules must satisfy the paper's
   // correctness criteria. Violations are reported through the auditor
@@ -436,8 +483,10 @@ DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,
   report.global_retry_unsafe = state->global_retry_unsafe;
   report.txns_failed_permanently = state->txns_failed_permanently;
   report.faults = mdbs->fault_stats();
-  report.duration = mdbs->loop().now() - start_time;
+  report.duration = end_time - start_time;
   if (report.duration > 0) {
+    // Ticks are real microseconds in the threaded engine, so "per Mtick"
+    // is per second there.
     report.global_throughput = 1e6 *
                                static_cast<double>(report.global_committed) /
                                static_cast<double>(report.duration);
@@ -448,6 +497,7 @@ DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,
   report.gtm2 = mdbs->gtm().gtm2().stats();
   report.gtm_durability = mdbs->gtm_durability_stats();
   report.gtm_standby = mdbs->gtm_standby_stats();
+  report.worker_waits = mdbs->worker_waits();
   for (SiteId site : mdbs->site_ids()) {
     report.site_blocked += mdbs->site(site).blocked_count();
     report.site_aborts += mdbs->site(site).abort_count();

@@ -11,12 +11,6 @@
 
 namespace mdbs {
 
-/// A closed-loop experiment: `global_clients` clients each keep one global
-/// transaction in flight (multiprogramming level), while
-/// `local_clients_per_site` clients per site run local transactions that
-/// the GTM never sees — the source of indirect conflicts. The run stops
-/// once `target_global_commits` global transactions committed and all
-/// in-flight work drained.
 /// Client-level retry policy on top of the GTM's own attempts: a failed
 /// global transaction is resubmitted (as a fresh GTM job, same spec) up to
 /// `max_resubmissions` times, with doubling backoff from `backoff`.
@@ -33,6 +27,13 @@ struct RetryConfig {
   sim::Time backoff = 1000;
 };
 
+/// A closed-loop experiment: `global_clients` clients each keep one global
+/// transaction in flight (multiprogramming level), while
+/// `local_clients_per_site` clients per site run local transactions that
+/// the GTM never sees — the source of indirect conflicts. The run stops
+/// once `target_global_commits` global transactions committed and all
+/// in-flight work drained. Site crashes come from MdbsConfig::fault_plan
+/// (e.g. its `periodic@I:D` directive).
 struct DriverConfig {
   int global_clients = 8;
   int local_clients_per_site = 2;
@@ -40,13 +41,10 @@ struct DriverConfig {
   /// Think time between a client's transactions.
   sim::Time global_think = 50;
   sim::Time local_think = 50;
-  /// Give up on a local transaction after this many aborts.
+  /// Give up on a local transaction after this many aborts. Attempts are
+  /// 50–150 ticks apart, so the default outlasts a few-thousand-tick
+  /// outage of the site.
   int local_max_attempts = 50;
-  /// Failure injection: every `crash_interval` ticks a random site crashes
-  /// for `crash_duration` ticks (all its active transactions abort; the
-  /// GTM retries). 0 disables. Scripted alternative: MdbsConfig::fault_plan.
-  sim::Time crash_interval = 0;
-  sim::Time crash_duration = 2000;
   /// Client-level retry layer (see RetryConfig).
   RetryConfig retry;
   GlobalWorkloadConfig global_workload;
@@ -109,7 +107,25 @@ struct DriverReport {
   void AddToRegistry(sim::MetricsRegistry* registry) const;
 };
 
-/// Runs the closed-loop experiment on `mdbs`. Deterministic given `seed`.
+/// Runs the closed-loop experiment on `mdbs`, in either engine. Every
+/// client is a callback state machine on Mdbs::ClientRunner(): think time,
+/// backoff and retries are timed tasks there, and each GTM or site answer
+/// reaches its client on that runner, so no client ever blocks and every
+/// tally lives on one runner.
+///
+/// Simulation mode: the clients share the event loop, the run ends with
+/// RunUntilIdle, and the report is a deterministic function of `seed`.
+///
+/// Threaded mode: the clients share one strand, and tick-denominated knobs
+/// (think times, backoff) are real microseconds. Once every client has
+/// finished, in-flight work drains (Mdbs::FinishThreadedRun), and the
+/// report's duration/throughput are wall-clock microseconds / transactions
+/// per second. `seed` still shapes the workload, but the interleaving is
+/// the hardware's, so two runs with one seed may commit in different
+/// orders. That is the point: the paper's schemes must keep the schedule
+/// serializable under real interleavings, not only simulated ones.
+///
+/// Both modes end by running the audit oracle over the recorded schedule.
 DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config, uint64_t seed);
 
 }  // namespace mdbs

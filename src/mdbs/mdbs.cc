@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <thread>
 
 #include "common/logging.h"
@@ -117,18 +116,18 @@ Mdbs::Mdbs(const MdbsConfig& config)
     for (SiteId id : site_ids_) sites_.at(id)->EnableMetrics(metrics_.get());
   }
 
-  // Fault layer: resolve sweeps against the real site count, fold the
-  // legacy response-loss knob in, then arm the crash windows now so a
-  // (plan, seed) pair replays identically.
+  // Fault layer: resolve sweeps against the real site count, then arm the
+  // crash windows now so a (plan, seed) pair replays identically.
   fault::FaultPlan plan = fault::ResolveSweeps(
       config.fault_plan, static_cast<int>(site_ids_.size()));
-  if (config.response_loss_probability > 0 && plan.response_loss <= 0) {
-    plan.response_loss = config.response_loss_probability;
-  }
   Status plan_ok = fault::ValidatePlanForConfig(plan, config.gtm.durable,
                                                 config.gtm_standby);
   MDBS_CHECK(plan_ok.ok()) << plan_ok.message();
   injector_ = std::make_unique<fault::FaultInjector>(plan, config.seed);
+  // The victim stream is apart from the message-fate stream, so a plan
+  // draws the same message fates with or without `periodic`.
+  periodic_rng_ =
+      Rng((plan.seed != 0 ? plan.seed : config.seed) ^ 0x9e3779b97f4a7c15ULL);
   ArmPlanCrashes();
   ArmGtmCrashes();
   ArmGtmFailovers();
@@ -151,25 +150,62 @@ Mdbs::Mdbs(const MdbsConfig& config)
   health_ = std::make_unique<HealthMonitor>(
       config.health, GtmRunner(), site_ids_, std::move(health_callbacks));
   if (trace_ != nullptr) health_->EnableTrace(trace_.get());
-  gtm1_->SetActivityHook([this]() { health_->Activity(); });
-  if (gtm_standby_ != nullptr) {
-    gtm_standby_->SetActivityHook([this]() { health_->Activity(); });
-  }
+  auto activity = [this]() {
+    health_->Activity();
+    PeriodicCrashActivity();
+  };
+  gtm1_->SetActivityHook(activity);
+  if (gtm_standby_ != nullptr) gtm_standby_->SetActivityHook(activity);
 }
 
 void Mdbs::ArmPlanCrashes() {
   for (const fault::CrashEvent& crash : injector_->plan().crashes) {
     if (!sites_.contains(crash.site)) continue;  // Plan outlived the config.
     SiteRunner(crash.site)->Schedule(crash.at, [this, crash]() {
-      site::LocalDbms& dbms = *sites_.at(crash.site);
-      if (dbms.IsDown()) return;  // Overlapping windows merge.
-      injector_->CountPlanCrash();
-      dbms.Crash();
-      SiteRunner(crash.site)->Schedule(crash.duration, [this, crash]() {
-        sites_.at(crash.site)->Recover();
-      });
+      CrashSite(crash.site, crash.duration);
     });
   }
+}
+
+void Mdbs::CrashSite(SiteId site, sim::Time duration) {
+  site::LocalDbms& dbms = *sites_.at(site);
+  if (dbms.IsDown()) return;  // Overlapping windows merge.
+  injector_->CountPlanCrash();
+  dbms.Crash();
+  SiteRunner(site)->Schedule(duration,
+                             [this, site]() { sites_.at(site)->Recover(); });
+}
+
+void Mdbs::PeriodicCrashActivity() {
+  const std::optional<fault::PeriodicCrashes>& periodic =
+      injector_->plan().periodic;
+  if (!periodic.has_value() || periodic_running_) return;
+  periodic_running_ = true;
+  GtmRunner()->Schedule(periodic->interval,
+                        [this]() { PeriodicCrashTick(); });
+}
+
+void Mdbs::PeriodicCrashTick() {
+  if (active_gtm_->InFlight() == 0) {
+    // Nothing in flight: stop so the run can quiesce. The next Submit's
+    // activity hook restarts the loop.
+    periodic_running_ = false;
+    return;
+  }
+  const fault::PeriodicCrashes& periodic = *injector_->plan().periodic;
+  sim::Time now = GtmRunner()->now();
+  std::vector<SiteId> up;
+  for (SiteId id : site_ids_) {
+    if (periodic_down_until_[id] <= now) up.push_back(id);
+  }
+  if (!up.empty()) {
+    SiteId victim = up[periodic_rng_.NextBelow(up.size())];
+    periodic_down_until_[victim] = now + periodic.duration;
+    SiteRunner(victim)->Schedule(0, [this, victim, periodic]() {
+      CrashSite(victim, periodic.duration);
+    });
+  }
+  GtmRunner()->Schedule(periodic.interval, [this]() { PeriodicCrashTick(); });
 }
 
 void Mdbs::ArmGtmCrashes() {
@@ -282,14 +318,12 @@ void Mdbs::SubmitGlobal(gtm::GlobalTxnSpec spec, gtm::Gtm1::ResultCallback cb) {
       });
 }
 
-void Mdbs::InjectCrash(SiteId site, sim::Time recover_after) {
-  SiteRunner(site)->Schedule(0, [this, site, recover_after]() {
-    site::LocalDbms& dbms = *sites_.at(site);
-    if (dbms.IsDown()) return;
-    dbms.Crash();
-    SiteRunner(site)->Schedule(recover_after,
-                               [this, site]() { sites_.at(site)->Recover(); });
-  });
+sim::TaskRunner* Mdbs::ClientRunner() {
+  if (!threaded_) return &loop_;
+  if (client_strand_ == nullptr) {
+    client_strand_ = std::make_unique<sim::RealStrand>(ticker_.get(), "client");
+  }
+  return client_strand_.get();
 }
 
 void Mdbs::FinishThreadedRun() {
@@ -346,6 +380,10 @@ void Mdbs::FinishThreadedRun() {
     for (const auto& [id, strand] : site_strands_) {
       all_quiescent = all_quiescent && strand->QuiescentBeyond(horizon);
     }
+    if (client_strand_ != nullptr) {
+      all_quiescent =
+          all_quiescent && client_strand_->QuiescentBeyond(horizon);
+    }
     if (all_quiescent) break;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
@@ -368,6 +406,7 @@ void Mdbs::StopStrands() {
   // last task ended, so everything the strands wrote is visible here.
   gtm_strand_->Stop();
   for (auto& [id, strand] : site_strands_) strand->Stop();
+  if (client_strand_ != nullptr) client_strand_->Stop();
   strands_stopped_ = true;
 }
 
@@ -388,30 +427,27 @@ Status Mdbs::RunAuditOracle() {
   return first;
 }
 
-StatusOr<TxnId> Mdbs::BeginLocal(SiteId site) {
-  TxnId txn = TxnId(next_local_txn_id_++);
+void Mdbs::BeginLocal(SiteId site, BeginCallback cb) {
   if (!threaded_) {
-    Status status = sites_.at(site)->Begin(txn, GlobalTxnId());
-    if (!status.ok()) return status;
-    return txn;
+    cb(BeginLocal(site));
+    return;
   }
-  // The site's state belongs to its strand; run the begin there and block
-  // until it answered. The references stay valid because this frame waits.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status status = Status::OK();
-  SiteRunner(site)->Schedule(0, [&]() {
-    Status begin_status = sites_.at(site)->Begin(txn, GlobalTxnId());
-    // Notify under the lock: this frame destroys cv/mu the moment it
-    // observes `done`, which the mutex orders after the signal.
-    std::lock_guard<std::mutex> lock(mu);
-    status = begin_status;
-    done = true;
-    cv.notify_one();
+  // The site's state belongs to its strand: begin there, then hand the
+  // answer to the client strand.
+  TxnId txn = TxnId(next_local_txn_id_++);
+  SiteRunner(site)->Schedule(0, [this, site, txn, client = ClientRunner(),
+                                 cb = std::move(cb)]() {
+    Status status = sites_.at(site)->Begin(txn, GlobalTxnId());
+    StatusOr<TxnId> result = status.ok() ? StatusOr<TxnId>(txn) : status;
+    client->Schedule(0, [result, cb]() { cb(result); });
   });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&]() { return done; });
+}
+
+StatusOr<TxnId> Mdbs::BeginLocal(SiteId site) {
+  MDBS_CHECK(!threaded_) << "threaded mode begins local transactions with "
+                         << "the callback form of BeginLocal";
+  TxnId txn = TxnId(next_local_txn_id_++);
+  Status status = sites_.at(site)->Begin(txn, GlobalTxnId());
   if (!status.ok()) return status;
   return txn;
 }

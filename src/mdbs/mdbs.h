@@ -2,6 +2,7 @@
 #define MDBS_MDBS_MDBS_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -31,9 +32,6 @@ struct MdbsConfig {
   gtm::Gtm1Config gtm;
   /// One-way GTM <-> site network delay.
   sim::Time net_delay = 5;
-  /// Legacy knob, equivalent to fault_plan.response_loss (used when the
-  /// plan itself sets no response loss). Prefer the fault plan.
-  double response_loss_probability = 0;
   /// Deterministic fault-injection plan: scheduled site crashes plus
   /// request/response loss, duplicate delivery and delay spikes on the
   /// begin/data paths. Losing a request or response leaves the operation
@@ -41,7 +39,8 @@ struct MdbsConfig {
   /// attempt, and receiver-side dedup guards keep duplicated deliveries
   /// from double-applying. Commit/abort messages stay reliable — losing
   /// them would need an atomic commitment protocol, which the paper leaves
-  /// out of scope. Sweeps are resolved against the actual site count here.
+  /// out of scope. Sweeps are resolved against the actual site count here;
+  /// `periodic` crashes run on the GTM's runner while it has work.
   fault::FaultPlan fault_plan;
   /// Warm-standby GTM pair: construct a second, passive Gtm1 that receives
   /// every primary WAL frame over the modeled network (`standby_lag` one-way
@@ -72,8 +71,9 @@ struct MdbsConfig {
   /// (deterministic; drive it with RunUntilIdle). true: real threads — one
   /// RealStrand per site plus one for the GTM, run on at most one worker
   /// thread per usable CPU — with ticks interpreted as real microseconds;
-  /// drive it with RunThreadedDriver (or SubmitGlobal + your own threads)
-  /// and finish with FinishThreadedRun.
+  /// finish it with FinishThreadedRun. RunDriver serves both modes; in
+  /// this one its clients are tasks on one more strand (ClientRunner).
+  /// SubmitGlobal + your own threads also work and add no strand.
   bool threaded = false;
 
   /// Convenience: `count` sites with the given protocols round-robin.
@@ -143,17 +143,23 @@ class Mdbs : public gtm::SiteGateway {
   /// threaded mode; equivalent to gtm().Submit in simulation mode.
   void SubmitGlobal(gtm::GlobalTxnSpec spec, gtm::Gtm1::ResultCallback cb);
 
-  /// Begins a purely local transaction at `site` (a pre-existing local
-  /// application: invisible to the GTM). Returns the fresh transaction id,
-  /// or TransactionAborted while the site is down. In threaded mode this
-  /// blocks the calling thread until the site's strand ran the begin.
-  StatusOr<TxnId> BeginLocal(SiteId site);
+  /// Where a closed-loop driver runs its clients: the event loop in
+  /// simulation mode; in threaded mode one strand of its own, built on the
+  /// first call. Make that call before any client task runs, from the
+  /// thread that starts the clients.
+  sim::TaskRunner* ClientRunner();
 
-  /// Crashes `site` (if up) on its strand and schedules its recovery
-  /// `recover_after` ticks later. Safe from any thread in threaded mode.
-  /// Scripted alternative: MdbsConfig::fault_plan crashes, armed at
-  /// construction.
-  void InjectCrash(SiteId site, sim::Time recover_after);
+  using BeginCallback = std::function<void(const StatusOr<TxnId>&)>;
+
+  /// Begins a purely local transaction at `site` (a pre-existing local
+  /// application: invisible to the GTM). `cb` gets the fresh transaction
+  /// id, or TransactionAborted while the site is down, on ClientRunner():
+  /// inline in simulation mode, after a hop to the site's strand and back
+  /// in threaded mode.
+  void BeginLocal(SiteId site, BeginCallback cb);
+
+  /// Simulation mode only: BeginLocal answered synchronously.
+  StatusOr<TxnId> BeginLocal(SiteId site);
 
   /// The site health monitor (always constructed; probing is lazy and
   /// gated on HealthConfig::enabled).
@@ -178,7 +184,7 @@ class Mdbs : public gtm::SiteGateway {
   /// as attempt timeouts for finished transactions don't count), then stops
   /// all strands. After it returns the object is single-threaded again, so
   /// stats, the recorder, and the oracle can be read plainly. Callers must
-  /// have stopped submitting work (all clients joined). Idempotent; no-op
+  /// have stopped submitting work (all clients done). Idempotent; no-op
   /// in simulation mode.
   void FinishThreadedRun();
 
@@ -251,6 +257,16 @@ class Mdbs : public gtm::SiteGateway {
   /// strands (construction time, so replays align).
   void ArmPlanCrashes();
 
+  /// Crashes `site` unless it is already down, and recovers it `duration`
+  /// ticks later. Runs on the site's strand.
+  void CrashSite(SiteId site, sim::Time duration);
+
+  /// GTM activity: starts the plan's periodic crash loop unless it runs.
+  void PeriodicCrashActivity();
+  /// One periodic round: stops the loop when the GTM has nothing in
+  /// flight, else crashes one site no periodic window holds down.
+  void PeriodicCrashTick();
+
   /// Schedules the plan's gtm_crash windows on the GTM strand. The recovery
   /// leg hands Gtm1::Recover the health monitor's *current* down set — the
   /// log's quarantine view is stale by however long the outage lasted.
@@ -282,9 +298,15 @@ class Mdbs : public gtm::SiteGateway {
   std::unique_ptr<sim::RealTicker> ticker_;
   std::unordered_map<SiteId, std::unique_ptr<sim::RealStrand>> site_strands_;
   std::unique_ptr<sim::RealStrand> gtm_strand_;
+  std::unique_ptr<sim::RealStrand> client_strand_;  // Built by ClientRunner.
   bool strands_stopped_ = false;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<HealthMonitor> health_;
+  /// The periodic crash loop's state (GTM runner only): whether a round is
+  /// pending, its victim stream, and when each site's window ends.
+  bool periodic_running_ = false;
+  Rng periodic_rng_{0};
+  std::unordered_map<SiteId, sim::Time> periodic_down_until_;
   sched::ScheduleRecorder recorder_;
   std::unordered_map<SiteId, std::unique_ptr<site::LocalDbms>> sites_;
   std::vector<SiteId> site_ids_;

@@ -170,7 +170,7 @@ class MetricsEngine {
 
   // --- GTM-strand entry points -------------------------------------------
 
-  /// Threaded admission: the client thread stamped `enqueue_time` before
+  /// Threaded admission: the submitter stamped `enqueue_time` before
   /// posting to the GTM strand; the next TxnSubmitted starts the lifetime
   /// there and charges the gap to kAdmission.
   void StageAdmission(sim::Time enqueue_time);

@@ -20,7 +20,6 @@
 #include "gtm/scheme.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 
 namespace mdbs {
 namespace {
@@ -113,8 +112,7 @@ void RunCertified(const FuzzCase& fuzz_case, bool threaded, uint64_t seed) {
   driver.local_clients_per_site = fuzz_case.mix.local_txns ? 1 : 0;
   driver.target_global_commits = threaded ? 20 : 40;
   driver.templates = fuzz_case.mix;
-  DriverReport report = threaded ? RunThreadedDriver(&system, driver, seed)
-                                 : RunDriver(&system, driver, seed);
+  DriverReport report = RunDriver(&system, driver, seed);
 
   SCOPED_TRACE(std::string(threaded ? "threaded" : "sim") + " engine");
   EXPECT_GT(report.global_committed, 0);

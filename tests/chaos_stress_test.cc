@@ -10,7 +10,6 @@
 #include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 
 namespace mdbs {
 namespace {
@@ -99,7 +98,7 @@ TEST_P(ChaosStressTest, ThreadedHeavyChaosStaysCorrect) {
                                 /*duration=*/4000);
   Mdbs system(config);
   DriverConfig driver = ChaosWorkload(/*target=*/60);
-  DriverReport report = RunThreadedDriver(&system, driver, 97);
+  DriverReport report = RunDriver(&system, driver, 97);
 
   EXPECT_GE(report.global_committed + report.global_failed, 60);
   EXPECT_GE(report.global_committed, 30);
@@ -130,7 +129,7 @@ TEST_P(ChaosStressTest, ThreadedFailoverUnderHeavyChaosStaysCorrect) {
       fault::GtmFailoverEvent{30'000, 5000});
   Mdbs system(config);
   DriverConfig driver = ChaosWorkload(/*target=*/60);
-  DriverReport report = RunThreadedDriver(&system, driver, 97);
+  DriverReport report = RunDriver(&system, driver, 97);
 
   EXPECT_GE(report.global_committed + report.global_failed, 60);
   EXPECT_GE(report.global_committed, 30);

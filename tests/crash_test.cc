@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 
@@ -80,7 +81,7 @@ TEST(LossyNetworkTest, RetriesThroughLostResponses) {
        ProtocolKind::kSerializationGraph},
       SchemeKind::kScheme3);
   config.seed = 21;
-  config.response_loss_probability = 0.05;
+  config.fault_plan.response_loss = 0.05;
   config.gtm.attempt_timeout = 10'000;
   config.gtm.retry_backoff = 200;
   Mdbs system(config);
@@ -115,6 +116,7 @@ TEST_P(CrashWorkloadTest, WorkloadSurvivesCrashesSerializably) {
       GetParam());
   config.seed = 77;
   config.gtm.retry_backoff = 200;
+  config.fault_plan.periodic = fault::PeriodicCrashes{5000, 1500};
   Mdbs system(config);
   DriverConfig driver;
   driver.global_clients = 6;
@@ -122,8 +124,6 @@ TEST_P(CrashWorkloadTest, WorkloadSurvivesCrashesSerializably) {
   driver.target_global_commits = 60;
   driver.global_workload.items_per_site = 30;
   driver.local_workload.items_per_site = 30;
-  driver.crash_interval = 5000;
-  driver.crash_duration = 1500;
   DriverReport report = RunDriver(&system, driver, 77);
 
   EXPECT_GT(report.crashes, 0) << "no crash was injected";

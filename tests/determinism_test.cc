@@ -1,14 +1,17 @@
 // The discrete-event engine must stay bit-for-bit deterministic: the
-// threaded engine (threaded_driver) deliberately gives up reproducibility,
+// threaded engine deliberately gives up reproducibility,
 // so the simulator is the only place a schedule can be replayed exactly —
 // any nondeterminism creeping in (iteration-order dependence, shared
 // mutable state, wall-clock reads) breaks differential debugging.
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/template.h"
 #include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
@@ -62,14 +65,35 @@ TEST(DeterminismTest, DifferentDriverSeedChangesTheRun) {
 }
 
 TEST(DeterminismTest, CrashInjectionStaysDeterministic) {
-  DriverConfig workload = Workload();
-  workload.crash_interval = 3000;
-  workload.crash_duration = 1500;
-  auto run = [&workload]() {
-    Mdbs system(SystemConfig(21));
-    return RunDriver(&system, workload, 34).ToString();
+  auto run = []() {
+    MdbsConfig config = SystemConfig(21);
+    config.fault_plan.periodic = fault::PeriodicCrashes{3000, 1500};
+    Mdbs system(config);
+    return RunDriver(&system, Workload(), 34).ToString();
   };
-  EXPECT_EQ(run(), run());
+  std::string first = run();
+  EXPECT_EQ(first, run());
+  EXPECT_EQ(first.find("plan_crashes=0"), std::string::npos) << first;
+}
+
+// Plan crashes, request/response loss, duplication and delay spikes,
+// with a health monitor quick enough to park transactions on down sites.
+MdbsConfig FaultPlanConfig() {
+  MdbsConfig config = SystemConfig(9);
+  fault::FaultPlan plan = fault::FaultPlan::CrashSweep(
+      /*num_sites=*/4, /*first_at=*/2000, /*gap=*/3000, /*duration=*/1500);
+  plan.request_loss = 0.03;
+  plan.response_loss = 0.03;
+  plan.duplicate = 0.03;
+  plan.delay_spike = 0.05;
+  plan.spike_ticks = 150;
+  plan.seed = 123;
+  config.fault_plan = plan;
+  config.gtm.attempt_timeout = 10'000;
+  config.health.probe_interval = 300;
+  config.health.suspect_after = 600;
+  config.health.down_after = 1200;
+  return config;
 }
 
 // The whole fault pipeline — plan crashes, request/response loss,
@@ -77,24 +101,9 @@ TEST(DeterminismTest, CrashInjectionStaysDeterministic) {
 // layer — must replay byte-for-byte from the same plan and seeds.
 TEST(DeterminismTest, FaultPlanReplaysByteForByte) {
   auto run = []() {
-    MdbsConfig config = SystemConfig(9);
-    fault::FaultPlan plan = fault::FaultPlan::CrashSweep(
-        /*num_sites=*/4, /*first_at=*/2000, /*gap=*/3000,
-        /*duration=*/1500);
-    plan.request_loss = 0.03;
-    plan.response_loss = 0.03;
-    plan.duplicate = 0.03;
-    plan.delay_spike = 0.05;
-    plan.spike_ticks = 150;
-    plan.seed = 123;
-    config.fault_plan = plan;
-    config.gtm.attempt_timeout = 10'000;
-    config.health.probe_interval = 300;
-    config.health.suspect_after = 600;
-    config.health.down_after = 1200;
     DriverConfig workload = Workload();
     workload.retry.max_resubmissions = 2;
-    Mdbs system(config);
+    Mdbs system(FaultPlanConfig());
     return RunDriver(&system, workload, 17).ToString();
   };
   EXPECT_EQ(run(), run());
@@ -197,6 +206,84 @@ TEST(DeterminismTest, GtmFailoverReplaysByteForByte) {
     };
     EXPECT_EQ(run(), run()) << "seed " << seed;
   }
+}
+
+// FNV-1a over a report's text: the digests below pin the exact bytes the
+// simulator's closed-loop driver produced for these runs, so a change to
+// the driver that is meant to leave simulator runs alone must keep them.
+uint64_t Fnv1a64(const std::string& text) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (unsigned char byte : text) {
+    hash ^= byte;
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+std::string Hex(uint64_t digest) {
+  char text[19];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(digest));
+  return text;
+}
+
+TEST(DriverDigestTest, SimulatorReportsKeepTheirRecordedBytes) {
+  struct Case {
+    const char* name;
+    MdbsConfig system;
+    DriverConfig driver;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  DriverConfig retries = Workload();
+  retries.retry.max_resubmissions = 2;
+  DriverConfig templates = Workload();
+  StatusOr<analysis::TemplateMix> mix = analysis::ParseTemplateMix(
+      "mix keys_per_class=8 local_txns=0\n"
+      "template hot_update weight=3 : r0@s0 w0@s0 r1@s1\n"
+      "template hot_audit weight=2 : r0@s0 w0@s0 r2@s2\n"
+      "template far_report weight=1 : r3@s1 r4@s3\n");
+  ASSERT_TRUE(mix.ok()) << mix.status().message();
+  templates.templates = *mix;
+  DriverConfig no_locals = Workload();
+  no_locals.local_clients_per_site = 0;
+  const std::vector<Case> cases = {
+      {"plain", SystemConfig(7), Workload(), 13, 0x433afe55877097cdull},
+      {"fault-plan-retries", FaultPlanConfig(), retries, 17,
+       0x0c078e2d0f0b40b4ull},
+      {"templates", SystemConfig(5), templates, 11, 0xd8b298e3091af8efull},
+      {"no-local-clients", SystemConfig(3), no_locals, 29,
+       0xd250fe32a40228f3ull},
+  };
+  for (const Case& c : cases) {
+    Mdbs system(c.system);
+    std::string report = RunDriver(&system, c.driver, c.seed).ToString();
+    EXPECT_EQ(Fnv1a64(report), c.digest)
+        << c.name << " report digest is now " << Hex(Fnv1a64(report))
+        << ":\n"
+        << report;
+  }
+}
+
+TEST(DriverDigestTest, SimulatorJsonReportKeepsItsRecordedBytes) {
+  if (!obs::kTraceCompiledIn) {
+    GTEST_SKIP() << "tracing not compiled in (MDBS_TRACE off)";
+  }
+  const uint64_t kRecordedDigest = 0xdfd08a5647201644ull;
+  MdbsConfig config = FaultPlanConfig();
+  config.trace.enabled = true;
+  DriverConfig workload = Workload();
+  workload.retry.max_resubmissions = 2;
+  Mdbs system(config);
+  DriverReport report = RunDriver(&system, workload, 17);
+  sim::MetricsRegistry registry;
+  report.AddToRegistry(&registry);
+  obs::AggregateTrace(system.trace_sink()->Drain(), &registry);
+  std::ostringstream json;
+  obs::WriteJsonReport(json, {{"test", "driver-digest"}}, registry);
+  EXPECT_EQ(Fnv1a64(json.str()), kRecordedDigest)
+      << "JSON report digest is now " << Hex(Fnv1a64(json.str())) << " over "
+      << json.str().size() << " bytes";
 }
 
 // Replay itself must be a pure function of the log image: recovering the

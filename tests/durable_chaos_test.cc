@@ -20,7 +20,6 @@
 #include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 #include "sched/schedule.h"
 
 namespace mdbs {
@@ -360,7 +359,7 @@ TEST_P(DurableChaosTest, ThreadedCrashSweepLosesNoCommittedData) {
   driver.local_workload.items_per_site = 30;
   driver.retry.max_resubmissions = 2;
   driver.retry.backoff = 500;
-  DriverReport report = RunThreadedDriver(&system, driver, 59);
+  DriverReport report = RunDriver(&system, driver, 59);
 
   EXPECT_GE(report.global_committed, 20);
   EXPECT_GE(report.faults.plan_crashes, 1)
@@ -403,7 +402,7 @@ TEST_P(DurableChaosTest, ThreadedGtmCrashRidesOutTheOutage) {
   driver.local_workload.items_per_site = 30;
   driver.retry.max_resubmissions = 2;
   driver.retry.backoff = 500;
-  DriverReport report = RunThreadedDriver(&system, driver, 83);
+  DriverReport report = RunDriver(&system, driver, 83);
 
   EXPECT_GE(report.global_committed, 40);
   EXPECT_EQ(report.gtm_durability.crashes, 1);
@@ -451,7 +450,7 @@ TEST_P(DurableChaosTest, ThreadedFailoverDuringSiteSweepLosesNothing) {
   driver.local_workload.items_per_site = 30;
   driver.retry.max_resubmissions = 2;
   driver.retry.backoff = 500;
-  DriverReport report = RunThreadedDriver(&system, driver, 101);
+  DriverReport report = RunDriver(&system, driver, 101);
 
   EXPECT_GE(report.global_committed, 20);
   EXPECT_EQ(report.gtm_standby.promotions, 1);

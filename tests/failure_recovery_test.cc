@@ -10,7 +10,6 @@
 #include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 
 namespace mdbs {
 namespace {
@@ -264,8 +263,8 @@ TEST_P(FailureRecoveryTest, CrashSweepAllSitesFinishesSerializably) {
 }
 
 // Same acceptance shape on the threaded engine: real strands, real clocks,
-// plan crashes armed on the site strands. RunThreadedDriver returning (all
-// clients joined, strands quiesced) is the no-hang proof.
+// plan crashes armed on the site strands. RunDriver returning (all
+// clients done, strands quiesced) is the no-hang proof.
 TEST_P(FailureRecoveryTest, ThreadedCrashSweepFinishesSerializably) {
   MdbsConfig config = MdbsConfig::Mixed(
       {ProtocolKind::kTwoPhaseLocking, ProtocolKind::kTimestampOrdering,
@@ -291,7 +290,7 @@ TEST_P(FailureRecoveryTest, ThreadedCrashSweepFinishesSerializably) {
   driver.local_workload.items_per_site = 30;
   driver.retry.max_resubmissions = 2;
   driver.retry.backoff = 500;
-  DriverReport report = RunThreadedDriver(&system, driver, 23);
+  DriverReport report = RunDriver(&system, driver, 23);
 
   EXPECT_GE(report.global_committed + report.global_failed, 30);
   EXPECT_GE(report.global_committed, 15);

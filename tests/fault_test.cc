@@ -7,6 +7,8 @@
 
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "mdbs/driver.h"
+#include "mdbs/mdbs.h"
 
 namespace mdbs::fault {
 namespace {
@@ -133,6 +135,37 @@ TEST(FaultPlanTest, SpecRoundTrips) {
   EXPECT_EQ(plan->ToSpec(), again->ToSpec());
 }
 
+TEST(FaultPlanTest, PeriodicDirectiveRoundTrips) {
+  StatusOr<FaultPlan> plan =
+      ParseFaultPlan("periodic@4000:1500;crash@100:s1:50;req_loss=0.01");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_TRUE(plan->periodic.has_value());
+  EXPECT_EQ(plan->periodic->interval, 4000);
+  EXPECT_EQ(plan->periodic->duration, 1500);
+  EXPECT_FALSE(plan->Empty());
+  EXPECT_EQ(plan->ToSpec(), "crash@100:s1:50;periodic@4000:1500;req_loss=0.01");
+  StatusOr<FaultPlan> again = ParseFaultPlan(plan->ToSpec());
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->periodic, plan->periodic);
+  EXPECT_EQ(again->ToSpec(), plan->ToSpec());
+
+  StatusOr<FaultPlan> alone = ParseFaultPlan("periodic@1:1");
+  ASSERT_TRUE(alone.ok()) << alone.status();
+  EXPECT_FALSE(alone->Empty());
+  EXPECT_FALSE(alone->HasMessageFaults());
+}
+
+TEST(FaultPlanTest, RejectsMalformedPeriodicDirectives) {
+  for (const char* bad :
+       {"periodic@0:100", "periodic@100:0", "periodic@100:-5",
+        "periodic@-100:5", "periodic@100", "periodic@", "periodic@:100",
+        "periodic@100:", "periodic@100:200:300", "periodic@x:100",
+        "periodic@100:200;periodic@300:400"}) {
+    StatusOr<FaultPlan> plan = ParseFaultPlan(bad);
+    EXPECT_FALSE(plan.ok()) << "accepted '" << bad << "'";
+  }
+}
+
 TEST(FaultPlanTest, EmptySpecYieldsEmptyPlan) {
   StatusOr<FaultPlan> plan = ParseFaultPlan("");
   ASSERT_TRUE(plan.ok());
@@ -232,6 +265,41 @@ TEST(FaultInjectorTest, SameSeedDrawsIdenticalFates) {
   EXPECT_TRUE(anything_happened) << "rates set but nothing was injected";
 }
 
+// The message-fate stream is pinned to a recorded digest, and a plan's
+// crash directives (`periodic` included) never draw from it: the same
+// rates draw the same fates with or without them.
+TEST(FaultInjectorTest, FatesKeepTheirRecordedDigest) {
+  const uint64_t kRecordedDigest = 0x6e45b85e9331e749ull;
+  StatusOr<FaultPlan> plain = ParseFaultPlan(
+      "req_loss=0.1;resp_loss=0.1;dup=0.1;spike=0.2:50");
+  ASSERT_TRUE(plain.ok());
+  uint64_t digest = 0xcbf29ce484222325ull;
+  for (const MessageFate& fate : DrawSequence(*plain, 17, 500)) {
+    for (int64_t field : {int64_t{fate.lost}, int64_t{fate.duplicated},
+                          fate.extra_delay, fate.duplicate_lag}) {
+      digest ^= static_cast<uint64_t>(field);
+      digest *= 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(digest, kRecordedDigest) << std::hex << "digest is now 0x"
+                                     << digest;
+
+  // The same rates with every crash directive drawn alongside.
+  StatusOr<FaultPlan> crashing = ParseFaultPlan(
+      "periodic@2000:500;crash@100:s0:50;sweep@10:20:30;req_loss=0.1;"
+      "resp_loss=0.1;dup=0.1;spike=0.2:50");
+  ASSERT_TRUE(crashing.ok());
+  std::vector<MessageFate> expected = DrawSequence(*plain, 17, 500);
+  std::vector<MessageFate> actual = DrawSequence(*crashing, 17, 500);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].lost, expected[i].lost) << "at " << i;
+    EXPECT_EQ(actual[i].duplicated, expected[i].duplicated) << "at " << i;
+    EXPECT_EQ(actual[i].extra_delay, expected[i].extra_delay) << "at " << i;
+    EXPECT_EQ(actual[i].duplicate_lag, expected[i].duplicate_lag)
+        << "at " << i;
+  }
+}
+
 TEST(FaultInjectorTest, PlanSeedOverridesFallbackSeed) {
   FaultPlan plan;
   plan.request_loss = 0.5;
@@ -292,6 +360,40 @@ TEST(FaultInjectorTest, ZeroRatesInjectNothing) {
   EXPECT_EQ(stats.requests_lost + stats.responses_lost +
                 stats.duplicates_injected + stats.delay_spikes,
             0);
+}
+
+// A simulated run under `periodic` crashes sites while the GTM is busy,
+// still ends (the loop stops once nothing is in flight) and restarts with
+// the next submission. DeterminismTest.CrashInjectionStaysDeterministic
+// replays such a run byte for byte.
+TEST(PeriodicCrashTest, SimulatedRunCrashesSitesAndEnds) {
+  MdbsConfig config = MdbsConfig::Mixed(
+      {lcc::ProtocolKind::kTwoPhaseLocking,
+       lcc::ProtocolKind::kTimestampOrdering,
+       lcc::ProtocolKind::kSerializationGraph},
+      gtm::SchemeKind::kScheme3);
+  config.seed = 5;
+  config.gtm.attempt_timeout = 10'000;
+  StatusOr<FaultPlan> plan = ParseFaultPlan("periodic@2000:800");
+  ASSERT_TRUE(plan.ok());
+  config.fault_plan = *plan;
+  DriverConfig driver;
+  driver.global_clients = 4;
+  driver.local_clients_per_site = 1;
+  driver.target_global_commits = 40;
+  driver.global_workload.items_per_site = 30;
+  driver.local_workload.items_per_site = 30;
+
+  Mdbs system(config);
+  DriverReport report = RunDriver(&system, driver, 8);
+  EXPECT_GT(report.faults.plan_crashes, 0);
+  EXPECT_EQ(report.crashes, report.faults.plan_crashes);
+  EXPECT_GE(report.global_committed + report.global_failed, 40);
+  EXPECT_TRUE(system.CheckGloballySerializable().ok());
+
+  // The loop stopped when the GTM went idle; new work restarts it.
+  DriverReport again = RunDriver(&system, driver, 9);
+  EXPECT_GT(again.faults.plan_crashes, report.faults.plan_crashes);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 
@@ -60,6 +61,7 @@ TEST_P(FuzzTest, RandomFederationStaysCorrect) {
   config.gtm.ticket_last = ticket_last;
   config.gtm.attempt_timeout =
       static_cast<sim::Time>(rng.NextInRange(20'000, 100'000));
+  if (crashes) config.fault_plan.periodic = fault::PeriodicCrashes{8000, 2000};
   Mdbs system(config);
 
   DriverConfig driver;
@@ -74,10 +76,6 @@ TEST_P(FuzzTest, RandomFederationStaysCorrect) {
   driver.local_workload.items_per_site =
       driver.global_workload.items_per_site;
   driver.local_workload.read_ratio = driver.global_workload.read_ratio;
-  if (crashes) {
-    driver.crash_interval = 8000;
-    driver.crash_duration = 2000;
-  }
 
   DriverReport report = RunDriver(&system, driver, GetParam());
 

@@ -26,7 +26,6 @@
 #include "gtm/gtm_log.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 #include "storage/log_device.h"
 
 namespace mdbs {
@@ -284,8 +283,7 @@ TEST_P(GtmFailoverSrBatteryTest, StaysSerializableAcrossFailover) {
   driver.global_workload.items_per_site = 20;
   driver.local_workload.items_per_site = 20;
   driver.retry.max_resubmissions = 3;
-  DriverReport report = threaded ? RunThreadedDriver(&system, driver, 29)
-                                 : RunDriver(&system, driver, 29);
+  DriverReport report = RunDriver(&system, driver, 29);
 
   EXPECT_GE(report.global_committed, driver.target_global_commits);
   EXPECT_EQ(report.gtm_standby.promotions, 1);

@@ -13,7 +13,6 @@
 #include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 #include "obs/metrics.h"
 
 namespace mdbs {
@@ -229,11 +228,11 @@ TEST(MetricsThreadedTest, BalanceHoldsUnderRealThreads) {
   Mdbs system(config);
   DriverConfig driver = ContendedWorkload();
   driver.target_global_commits = 40;
-  DriverReport report = RunThreadedDriver(&system, driver, 31);
+  DriverReport report = RunDriver(&system, driver, 31);
   MetricsSnapshot snapshot = system.metrics()->Snapshot();
   ExpectBalancedSnapshot(snapshot);
   EXPECT_EQ(snapshot.committed, report.global_committed);
-  // Real threads make admission queueing (client thread -> GTM strand)
+  // Real threads make admission queueing (client strand -> GTM strand)
   // observable; it is part of the partition, never negative.
   EXPECT_GE(PhaseTicks(snapshot, TxnPhase::kAdmission), 0);
 }

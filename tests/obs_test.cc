@@ -12,7 +12,6 @@
 
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
@@ -369,7 +368,7 @@ TEST(LifecycleSchemaTest, ThreadedEngine) {
   config.trace.enabled = true;
   Mdbs mdbs(config);
   ASSERT_NE(mdbs.trace_sink(), nullptr);
-  DriverReport report = RunThreadedDriver(&mdbs, SmallDriver(10), /*seed=*/7);
+  DriverReport report = RunDriver(&mdbs, SmallDriver(10), /*seed=*/7);
   ASSERT_GT(report.global_committed, 0);
 
   std::vector<TraceEvent> events = mdbs.trace_sink()->Drain();

@@ -1,7 +1,7 @@
 // Thread-sanitizer stress: every scheme of the paper, all seven local
-// protocols mixed, 8 global client threads + 2 local client threads per
-// site + a crash injector thread, all hammering one Mdbs through real
-// strands. The test has two oracles:
+// protocols mixed, 8 global clients + 2 local clients per site on the
+// client strand and a periodic site crash every millisecond, all hammering
+// one Mdbs through real strands. The test has two oracles:
 //   - TSan (the `tsan` preset builds this with -fsanitize=thread): any
 //     data race in the strands, the gateway, the auditor or the recorder
 //     fails the run;
@@ -12,9 +12,9 @@
 // Labeled `stress` (not tier1): minutes under TSan, not milliseconds.
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 
 namespace mdbs {
 namespace {
@@ -31,20 +31,20 @@ MdbsConfig StressSystem(SchemeKind scheme, uint64_t seed) {
       scheme);
   config.seed = seed;
   config.threaded = true;
+  // Crash a site roughly every millisecond.
+  config.fault_plan.periodic = fault::PeriodicCrashes{1000, 1000};
   return config;
 }
 
 DriverConfig StressWorkload() {
   DriverConfig config;
   config.global_clients = 8;
-  config.local_clients_per_site = 2;  // 8 + 7*2 + injector = 23 threads.
+  config.local_clients_per_site = 2;  // 8 + 7*2 = 22 strand clients.
   config.target_global_commits = 60;
   config.global_workload.items_per_site = 20;  // Hot items: real conflicts.
   config.global_workload.dav_min = 2;
   config.global_workload.dav_max = 3;
   config.local_workload.items_per_site = 20;
-  config.crash_interval = 1000;  // Crash a site roughly every millisecond.
-  config.crash_duration = 1000;
   return config;
 }
 
@@ -62,10 +62,10 @@ TEST_P(ThreadedStress, MixedProtocolsWithCrashesStayCleanUnderRealThreads) {
   uint64_t seed = 100 + static_cast<uint64_t>(GetParam());
   Mdbs system(StressSystem(GetParam(), seed));
   DriverConfig workload = StressWorkload();
-  DriverReport report = RunThreadedDriver(&system, workload, seed);
+  DriverReport report = RunDriver(&system, workload, seed);
 
   // Crashes make individual global transactions fail (attempts exhausted,
-  // partial commits at the OCC site), and the crash injector runs on real
+  // partial commits at the OCC site), and the periodic crashes run on real
   // time while transaction progress slows ~10x under TSan — committed
   // counts are timing-dependent (Scheme 0, fully serial, commits
   // single-digit numbers under TSan with 1ms crash cadence). Assert the
@@ -95,7 +95,7 @@ TEST(ThreadedStressLifecycle, RepeatedRunsStartAndStopCleanly) {
     Mdbs system(StressSystem(SchemeKind::kScheme2, 7 + round));
     DriverConfig workload = StressWorkload();
     workload.target_global_commits = 15;
-    DriverReport report = RunThreadedDriver(&system, workload, 7 + round);
+    DriverReport report = RunDriver(&system, workload, 7 + round);
     EXPECT_GE(report.global_committed + report.global_failed, 15);
     EXPECT_TRUE(system.auditor().clean());
   }

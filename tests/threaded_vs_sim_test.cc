@@ -1,17 +1,16 @@
 // Differential test between the two execution engines: one workload
-// configuration, run once through the deterministic simulator (RunDriver)
-// and once through real threads (RunThreadedDriver), must agree on the
-// audit verdict — clean under both — and both complete the target number
-// of global transactions. Ticks mean virtual time in the first run and
-// real microseconds in the second; the configuration carries over
-// unchanged.
+// configuration, run by RunDriver once on the deterministic simulator and
+// once on real threads, must agree on the audit verdict — clean under
+// both — and both complete the target number of global transactions.
+// Ticks mean virtual time in the first run and real microseconds in the
+// second; the configuration carries over unchanged.
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
-#include "mdbs/threaded_driver.h"
 #include "sim/metrics.h"
 
 namespace mdbs {
@@ -30,10 +29,11 @@ MdbsConfig SystemConfig(SchemeKind scheme, bool threaded) {
   config.seed = 17;
   config.threaded = threaded;
   // Identical in both engines, but sized for the threaded one: with ~20
-  // client threads on one core a thread can starve past the default 200ms
-  // attempt timeout, and repeated timeouts read as `global_failed` noise.
-  // 2s keeps the cross-site-deadlock escape hatch without the starvation
-  // flake, so `global_failed == 0` stays a strict differential claim.
+  // clients and every strand sharing one core, an attempt can starve past
+  // the default 200ms attempt timeout, and repeated timeouts read as
+  // `global_failed` noise. 2s keeps the cross-site-deadlock escape hatch
+  // without the starvation flake, so `global_failed == 0` stays a strict
+  // differential claim.
   config.gtm.attempt_timeout = 2'000'000;
   return config;
 }
@@ -65,7 +65,7 @@ TEST_P(ThreadedVsSim, EnginesAgreeOnOutcomeAndAuditVerdict) {
 
   Mdbs threaded_system(SystemConfig(GetParam(), /*threaded=*/true));
   DriverReport threaded_report =
-      RunThreadedDriver(&threaded_system, workload, 23);
+      RunDriver(&threaded_system, workload, 23);
 
   for (const DriverReport* report : {&sim_report, &threaded_report}) {
     EXPECT_GE(report->global_committed, workload.target_global_commits);
@@ -85,7 +85,7 @@ TEST(ThreadedEngineTest, ReportsWallClockThroughput) {
   Mdbs system(SystemConfig(SchemeKind::kScheme3, /*threaded=*/true));
   DriverConfig workload = Workload();
   workload.target_global_commits = 10;
-  DriverReport report = RunThreadedDriver(&system, workload, 5);
+  DriverReport report = RunDriver(&system, workload, 5);
   EXPECT_GE(report.global_committed, 10);
   EXPECT_GT(report.duration, 0);  // Real microseconds elapsed.
   EXPECT_GT(report.global_throughput, 0);  // Committed txns per second.
@@ -99,7 +99,7 @@ TEST(ThreadedEngineTest, ReportsHowItsWorkersWaited) {
 
   Mdbs threaded_system(SystemConfig(SchemeKind::kScheme3, /*threaded=*/true));
   DriverReport threaded_report =
-      RunThreadedDriver(&threaded_system, workload, 5);
+      RunDriver(&threaded_system, workload, 5);
   ASSERT_TRUE(threaded_report.worker_waits.has_value());
   EXPECT_GT(threaded_report.worker_waits->spun +
                 threaded_report.worker_waits->parked,
@@ -118,6 +118,35 @@ TEST(ThreadedEngineTest, ReportsHowItsWorkersWaited) {
   sim_report.AddToRegistry(&sim_registry);
   EXPECT_EQ(sim_registry.counters().count("sim.worker.spun_waits"), 0u);
   EXPECT_EQ(sim_registry.counters().count("sim.worker.parked_waits"), 0u);
+}
+
+// A local client whose site crashes retries its transaction with a backoff
+// of 50–150 ticks between attempts, so its 50 attempts outlast a 3000-tick
+// outage and the transaction commits once the site is back. Both engines
+// run the same client, so neither may give up on a local transaction here.
+// Zero local think time keeps the clients mid-transaction when the site
+// goes down; three seeds make it near-certain one of them is.
+TEST(ThreadedEngineTest, LocalClientsRideOutASiteOutage) {
+  StatusOr<fault::FaultPlan> plan =
+      fault::ParseFaultPlan("crash@3000:s0:3000");
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  DriverConfig workload = Workload();
+  workload.target_global_commits = 60;
+  workload.local_think = 0;
+  for (bool threaded : {false, true}) {
+    for (uint64_t seed : {11u, 12u, 13u}) {
+      SCOPED_TRACE(std::string(threaded ? "threaded" : "simulator") +
+                   " seed " + std::to_string(seed));
+      MdbsConfig config = SystemConfig(SchemeKind::kScheme3, threaded);
+      config.fault_plan = *plan;
+      config.gtm.attempt_timeout = 20'000;
+      Mdbs system(config);
+      DriverReport report = RunDriver(&system, workload, seed);
+      EXPECT_EQ(report.faults.plan_crashes, 1);
+      EXPECT_GT(report.local_committed, 0);
+      EXPECT_EQ(report.local_failed, 0) << report.ToString();
+    }
+  }
 }
 
 }  // namespace
