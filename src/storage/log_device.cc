@@ -1,30 +1,61 @@
 #include "storage/log_device.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
 
 namespace mdbs::storage {
 
+MemLogDevice::MemLogDevice(const std::vector<uint8_t>& image) {
+  Append(image.data(), image.size());
+}
+
 Status MemLogDevice::Append(const void* data, size_t size) {
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  bytes_.insert(bytes_.end(), bytes, bytes + size);
+  while (size > 0) {
+    size_t offset = size_ % kChunkBytes;
+    if (offset == 0) {
+      chunks_.push_back(
+          std::make_unique_for_overwrite<uint8_t[]>(kChunkBytes));
+    }
+    size_t n = std::min(size, kChunkBytes - offset);
+    std::memcpy(chunks_.back().get() + offset, bytes, n);
+    bytes += n;
+    size -= n;
+    size_ += n;
+  }
   return Status::OK();
 }
 
 Status MemLogDevice::ReadAll(std::vector<uint8_t>* out) const {
-  *out = bytes_;
+  out->clear();
+  out->reserve(size_);
+  for (size_t i = 0; i < chunks_.size(); ++i) {
+    const uint8_t* chunk = chunks_[i].get();
+    out->insert(out->end(), chunk,
+                chunk + std::min(kChunkBytes, size_ - i * kChunkBytes));
+  }
   return Status::OK();
 }
 
+std::vector<uint8_t> MemLogDevice::Image() const {
+  std::vector<uint8_t> image;
+  ReadAll(&image);
+  return image;
+}
+
 void MemLogDevice::Truncate(int64_t size) {
-  if (size >= 0 && static_cast<size_t>(size) < bytes_.size()) {
-    bytes_.resize(static_cast<size_t>(size));
+  if (size >= 0 && static_cast<size_t>(size) < size_) {
+    size_ = static_cast<size_t>(size);
+    chunks_.resize((size_ + kChunkBytes - 1) / kChunkBytes);
   }
 }
 
 void MemLogDevice::CorruptByte(size_t offset, uint8_t mask) {
-  if (offset < bytes_.size()) bytes_[offset] ^= mask;
+  if (offset < size_) {
+    chunks_[offset / kChunkBytes][offset % kChunkBytes] ^= mask;
+  }
 }
 
 FileLogDevice::FileLogDevice(const std::string& path) : path_(path) {

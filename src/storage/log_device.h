@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,27 +43,45 @@ class LogDevice {
   virtual void Truncate(int64_t size) = 0;
 };
 
-/// The default "disk": an in-memory byte vector. Both engines replay it
-/// byte-for-byte, and recovery tests snapshot/truncate/corrupt it freely.
+/// The default "disk": the device's bytes in fixed-size chunks held in
+/// memory. Both engines replay it byte-for-byte, and recovery tests
+/// snapshot/truncate/corrupt it freely.
+///
+/// An append copies its bytes exactly once, into the tail chunk and as many
+/// fresh chunks as it needs; a byte already on the device never moves
+/// again. A flat buffer would instead copy the whole log every time it
+/// doubled, inside one strand task, and a multi-megabyte log stalls every
+/// strand on the worker for tens of milliseconds (DESIGN §9).
 class MemLogDevice : public LogDevice {
  public:
+  /// 64 KiB: below glibc's smallest mmap threshold (128 KiB), so a chunk
+  /// comes from the heap arena and a freed one is reused without a
+  /// munmap/mmap round trip; large enough that a chunk holds about a
+  /// thousand site-WAL data frames, so its allocation is rare; small
+  /// enough that a device holding a few records allocates little.
+  static constexpr size_t kChunkBytes = 64 * 1024;
+
   MemLogDevice() = default;
   /// Seeds the device with an existing image (prefix-truncation fuzzing).
-  explicit MemLogDevice(std::vector<uint8_t> image)
-      : bytes_(std::move(image)) {}
+  explicit MemLogDevice(const std::vector<uint8_t>& image);
 
   Status Append(const void* data, size_t size) override;
-  int64_t Size() const override { return static_cast<int64_t>(bytes_.size()); }
+  int64_t Size() const override { return static_cast<int64_t>(size_); }
   Status ReadAll(std::vector<uint8_t>* out) const override;
 
   void Truncate(int64_t size) override;
 
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  /// The whole image as one vector (a copy), for tests and digests.
+  std::vector<uint8_t> Image() const;
   /// XORs one byte of the image (corruption fuzzing).
   void CorruptByte(size_t offset, uint8_t mask = 0xFF);
 
  private:
-  std::vector<uint8_t> bytes_;
+  /// Invariant: chunks_.size() == ceil(size_ / kChunkBytes). The first
+  /// chunk is allocated by the first append, and none is zero-filled:
+  /// bytes past size_ are never read.
+  std::vector<std::unique_ptr<uint8_t[]>> chunks_;
+  size_t size_ = 0;
 };
 
 /// A real append-only file, for `mdbsim --wal_dir=`. Writes are flushed per

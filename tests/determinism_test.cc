@@ -306,7 +306,7 @@ TEST(DeterminismTest, RecoveryFromTheSameLogIsIdentical) {
   workload.retry.max_resubmissions = 2;
   Mdbs system(config);
   RunDriver(&system, workload, 29);
-  ASSERT_GT(device->bytes().size(), 0u);
+  ASSERT_GT(device->Size(), 0);
 
   storage::RecoveredState first, second;
   ASSERT_TRUE(storage::RecoverWal(*device, false, &first).ok());

@@ -210,7 +210,7 @@ TEST(WalEncodingTest, CorruptedCompleteFrameFailsLoudly) {
   EXPECT_FALSE(ReadWal(device, &scan).ok());
 
   // Same for the CRC field itself.
-  MemLogDevice crc_hit(device.bytes());
+  MemLogDevice crc_hit(device.Image());
   RecoveredState state;
   EXPECT_FALSE(RecoverWal(crc_hit, false, &state).ok());
 }
@@ -359,11 +359,12 @@ TEST_P(WalFuzzTest, TruncationAtEveryBoundaryRestoresCommittedPrefix) {
   }
   ASSERT_GE(cut_indices.size(), 100u);
 
+  const std::vector<uint8_t> image = device->Image();
   size_t checkpointed_cuts = 0;
   for (size_t i : cut_indices) {
     size_t cut = i == 0 ? 0 : scan.boundaries[i - 1];
-    MemLogDevice prefix(std::vector<uint8_t>(
-        device->bytes().begin(), device->bytes().begin() + cut));
+    MemLogDevice prefix(
+        std::vector<uint8_t>(image.begin(), image.begin() + cut));
     RecoveredState state;
     ASSERT_TRUE(RecoverWal(prefix, multiversion, &state).ok())
         << "boundary " << i << " (byte " << cut << ") failed to recover";
@@ -393,6 +394,7 @@ TEST_P(WalFuzzTest, MidFrameCutsBehaveAsTornTail) {
   WalScan scan;
   ASSERT_TRUE(ReadWal(*device, &scan).ok());
   std::vector<int64_t> universe = ItemUniverse(scan.records);
+  const std::vector<uint8_t> image = device->Image();
 
   size_t torn_cuts = 0;
   size_t frame_stride = std::max<size_t>(7, scan.boundaries.size() / 60);
@@ -402,8 +404,8 @@ TEST_P(WalFuzzTest, MidFrameCutsBehaveAsTornTail) {
     // One cut in the frame header, one mid-payload.
     for (size_t cut : {lo + 3, lo + (hi - lo) / 2}) {
       if (cut <= lo || cut >= hi) continue;
-      MemLogDevice torn(std::vector<uint8_t>(
-          device->bytes().begin(), device->bytes().begin() + cut));
+      MemLogDevice torn(
+          std::vector<uint8_t>(image.begin(), image.begin() + cut));
       RecoveredState state;
       ASSERT_TRUE(RecoverWal(torn, multiversion, &state).ok())
           << "torn cut at byte " << cut << " was treated as corruption";
@@ -433,13 +435,14 @@ TEST_P(WalFuzzTest, CorruptionFailsLoudlyOrRecoversACommittedPrefix) {
   WalScan scan;
   ASSERT_TRUE(ReadWal(*device, &scan).ok());
   std::vector<int64_t> universe = ItemUniverse(scan.records);
-  size_t image_size = device->bytes().size();
+  const std::vector<uint8_t> image = device->Image();
+  size_t image_size = image.size();
   ASSERT_GT(image_size, 120u);
 
   size_t loud = 0, torn = 0;
   size_t stride = image_size / 120;  // >= 120 corruption points.
   for (size_t offset = 0; offset < image_size; offset += stride + 1) {
-    MemLogDevice corrupt(device->bytes());
+    MemLogDevice corrupt(image);
     corrupt.CorruptByte(offset, 0x40);
     RecoveredState state;
     Status status = RecoverWal(corrupt, multiversion, &state);
@@ -485,6 +488,7 @@ TEST(WalRecoveryTest, SiteRestartFromTruncatedImageServesCommittedPrefix) {
   ASSERT_TRUE(ReadWal(*device, &scan).ok());
   std::vector<int64_t> universe = ItemUniverse(scan.records);
   ASSERT_GE(scan.boundaries.size(), 50u);
+  const std::vector<uint8_t> image = device->Image();
 
   for (size_t i = 0; i < scan.boundaries.size(); i += 11) {
     size_t cut = scan.boundaries[i];
@@ -492,8 +496,8 @@ TEST(WalRecoveryTest, SiteRestartFromTruncatedImageServesCommittedPrefix) {
     config.id = SiteId{0};
     config.protocol = ProtocolKind::kTwoPhaseLocking;
     config.durable = true;
-    config.wal_device = std::make_shared<MemLogDevice>(std::vector<uint8_t>(
-        device->bytes().begin(), device->bytes().begin() + cut));
+    config.wal_device = std::make_shared<MemLogDevice>(
+        std::vector<uint8_t>(image.begin(), image.begin() + cut));
     sim::EventLoop loop;
     sched::ScheduleRecorder recorder;
     site::LocalDbms dbms(config, &loop, &recorder);
@@ -653,17 +657,18 @@ TEST(WalDigestTest, FrequentCheckpointsThroughCrashesWriteTheRecordedBytes) {
                   static_cast<unsigned long long>(digest));
     return std::string(text);
   };
-  EXPECT_EQ(Fnv1a64(gtm_device->bytes()), kRecordedGtmDigest)
-      << "GTM log digest is now " << hex(Fnv1a64(gtm_device->bytes()))
-      << " over " << gtm_device->bytes().size() << " bytes";
+  std::vector<uint8_t> gtm_image = gtm_device->Image();
+  EXPECT_EQ(Fnv1a64(gtm_image), kRecordedGtmDigest)
+      << "GTM log digest is now " << hex(Fnv1a64(gtm_image)) << " over "
+      << gtm_image.size() << " bytes";
   for (size_t i = 0; i < protocols.size(); ++i) {
     SCOPED_TRACE(lcc::ProtocolKindName(protocols[i]));
     site::LocalDbms& site = system.site(SiteId{static_cast<int64_t>(i)});
     ASSERT_FALSE(site.IsDown());
-    EXPECT_EQ(Fnv1a64(devices[i]->bytes()), kRecordedDigests[i])
-        << "site " << i << " WAL digest is now "
-        << hex(Fnv1a64(devices[i]->bytes())) << " over "
-        << devices[i]->bytes().size() << " bytes";
+    std::vector<uint8_t> image = devices[i]->Image();
+    EXPECT_EQ(Fnv1a64(image), kRecordedDigests[i])
+        << "site " << i << " WAL digest is now " << hex(Fnv1a64(image))
+        << " over " << image.size() << " bytes";
 
     WalScan scan;
     ASSERT_TRUE(ReadWal(*devices[i], &scan).ok());
