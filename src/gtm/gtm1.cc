@@ -23,8 +23,13 @@ GtmLogScan ReadLogCuttingTornTail(storage::LogDevice* device) {
 }  // namespace
 
 Gtm1::Gtm1(const Gtm1Config& config, sim::TaskRunner* loop,
-           SiteGateway* gateway, uint64_t seed)
-    : config_(config), loop_(loop), gateway_(gateway), rng_(seed) {
+           SiteGateway* gateway, uint64_t seed, const obs::EventSink& events)
+    : config_(config),
+      loop_(loop),
+      gateway_(gateway),
+      events_(events),
+      gtm2_events_(events),
+      rng_(seed) {
   Gtm2::Callbacks callbacks;
   // All four callbacks are muted during WAL replay (the live run already
   // performed their side effects) and the deferred ones capture the crash
@@ -55,7 +60,8 @@ Gtm1::Gtm1(const Gtm1Config& config, sim::TaskRunner* loop,
                   /*scheme_demanded=*/true);
     });
   };
-  gtm2_ = std::make_unique<Gtm2>(MakeFreshScheme(), std::move(callbacks));
+  gtm2_ = std::make_unique<Gtm2>(MakeFreshScheme(), std::move(callbacks),
+                                 gtm2_events_);
   fence_ = config_.fence != nullptr ? config_.fence
                                     : std::make_shared<FencingToken>();
   fence_held_ = fence_->epoch;
@@ -74,10 +80,12 @@ Gtm1::Gtm1(const Gtm1Config& config, sim::TaskRunner* loop,
     MDBS_CHECK(config_.durable) << "a warm standby requires a durable GTM";
     // Passive until Promote(): down (submissions would be buffered, but the
     // facade never routes any here) and permanently "replaying" — shadow
-    // GTM2 mutations must neither log nor drive GTM1 callbacks.
+    // GTM2 mutations must neither log, nor drive GTM1 callbacks, nor emit
+    // events the primary already emitted.
     standby_ = true;
     down_ = true;
     replaying_ = true;
+    MuteGtm2(true);
     standby_replayer_ = std::make_unique<GtmLogReplayer>();
   }
 }
@@ -202,25 +210,24 @@ void Gtm1::TakeCheckpoint() {
   ++durability_stats_.checkpoints;
 }
 
-void Gtm1::EnableTrace(obs::TraceSink* sink) {
-  trace_ = sink;
-  // A standby's shadow GTM2 stays mute: its mutations mirror events the
-  // primary already traced. Promote() re-enables from the stored sink.
-  gtm2_->EnableTrace(standby_ ? nullptr : sink);
+void Gtm1::MuteGtm2(bool muted) {
+  gtm2_events_ = muted ? obs::EventSink() : events_;
 }
 
-void Gtm1::EnableMetrics(obs::MetricsEngine* engine) {
-  metrics_ = engine;
-  gtm2_->EnableMetrics(standby_ ? nullptr : engine);
+void Gtm1::EmitStep(const Job& job, obs::Step step) {
+  events_.Emit({.kind = obs::TraceEventKind::kStep, .job = job.id,
+                .step = step});
 }
 
 SiteGateway::OpCallback Gtm1::WrapRoundTrip(GlobalTxnId attempt_id, TxnId sub,
                                             SiteGateway::OpCallback done) {
-  if (metrics_ == nullptr) return done;
   return [this, attempt_id, sub, done = std::move(done)](const Status& status,
                                                          int64_t value) {
     Attempt* attempt = FindAttempt(attempt_id);
-    if (attempt != nullptr) metrics_->EndRoundTrip(attempt->job->id, sub);
+    if (attempt != nullptr) {
+      events_.Emit({.kind = obs::TraceEventKind::kRoundTripEnd,
+                    .txn = sub.value(), .job = attempt->job->id});
+    }
     done(status, value);
   };
 }
@@ -242,10 +249,10 @@ void Gtm1::Submit(GlobalTxnSpec spec, ResultCallback cb) {
   job->spec = std::move(spec);
   job->cb = std::move(cb);
   job->submit_time = loop_->now();
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kSubmit, job->id, -1,
-                   static_cast<int64_t>(job->spec.Sites().size()));
-  }
+  const std::vector<SiteId> sites = job->spec.Sites();
+  events_.Emit({.kind = obs::TraceEventKind::kSubmit, .txn = job->id,
+                .a = static_cast<int64_t>(sites.size()), .job = job->id,
+                .sites = &sites});
   if (wal_ != nullptr) {
     GtmLogRecord record;
     record.type = GtmLogRecordType::kSubmit;
@@ -255,7 +262,6 @@ void Gtm1::Submit(GlobalTxnSpec spec, ResultCallback cb) {
   }
   Job* raw = job.get();
   jobs_.push_back(std::move(job));
-  if (metrics_ != nullptr) metrics_->TxnSubmitted(raw->id, raw->spec.Sites());
   if (activity_hook_) activity_hook_();
   if (TouchesQuarantine(*raw)) {
     // A needed site is already known-down: don't burn an attempt on it.
@@ -328,20 +334,13 @@ void Gtm1::StartAttempt(Job* job) {
     record.index = job->attempts;
     LogRecord(record);
   }
-  if (metrics_ != nullptr) {
-    metrics_->AttemptStarted(attempt_id, job->id);
-    metrics_->Transition(job->id, obs::TxnPhase::kScheme);
-  }
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kAttemptStart, attempt_id.value(), -1,
-                   job->id, job->attempts);
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kAttemptStart,
+                .txn = attempt_id.value(), .a = job->id, .b = job->attempts,
+                .job = job->id});
   if (config_.certified_fast_path) {
     ++stats_.fast_path_attempts;
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kDowngrade, attempt_id.value(), -1,
-                     job->id);
-    }
+    events_.Emit({.kind = obs::TraceEventKind::kDowngrade,
+                  .txn = attempt_id.value(), .a = job->id});
   }
 
   if (config_.attempt_timeout > 0) {
@@ -354,10 +353,8 @@ void Gtm1::StartAttempt(Job* job) {
         return;
       }
       ++stats_.timeouts;
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kAttemptTimeout,
-                       attempt_id.value(), -1);
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kAttemptTimeout,
+                    .txn = attempt_id.value()});
       FailAttempt(attempt_id,
                   Status::TransactionAborted("attempt timed out"),
                   /*scheme_demanded=*/false);
@@ -373,18 +370,14 @@ void Gtm1::AdvanceStep(GlobalTxnId attempt_id) {
   if (attempt == nullptr || attempt->failed) return;
   if (attempt->next_step == attempt->steps.size()) {
     // All operations acknowledged: pre-commit validation point.
-    if (metrics_ != nullptr) {
-      metrics_->Transition(attempt->job->id, obs::TxnPhase::kScheme);
-    }
+    EmitStep(*attempt->job, obs::Step::kGtm2);
     EnqueueGtm2(QueueOp::Validate(attempt_id));
     return;
   }
   const Step& step = attempt->steps[attempt->next_step];
   if (step.is_ser) {
     // Route through GTM2; PerformStep happens when the scheme releases it.
-    if (metrics_ != nullptr) {
-      metrics_->Transition(attempt->job->id, obs::TxnPhase::kScheme);
-    }
+    EmitStep(*attempt->job, obs::Step::kGtm2);
     EnqueueGtm2(QueueOp::Ser(attempt_id, step.site));
     return;
   }
@@ -436,18 +429,10 @@ void Gtm1::OnAckForwarded(GlobalTxnId attempt_id, SiteId) {
 void Gtm1::PerformStep(Attempt* attempt, const Step& step,
                        SiteGateway::OpCallback done) {
   GlobalTxnId attempt_id = attempt->id;
-  if (metrics_ != nullptr) {
-    // The interval from here to the response is a site round trip; Begin is
-    // synchronous at the site, so its whole round trip is network time,
-    // while data/ticket round trips are split at EndRoundTrip using the
-    // site-measured busy slice.
-    obs::TxnPhase phase = step.kind == Step::Kind::kTicket
-                              ? obs::TxnPhase::kTicket
-                          : step.kind == Step::Kind::kBegin
-                              ? obs::TxnPhase::kNetwork
-                              : obs::TxnPhase::kSiteExec;
-    metrics_->Transition(attempt->job->id, phase);
-  }
+  EmitStep(*attempt->job,
+           step.kind == Step::Kind::kTicket  ? obs::Step::kTicket
+           : step.kind == Step::Kind::kBegin ? obs::Step::kBegin
+                                             : obs::Step::kData);
   switch (step.kind) {
     case Step::Kind::kBegin: {
       TxnId sub_id = TxnId(next_txn_id_++);
@@ -558,14 +543,9 @@ void Gtm1::CommitNextSite(GlobalTxnId attempt_id, size_t index) {
       record.index = job->attempts;
       LogRecord(record);
     }
-    if (metrics_ != nullptr) {
-      metrics_->AttemptEnded(attempt_id);
-      metrics_->TxnFinished(job->id, /*committed=*/true);
-    }
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kTxnCommit, attempt_id.value(), -1,
-                     job->id, job->attempts);
-    }
+    events_.Emit({.kind = obs::TraceEventKind::kTxnCommit,
+                  .txn = attempt_id.value(), .a = job->id, .b = job->attempts,
+                  .job = job->id});
     GlobalTxnResult result;
     result.status = Status::OK();
     result.attempts = job->attempts;
@@ -579,9 +559,7 @@ void Gtm1::CommitNextSite(GlobalTxnId attempt_id, size_t index) {
   }
   SiteId site = attempt->begun_sites[index];
   TxnId sub_id = attempt->sub_ids.at(site);
-  if (metrics_ != nullptr) {
-    metrics_->Transition(attempt->job->id, obs::TxnPhase::kSiteExec);
-  }
+  EmitStep(*attempt->job, obs::Step::kCommit);
   // The epoch guard matters here more than anywhere: after a crash the
   // recovered GTM re-drives this very attempt id from its logged commit
   // index, and a stale pre-crash ack racing the re-driven fan-out would
@@ -601,9 +579,8 @@ void Gtm1::CommitNextSite(GlobalTxnId attempt_id, size_t index) {
         if (epoch != epoch_) return;
         Attempt* committing = FindAttempt(attempt_id);
         if (committing == nullptr || committing->failed) return;
-        if (metrics_ != nullptr) {
-          metrics_->EndRoundTrip(committing->job->id, sub_id);
-        }
+        events_.Emit({.kind = obs::TraceEventKind::kRoundTripEnd,
+                      .txn = sub_id.value(), .job = committing->job->id});
         if (status.ok()) {
           if (wal_ != nullptr) {
             GtmLogRecord record;
@@ -627,10 +604,10 @@ void Gtm1::CommitNextSite(GlobalTxnId attempt_id, size_t index) {
         // (a retry would double-apply the committed sites' effects).
         ++stats_.partial_commits;
         Job* job = committing->job;
-        if (trace_ != nullptr) {
-          trace_->Record(obs::TraceEventKind::kTxnFail, attempt_id.value(),
-                         -1, job->id, job->attempts, "partial_commit");
-        }
+        events_.Emit({.kind = obs::TraceEventKind::kTxnFail,
+                      .txn = attempt_id.value(), .a = job->id,
+                      .b = job->attempts, .detail = "partial_commit",
+                      .job = job->id});
         // Abort the rest.
         for (size_t i = index + 1; i < committing->begun_sites.size(); ++i) {
           SiteId rest = committing->begun_sites[i];
@@ -645,10 +622,6 @@ void Gtm1::CommitNextSite(GlobalTxnId attempt_id, size_t index) {
           record.code = static_cast<uint8_t>(GtmFinishOutcome::kPartial);
           record.index = job->attempts;
           LogRecord(record);
-        }
-        if (metrics_ != nullptr) {
-          metrics_->AttemptEnded(attempt_id);
-          metrics_->TxnFinished(job->id, /*committed=*/false);
         }
         GlobalTxnResult result;
         result.status =
@@ -675,14 +648,14 @@ void Gtm1::FailAttempt(GlobalTxnId attempt_id, const Status& reason,
   bool by_timeout = msg == "attempt timed out";
   bool by_site_down =
       msg.size() > 5 && msg.compare(msg.size() - 5, 5, " down") == 0;
-  if (trace_ != nullptr) {
-    const char* why = scheme_demanded ? "scheme"
-                      : by_timeout    ? "timeout"
-                      : by_site_down  ? "site_down"
-                                      : "site";
-    trace_->Record(obs::TraceEventKind::kAttemptAbort, attempt_id.value(), -1,
-                   attempt->job->id, attempt->job->attempts, why);
-  }
+  const char* why = scheme_demanded ? "scheme"
+                    : by_timeout    ? "timeout"
+                    : by_site_down  ? "site_down"
+                                    : "site";
+  events_.Emit({.kind = obs::TraceEventKind::kAttemptAbort,
+                .txn = attempt_id.value(), .a = attempt->job->id,
+                .b = attempt->job->attempts, .detail = why,
+                .job = attempt->job->id});
   if (wal_ != nullptr) {
     GtmLogRecord record;
     record.type = GtmLogRecordType::kAttemptFail;
@@ -703,10 +676,6 @@ void Gtm1::FailAttempt(GlobalTxnId attempt_id, const Status& reason,
 
   Job* job = attempt->job;
   attempts_.erase(attempt_id);
-  if (metrics_ != nullptr) {
-    metrics_->AttemptAborted(job->id);
-    metrics_->AttemptEnded(attempt_id);
-  }
   if (job->attempts >= config_.max_attempts) {
     ++stats_.failed;
     if (wal_ != nullptr) {
@@ -717,11 +686,9 @@ void Gtm1::FailAttempt(GlobalTxnId attempt_id, const Status& reason,
       record.index = job->attempts;
       LogRecord(record);
     }
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kTxnFail, attempt_id.value(), -1,
-                     job->id, job->attempts, "gave_up");
-    }
-    if (metrics_ != nullptr) metrics_->TxnFinished(job->id, false);
+    events_.Emit({.kind = obs::TraceEventKind::kTxnFail,
+                  .txn = attempt_id.value(), .a = job->id, .b = job->attempts,
+                  .detail = "gave_up", .job = job->id});
     GlobalTxnResult result;
     result.status = Status::TransactionAborted(
         "gave up after " + std::to_string(job->attempts) +
@@ -736,9 +703,7 @@ void Gtm1::FailAttempt(GlobalTxnId attempt_id, const Status& reason,
   // Randomized backoff, then a fresh attempt (or a park, if a site the job
   // needs was quarantined in the meantime).
   int64_t job_id = job->id;
-  if (metrics_ != nullptr) {
-    metrics_->Transition(job_id, obs::TxnPhase::kBackoff);
-  }
+  EmitStep(*job, obs::Step::kBackoff);
   int64_t epoch = epoch_;
   loop_->Schedule(RetryDelay(*job), [this, job_id, epoch]() {
     if (epoch != epoch_) return;
@@ -779,13 +744,8 @@ void Gtm1::ParkJob(Job* job) {
     record.job = job->id;
     LogRecord(record);
   }
-  if (metrics_ != nullptr) {
-    metrics_->Transition(job->id, obs::TxnPhase::kParked);
-  }
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kTxnParked, job->id, -1,
-                   job->attempts);
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kTxnParked, .txn = job->id,
+                .a = job->attempts, .job = job->id});
   ArmParkTimeout(job);
 }
 
@@ -812,11 +772,10 @@ void Gtm1::ArmParkTimeout(Job* job) {
       record.index = parked->attempts;
       LogRecord(record);
     }
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kTxnFail, parked->current_attempt.value(),
-                     -1, parked->id, parked->attempts, "park_timeout");
-    }
-    if (metrics_ != nullptr) metrics_->TxnFinished(parked->id, false);
+    events_.Emit({.kind = obs::TraceEventKind::kTxnFail,
+                  .txn = parked->current_attempt.value(), .a = parked->id,
+                  .b = parked->attempts, .detail = "park_timeout",
+                  .job = parked->id});
     GlobalTxnResult result;
     result.status = Status::TransactionAborted(
         "parked waiting for site recovery beyond the park timeout");
@@ -839,7 +798,6 @@ void Gtm1::OnSiteDown(SiteId site) {
     record.site = site.value();
     LogRecord(record);
   }
-  if (metrics_ != nullptr) metrics_->SiteDownEvent();
   // Collect first: FailAttempt erases from attempts_.
   std::vector<GlobalTxnId> doomed;
   for (const auto& [id, attempt] : attempts_) {
@@ -879,10 +837,8 @@ void Gtm1::OnSiteUp(SiteId site) {
       record.job = job->id;
       LogRecord(record);
     }
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kTxnUnparked, job->id, -1,
-                     job->attempts);
-    }
+    events_.Emit({.kind = obs::TraceEventKind::kTxnUnparked, .txn = job->id,
+                  .a = job->attempts});
     // Jittered resume so a herd of parked transactions doesn't stampede the
     // recovering site; RetryJob re-checks quarantine at fire time.
     int64_t job_id = job->id;
@@ -948,17 +904,9 @@ void Gtm1::Crash() {
   ++epoch_;
   checkpoint_scheduled_ = false;
   ++durability_stats_.crashes;
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kGtmCrash, -1, -1,
-                   static_cast<int64_t>(attempts_.size()),
-                   static_cast<int64_t>(jobs_.size()));
-  }
-  if (metrics_ != nullptr) {
-    for (const auto& [id, attempt] : attempts_) metrics_->AttemptEnded(id);
-    for (const std::unique_ptr<Job>& job : jobs_) {
-      metrics_->Transition(job->id, obs::TxnPhase::kRecovery);
-    }
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kGtmCrash,
+                .a = static_cast<int64_t>(attempts_.size()),
+                .b = static_cast<int64_t>(jobs_.size())});
   // The clients outlive the GTM: model them retaining their specs, result
   // callbacks and submit times across the outage (closures are not
   // serializable, so the log cannot carry them).
@@ -998,11 +946,9 @@ void Gtm1::Recover(const std::vector<SiteId>& down_sites) {
 
   // Rebuild GTM2 (WAIT, dead set, scheme DS) by replaying the log from its
   // latest checkpoint, whose image supersedes every earlier mutation.
-  // Observability is muted so replay emits no trace events or metrics; the
-  // audit stays on.
+  // GTM2 is muted so replay emits no events; the audit stays on.
   replaying_ = true;
-  gtm2_->EnableTrace(nullptr);
-  gtm2_->EnableMetrics(nullptr);
+  MuteGtm2(true);
   size_t first = analysis.checkpoint_index == GtmLogAnalysis::kNoCheckpoint
                      ? 0
                      : analysis.checkpoint_index;
@@ -1012,8 +958,7 @@ void Gtm1::Recover(const std::vector<SiteId>& down_sites) {
       ++durability_stats_.replayed_enqueues;
     }
   }
-  gtm2_->EnableTrace(trace_);
-  gtm2_->EnableMetrics(metrics_);
+  MuteGtm2(false);
   replaying_ = false;
 
   InstallRecoveredState(analysis, down_sites, /*standby_promotion=*/false);
@@ -1104,10 +1049,9 @@ void Gtm1::InstallRecoveredState(const GtmLogAnalysis& analysis,
       for (const auto& [site, sub] : image.subs) {
         gateway_->Abort(SiteId(site), TxnId(sub), [](const Status&) {});
       }
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kAttemptAbort, attempt_id, -1,
-                       job->id, job->attempts, "gtm_crash");
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kAttemptAbort,
+                    .txn = attempt_id, .a = job->id, .b = job->attempts,
+                    .detail = "gtm_crash", .job = job->id});
       if (standby_promotion) {
         // The promoted standby's fresh WAL never admitted these attempts:
         // purge the shadow GTM2 directly and let the promotion checkpoint
@@ -1123,7 +1067,6 @@ void Gtm1::InstallRecoveredState(const GtmLogAnalysis& analysis,
         LogRecord(record);
         AbortCleanupGtm2(GlobalTxnId(attempt_id));
       }
-      if (metrics_ != nullptr) metrics_->AttemptAborted(job->id);
       job->current_attempt = GlobalTxnId();
     }
   }
@@ -1132,12 +1075,10 @@ void Gtm1::InstallRecoveredState(const GtmLogAnalysis& analysis,
 void Gtm1::ResumeAfterRecovery(int64_t replayed_records, bool promoted) {
   down_ = false;
   recovering_ = false;
-  if (trace_ != nullptr) {
-    trace_->Record(promoted ? obs::TraceEventKind::kGtmPromote
-                            : obs::TraceEventKind::kGtmRecover,
-                   -1, -1, replayed_records,
-                   static_cast<int64_t>(jobs_.size()));
-  }
+  events_.Emit({.kind = promoted ? obs::TraceEventKind::kGtmPromote
+                                 : obs::TraceEventKind::kGtmRecover,
+                .a = replayed_records,
+                .b = static_cast<int64_t>(jobs_.size())});
   // Collect ids first: CommitNextSite on an attempt whose fan-out already
   // finished every site completes the job synchronously, erasing it from
   // jobs_ under our feet.
@@ -1151,10 +1092,6 @@ void Gtm1::ResumeAfterRecovery(int64_t replayed_records, bool promoted) {
     if (attempt != nullptr) {
       // Forward-roll the decided commit from its logged cursor.
       ++durability_stats_.resumed_commits;
-      if (metrics_ != nullptr) {
-        metrics_->AttemptStarted(attempt->id, job->id);
-        metrics_->Transition(job->id, obs::TxnPhase::kSiteExec);
-      }
       CommitNextSite(attempt->id, attempt->commit_next);
       continue;
     }
@@ -1170,13 +1107,9 @@ void Gtm1::ResumeAfterRecovery(int64_t replayed_records, bool promoted) {
           record.job = job->id;
           LogRecord(record);
         }
-        if (trace_ != nullptr) {
-          trace_->Record(obs::TraceEventKind::kTxnUnparked, job->id, -1,
-                         job->attempts);
-        }
-        if (metrics_ != nullptr) {
-          metrics_->Transition(job->id, obs::TxnPhase::kBackoff);
-        }
+        events_.Emit({.kind = obs::TraceEventKind::kTxnUnparked,
+                      .txn = job->id, .a = job->attempts});
+        EmitStep(*job, obs::Step::kBackoff);
         int64_t id = job->id;
         sim::Time delay =
             1 + static_cast<sim::Time>(rng_.NextBelow(
@@ -1187,9 +1120,7 @@ void Gtm1::ResumeAfterRecovery(int64_t replayed_records, bool promoted) {
           RetryJob(id);
         });
       } else {
-        if (metrics_ != nullptr) {
-          metrics_->Transition(job->id, obs::TxnPhase::kParked);
-        }
+        EmitStep(*job, obs::Step::kPark);
         // The pre-crash park timer died with the crash; the timeout
         // restarts from recovery time.
         ArmParkTimeout(job);
@@ -1197,9 +1128,7 @@ void Gtm1::ResumeAfterRecovery(int64_t replayed_records, bool promoted) {
       continue;
     }
     // Backoff / freshly-aborted jobs retry on the normal schedule.
-    if (metrics_ != nullptr) {
-      metrics_->Transition(job->id, obs::TxnPhase::kBackoff);
-    }
+    EmitStep(*job, obs::Step::kBackoff);
     int64_t id = job->id;
     int64_t epoch = epoch_;
     loop_->Schedule(RetryDelay(*job), [this, id, epoch]() {
@@ -1287,10 +1216,8 @@ void Gtm1::Promote(Gtm1* primary, const std::vector<SiteId>& down_sites) {
   // primary's in-flight gateway callbacks, a stray Recover() — is stale.
   ++fence_->epoch;
   fence_held_ = fence_->epoch;
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kGtmPromoteBegin, -1, -1,
-                   fence_->epoch, tail_records);
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kGtmPromoteBegin,
+                .a = fence_->epoch, .b = tail_records});
 
   for (size_t i = static_cast<size_t>(applied); i < scan.records.size(); ++i) {
     if (ApplyStandbyRecord(scan.records[i])) {
@@ -1298,13 +1225,12 @@ void Gtm1::Promote(Gtm1* primary, const std::vector<SiteId>& down_sites) {
     }
   }
 
-  // Become the active GTM: the shadow GTM2 goes live (observability on),
-  // and the recovered state installs exactly as Recover() would — minus
+  // Become the active GTM: the shadow GTM2 goes live (unmuted), and the
+  // recovered state installs exactly as Recover() would — minus
   // per-attempt logging, since the fresh WAL gets a full checkpoint below.
   standby_ = false;
   recovering_ = true;
-  gtm2_->EnableTrace(trace_);
-  gtm2_->EnableMetrics(metrics_);
+  MuteGtm2(false);
   InstallRecoveredState(standby_replayer_->analysis(), down_sites,
                         /*standby_promotion=*/true);
   replaying_ = false;

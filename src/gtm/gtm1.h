@@ -14,8 +14,7 @@
 #include "gtm/global_txn.h"
 #include "gtm/gtm2.h"
 #include "gtm/serialization_function.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event_sink.h"
 #include "sim/task_runner.h"
 #include "storage/framing.h"
 #include "storage/log_device.h"
@@ -218,9 +217,11 @@ class Gtm1 {
 
   /// `loop` is the GTM's strand; every GTM1/GTM2 state transition runs on
   /// it. In threaded mode it is the strand whose serialization acts as the
-  /// scheme-level lock: ser_k release order is established there.
+  /// scheme-level lock: ser_k release order is established there. Every
+  /// lifecycle transition of GTM1, GTM2 and the scheme goes to `events`,
+  /// which must outlive the GTM.
   Gtm1(const Gtm1Config& config, sim::TaskRunner* loop, SiteGateway* gateway,
-       uint64_t seed);
+       uint64_t seed, const obs::EventSink& events = obs::kNoEvents);
 
   Gtm1(const Gtm1&) = delete;
   Gtm1& operator=(const Gtm1&) = delete;
@@ -329,15 +330,6 @@ class Gtm1 {
     gtm2_observer_ = std::move(hook);
   }
 
-  /// Records lifecycle events into `sink` (nullptr disables); forwarded to
-  /// GTM2 and the scheme. Call before the first Submit.
-  void EnableTrace(obs::TraceSink* sink);
-
-  /// Feeds the always-on metrics engine (nullptr disables): per-transaction
-  /// phase decomposition at every lifecycle transition, forwarded to GTM2
-  /// for WAIT dwell and queue depth. Call before the first Submit.
-  void EnableMetrics(obs::MetricsEngine* engine);
-
  private:
   struct Step {
     enum class Kind { kBegin, kTicket, kData };
@@ -422,11 +414,16 @@ class Gtm1 {
   /// retry.
   sim::Time RetryDelay(const Job& job);
 
-  /// Wraps a site-operation callback so the metrics engine closes the round
-  /// trip (splitting site-busy vs network time) before the response is
-  /// processed. Identity when metrics are off.
+  /// Wraps a site-operation callback so the reply emits kRoundTripEnd
+  /// before it is processed.
   SiteGateway::OpCallback WrapRoundTrip(GlobalTxnId attempt_id, TxnId sub,
                                         SiteGateway::OpCallback done);
+  /// Emits kStep: GTM1 sends `job` on to `step`.
+  void EmitStep(const Job& job, obs::Step step);
+  /// The single mute switch: a standby's shadow GTM2 and the WAL replay
+  /// loop of Recover() replay transitions the live run already emitted, so
+  /// GTM2 and the scheme then emit into a subscriber-less sink.
+  void MuteGtm2(bool muted);
 
   /// Appends to the GTM WAL (no-op when not durable or during replay) and
   /// schedules a checkpoint when the interval elapsed.
@@ -466,10 +463,12 @@ class Gtm1 {
   Gtm1Config config_;
   sim::TaskRunner* loop_;
   SiteGateway* gateway_;
+  const obs::EventSink& events_;
+  /// What GTM2 and the scheme emit into: a copy of `events_`, or no
+  /// subscribers while muted. Declared before gtm2_, which refers to it.
+  obs::EventSink gtm2_events_;
   std::unique_ptr<Gtm2> gtm2_;
   Rng rng_;
-  obs::TraceSink* trace_ = nullptr;
-  obs::MetricsEngine* metrics_ = nullptr;
   int64_t next_txn_id_ = 0;
   int64_t next_attempt_id_ = 0;
   int64_t next_job_id_ = 0;

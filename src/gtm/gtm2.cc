@@ -11,14 +11,25 @@
 
 namespace mdbs::gtm {
 
-Gtm2::Gtm2(std::unique_ptr<Scheme> scheme, Callbacks callbacks)
-    : scheme_(std::move(scheme)), callbacks_(std::move(callbacks)) {
-  MDBS_CHECK(scheme_ != nullptr);
+namespace {
+
+/// WAIT events of ser and validate operations carry Step::kGtm2: those are
+/// the job's critical path, while an init, ack or fin waits beside it.
+obs::Step WaitStep(QueueOpKind kind) {
+  return kind == QueueOpKind::kSer || kind == QueueOpKind::kValidate
+             ? obs::Step::kGtm2
+             : obs::Step::kNone;
 }
 
-void Gtm2::EnableTrace(obs::TraceSink* sink) {
-  trace_ = sink;
-  scheme_->EnableTrace(sink);
+}  // namespace
+
+Gtm2::Gtm2(std::unique_ptr<Scheme> scheme, Callbacks callbacks,
+           const obs::EventSink& events)
+    : scheme_(std::move(scheme)),
+      callbacks_(std::move(callbacks)),
+      events_(events) {
+  MDBS_CHECK(scheme_ != nullptr);
+  scheme_->AttachEvents(&events_);
 }
 
 void Gtm2::EnableAudit(const audit::AuditConfig& config,
@@ -79,15 +90,10 @@ void Gtm2::AuditAfterAct(const QueueOp& op) {
 
 void Gtm2::Enqueue(QueueOp op) {
   queue_.push_back(std::move(op));
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kQueueDepth, queue_.back().txn.value(),
-                   -1, static_cast<int64_t>(queue_.size()),
-                   static_cast<int64_t>(wait_.size()));
-  }
-  if (metrics_ != nullptr) {
-    metrics_->SampleGtm2Depth(static_cast<int64_t>(queue_.size()),
-                              static_cast<int64_t>(wait_.size()));
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kQueueDepth,
+                .txn = queue_.back().txn.value(),
+                .a = static_cast<int64_t>(queue_.size()),
+                .b = static_cast<int64_t>(wait_.size())});
   if (!pumping_) Pump();
 }
 
@@ -102,16 +108,11 @@ void Gtm2::Pump() {
     } else {
       ++stats_.wait_additions;
       if (op.kind == QueueOpKind::kSer) ++stats_.ser_wait_additions;
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kWaitEnter, op.txn.value(),
-                       op.site.value(),
-                       static_cast<int64_t>(wait_.size()) + 1, 0,
-                       QueueOpKindName(op.kind));
-      }
-      if (metrics_ != nullptr && (op.kind == QueueOpKind::kSer ||
-                                  op.kind == QueueOpKind::kValidate)) {
-        metrics_->WaitEnter(op.txn);
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kWaitEnter,
+                    .txn = op.txn.value(), .site = op.site.value(),
+                    .a = static_cast<int64_t>(wait_.size()) + 1,
+                    .detail = QueueOpKindName(op.kind),
+                    .step = WaitStep(op.kind)});
       wait_.push_back(std::move(op));
     }
   }
@@ -144,10 +145,9 @@ bool Gtm2::TryProcess(const QueueOp& op) {
       return false;
     case Verdict::kAbort:
       ++stats_.scheme_aborts;
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kSchemeAbort, op.txn.value(),
-                       op.site.value(), 0, 0, QueueOpKindName(op.kind));
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kSchemeAbort,
+                    .txn = op.txn.value(), .site = op.site.value(),
+                    .detail = QueueOpKindName(op.kind)});
       if (callbacks_.abort_txn) callbacks_.abort_txn(op.txn);
       return true;
     case Verdict::kReady:
@@ -162,42 +162,33 @@ void Gtm2::RunAct(const QueueOp& op) {
   switch (op.kind) {
     case QueueOpKind::kInit:
       scheme_->ActInit(op);
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kInit, op.txn.value(), -1,
-                       static_cast<int64_t>(op.sites.size()));
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kInit, .txn = op.txn.value(),
+                    .a = static_cast<int64_t>(op.sites.size())});
       break;
     case QueueOpKind::kSer:
       // Audit before the act mutates DS: the release decision must be
       // justified by the data structures as they are *now*.
       AuditBeforeSerRelease(op.txn, op.site);
       scheme_->ActSer(op.txn, op.site);
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kSerRelease, op.txn.value(),
-                       op.site.value());
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kSerRelease,
+                    .txn = op.txn.value(), .site = op.site.value()});
       if (callbacks_.release_ser) callbacks_.release_ser(op.txn, op.site);
       break;
     case QueueOpKind::kAck:
       scheme_->ActAck(op.txn, op.site);
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kAck, op.txn.value(),
-                       op.site.value());
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kAck, .txn = op.txn.value(),
+                    .site = op.site.value()});
       if (callbacks_.forward_ack) callbacks_.forward_ack(op.txn, op.site);
       break;
     case QueueOpKind::kValidate:
       scheme_->ActValidate(op.txn);
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kValidate, op.txn.value(), -1);
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kValidate,
+                    .txn = op.txn.value()});
       if (callbacks_.validate_passed) callbacks_.validate_passed(op.txn);
       break;
     case QueueOpKind::kFin:
       scheme_->ActFin(op.txn);
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kFin, op.txn.value(), -1);
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kFin, .txn = op.txn.value()});
       if (callbacks_.fin_done) callbacks_.fin_done(op.txn);
       break;
   }
@@ -212,10 +203,9 @@ void Gtm2::DrainWait() {
     progress = false;
     for (auto it = wait_.begin(); it != wait_.end();) {
       if (dead_txns_.contains(it->txn)) {
-        if (trace_ != nullptr) {
-          trace_->Record(obs::TraceEventKind::kWaitAbandon, it->txn.value(),
-                         it->site.value(), 0, 0, QueueOpKindName(it->kind));
-        }
+        events_.Emit({.kind = obs::TraceEventKind::kWaitAbandon,
+                      .txn = it->txn.value(), .site = it->site.value(),
+                      .detail = QueueOpKindName(it->kind)});
         it = wait_.erase(it);
         continue;
       }
@@ -224,16 +214,11 @@ void Gtm2::DrainWait() {
       // may splice other entries out of wait_, but never *it itself.
       const QueueOp& waiting = *it;
       if (TryProcess(waiting)) {
-        if (trace_ != nullptr) {
-          trace_->Record(obs::TraceEventKind::kWaitExit, waiting.txn.value(),
-                         waiting.site.value(),
-                         static_cast<int64_t>(wait_.size()) - 1, 0,
-                         QueueOpKindName(waiting.kind));
-        }
-        if (metrics_ != nullptr && (waiting.kind == QueueOpKind::kSer ||
-                                    waiting.kind == QueueOpKind::kValidate)) {
-          metrics_->WaitExit(waiting.txn);
-        }
+        events_.Emit({.kind = obs::TraceEventKind::kWaitExit,
+                      .txn = waiting.txn.value(), .site = waiting.site.value(),
+                      .a = static_cast<int64_t>(wait_.size()) - 1,
+                      .detail = QueueOpKindName(waiting.kind),
+                      .step = WaitStep(waiting.kind)});
         it = wait_.erase(it);
         progress = true;
       } else {
@@ -255,10 +240,9 @@ void Gtm2::AbortCleanup(GlobalTxnId txn) {
     // the abort callback.
     for (auto it = wait_.begin(); it != wait_.end();) {
       if (it->txn == txn) {
-        if (trace_ != nullptr) {
-          trace_->Record(obs::TraceEventKind::kWaitAbandon, it->txn.value(),
-                         it->site.value(), 0, 0, QueueOpKindName(it->kind));
-        }
+        events_.Emit({.kind = obs::TraceEventKind::kWaitAbandon,
+                      .txn = it->txn.value(), .site = it->site.value(),
+                      .detail = QueueOpKindName(it->kind)});
         it = wait_.erase(it);
       } else {
         ++it;
@@ -331,7 +315,7 @@ void Gtm2::ResetForRecovery(std::unique_ptr<Scheme> fresh) {
   pumping_ = false;
   ser_graph_ = audit::SerGraphAudit();
   scheme_ = std::move(fresh);
-  scheme_->EnableTrace(trace_);
+  scheme_->AttachEvents(&events_);
 }
 
 std::vector<uint8_t> Gtm2::StateFingerprint() const {

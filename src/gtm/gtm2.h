@@ -12,8 +12,7 @@
 #include "common/ids.h"
 #include "gtm/queue_op.h"
 #include "gtm/scheme.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event_sink.h"
 
 namespace mdbs::gtm {
 
@@ -58,7 +57,10 @@ class Gtm2 {
     std::function<void(GlobalTxnId)> fin_done;
   };
 
-  Gtm2(std::unique_ptr<Scheme> scheme, Callbacks callbacks);
+  /// QUEUE/WAIT dynamics and act executions go to `events`, which the
+  /// scheme shares for its DS events; it must outlive the driver.
+  Gtm2(std::unique_ptr<Scheme> scheme, Callbacks callbacks,
+       const obs::EventSink& events = obs::kNoEvents);
 
   Gtm2(const Gtm2&) = delete;
   Gtm2& operator=(const Gtm2&) = delete;
@@ -95,10 +97,6 @@ class Gtm2 {
   bool audit_enabled() const { return audit_enabled_; }
   const audit::Auditor* auditor() const { return auditor_; }
 
-  /// Records QUEUE/WAIT dynamics and act executions into `sink` (nullptr
-  /// disables); forwarded to the scheme for its DS events.
-  void EnableTrace(obs::TraceSink* sink);
-
   /// Volatile GTM2 state as the durable GTM's checkpoints capture it. Only
   /// taken at strand-turn boundaries, where QUEUE is provably empty — so
   /// WAIT, the dead set, the counters and the scheme DS are the whole
@@ -120,7 +118,7 @@ class Gtm2 {
   void RestoreFromCheckpoint(const VolatileImage& image);
 
   /// GTM crash: drops QUEUE/WAIT/dead-set/stats and installs a fresh scheme
-  /// instance; trace/metrics/audit wiring survives. The audit ser(S) graph
+  /// instance; event and audit wiring survives. The audit ser(S) graph
   /// restarts empty — deliberately not logged: a subset of its edges can
   /// only miss cycles (none exist if the run was clean), never fabricate
   /// one.
@@ -131,10 +129,6 @@ class Gtm2 {
   /// oracle compares a replayed instance's fingerprint against the live
   /// one's at the same log position.
   std::vector<uint8_t> StateFingerprint() const;
-
-  /// Reports queue depth and critical-path WAIT dwell (ser/validate
-  /// operations) to the always-on metrics engine (nullptr disables).
-  void EnableMetrics(obs::MetricsEngine* engine) { metrics_ = engine; }
 
  private:
   void Pump();
@@ -152,8 +146,7 @@ class Gtm2 {
 
   std::unique_ptr<Scheme> scheme_;
   Callbacks callbacks_;
-  obs::TraceSink* trace_ = nullptr;
-  obs::MetricsEngine* metrics_ = nullptr;
+  const obs::EventSink& events_;
   std::deque<QueueOp> queue_;
   std::list<QueueOp> wait_;
   std::unordered_set<GlobalTxnId> dead_txns_;

@@ -8,7 +8,7 @@
 #include "common/ids.h"
 #include "common/status.h"
 #include "gtm/queue_op.h"
-#include "obs/trace.h"
+#include "obs/event_sink.h"
 
 namespace mdbs::gtm {
 
@@ -132,16 +132,16 @@ class Scheme {
   /// Restores the step counter from a GTM checkpoint image.
   void RestoreSteps(int64_t steps) { steps_ = steps; }
 
-  /// Records scheme data-structure churn (marked edges, dependencies,
-  /// ser_bef seeding) into `sink`; nullptr disables. Set by the driver.
-  void EnableTrace(obs::TraceSink* sink) { trace_ = sink; }
+  /// Points the scheme's data-structure events (marked edges,
+  /// dependencies, ser_bef seeding) at `events`. GTM2 attaches its own sink
+  /// at construction and after a crash reset.
+  void AttachEvents(const obs::EventSink* events) { events_ = events; }
 
  protected:
   void AddSteps(int64_t n) { steps_ += n; }
 
-  /// Trace sink for DS events, or nullptr. Never dereference without a
-  /// null check; acts must stay cheap when tracing is off.
-  obs::TraceSink* trace_ = nullptr;
+  /// Where DS events go; never null.
+  const obs::EventSink* events_ = &obs::kNoEvents;
 
  private:
   int64_t steps_ = 0;

@@ -17,9 +17,9 @@ void Scheme1::ActInit(const QueueOp& op) {
       AddSteps(steps);
     }
     AddSteps(1);
-    if (marked && trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kEdgeMark, op.txn.value(),
-                     site.value());
+    if (marked) {
+      events_->Emit({.kind = obs::TraceEventKind::kEdgeMark,
+                     .txn = op.txn.value(), .site = site.value()});
     }
     StateOf(site).insert_queue.push_back(InsertEntry{op.txn, marked});
   }
@@ -60,9 +60,9 @@ void Scheme1::ActAck(GlobalTxnId txn, SiteId site) {
   MDBS_CHECK(it != queue.end())
       << "ack for " << txn << " not in insert queue of " << site;
   AddSteps(static_cast<int64_t>(std::distance(queue.begin(), it)) + 1);
-  if (it->marked && trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kEdgeUnmark, txn.value(),
-                   site.value());
+  if (it->marked) {
+    events_->Emit({.kind = obs::TraceEventKind::kEdgeUnmark,
+                   .txn = txn.value(), .site = site.value()});
   }
   queue.erase(it);
   state.delete_queue.push_back(txn);
@@ -100,18 +100,14 @@ void Scheme1::ActAbortCleanup(GlobalTxnId txn) {
   std::vector<SiteId> sites = tsg_.SitesOf(txn);
   for (SiteId site : sites) {
     SiteState& state = StateOf(site);
-    auto& queue = state.insert_queue;
-    queue.erase(std::remove_if(queue.begin(), queue.end(),
-                               [this, txn, site](const InsertEntry& entry) {
-                                 if (entry.txn != txn) return false;
-                                 if (entry.marked && trace_ != nullptr) {
-                                   trace_->Record(
-                                       obs::TraceEventKind::kEdgeUnmark,
-                                       txn.value(), site.value());
-                                 }
-                                 return true;
-                               }),
-                queue.end());
+    std::erase_if(state.insert_queue, [&](const InsertEntry& entry) {
+      if (entry.txn != txn) return false;
+      if (entry.marked) {
+        events_->Emit({.kind = obs::TraceEventKind::kEdgeUnmark,
+                       .txn = txn.value(), .site = site.value()});
+      }
+      return true;
+    });
     auto& dq = state.delete_queue;
     dq.erase(std::remove(dq.begin(), dq.end(), txn), dq.end());
     if (state.executing == txn) state.executing.reset();

@@ -19,11 +19,10 @@ void Scheme2::ActInit(const QueueOp& op) {
       if (other == op.txn) continue;
       if (Executed(other, site)) {
         tsgd_.AddDependency(site, other, op.txn);
-        if (trace_ != nullptr) {
-          trace_->Record(obs::TraceEventKind::kDepAdd, op.txn.value(),
-                         site.value(), other.value(), op.txn.value(),
-                         "executed");
-        }
+        events_->Emit({.kind = obs::TraceEventKind::kDepAdd,
+                       .txn = op.txn.value(), .site = site.value(),
+                       .a = other.value(), .b = op.txn.value(),
+                       .detail = "executed"});
       }
     }
   }
@@ -37,11 +36,10 @@ void Scheme2::ActInit(const QueueOp& op) {
     if (delta.empty()) break;
     for (const Dependency& dep : delta) {
       tsgd_.AddDependency(dep.site, dep.from, dep.to);
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kDepAdd, op.txn.value(),
-                       dep.site.value(), dep.from.value(), dep.to.value(),
-                       "delta");
-      }
+      events_->Emit({.kind = obs::TraceEventKind::kDepAdd,
+                     .txn = op.txn.value(), .site = dep.site.value(),
+                     .a = dep.from.value(), .b = dep.to.value(),
+                     .detail = "delta"});
     }
   }
   if (validate_acyclicity_) {
@@ -109,10 +107,9 @@ void Scheme2::ActSer(GlobalTxnId txn, SiteId site) {
     AddSteps(1);
     if (other == txn || Executed(other, site)) continue;
     tsgd_.AddDependency(site, txn, other);
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kDepAdd, txn.value(), site.value(),
-                     txn.value(), other.value(), "order");
-    }
+    events_->Emit({.kind = obs::TraceEventKind::kDepAdd, .txn = txn.value(),
+                   .site = site.value(), .a = txn.value(), .b = other.value(),
+                   .detail = "order"});
   }
 }
 
@@ -135,7 +132,7 @@ void Scheme2::ActFin(GlobalTxnId txn) {
     executed_.erase({txn.value(), site.value()});
     acked_.erase({txn.value(), site.value()});
   }
-  TraceDepDrop(txn, "fin");
+  EmitDepDrop(txn, "fin");
   tsgd_.RemoveTxn(txn);
 }
 
@@ -144,18 +141,18 @@ void Scheme2::ActAbortCleanup(GlobalTxnId txn) {
     executed_.erase({txn.value(), site.value()});
     acked_.erase({txn.value(), site.value()});
   }
-  TraceDepDrop(txn, "abort");
+  EmitDepDrop(txn, "abort");
   tsgd_.RemoveTxn(txn);
 }
 
-void Scheme2::TraceDepDrop(GlobalTxnId txn, const char* why) {
-  if (trace_ == nullptr) return;
+void Scheme2::EmitDepDrop(GlobalTxnId txn, const char* why) {
+  if (!events_->Wants(obs::TraceEventKind::kDepDrop)) return;
   int64_t incoming = 0;
   for (SiteId site : tsgd_.SitesOf(txn)) {
     incoming += static_cast<int64_t>(tsgd_.DependenciesInto(txn, site).size());
   }
-  trace_->Record(obs::TraceEventKind::kDepDrop, txn.value(), -1, incoming, 0,
-                 why);
+  events_->Emit({.kind = obs::TraceEventKind::kDepDrop, .txn = txn.value(),
+                 .a = incoming, .detail = why});
 }
 
 

@@ -56,7 +56,7 @@ class Scheme2 : public ConservativeSchemeBase {
 
  private:
   /// kDepDrop with the count of incoming dependencies retired with `txn`.
-  void TraceDepDrop(GlobalTxnId txn, const char* why);
+  void EmitDepDrop(GlobalTxnId txn, const char* why);
 
   bool Executed(GlobalTxnId txn, SiteId site) const {
     return executed_.contains({txn.value(), site.value()});

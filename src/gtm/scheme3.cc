@@ -23,10 +23,8 @@ void Scheme3::ActInit(const QueueOp& op) {
     sb.insert(last);
     AddSteps(static_cast<int64_t>(last_sb.size()) + 1);
   }
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kSerBefSeed, op.txn.value(), -1,
-                   static_cast<int64_t>(sb.size()));
-  }
+  events_->Emit({.kind = obs::TraceEventKind::kSerBefSeed,
+                 .txn = op.txn.value(), .a = static_cast<int64_t>(sb.size())});
 }
 
 Status Scheme3::CheckStructuralInvariants() const {

@@ -79,16 +79,14 @@ LockResult LockManager::Acquire(TxnId txn, DataItemId item, LockMode mode) {
         txn.value()});
   }
   LockResult result = AcquireImpl(txn, item, mode);
-  if (trace_ != nullptr) {
-    if (result == LockResult::kWaiting) {
-      trace_->Record(obs::TraceEventKind::kLockWait, txn.value(),
-                     trace_site_.value(), 0, item.value(),
-                     LockModeName(mode));
-    } else if (result == LockResult::kDeadlock) {
-      trace_->Record(obs::TraceEventKind::kDeadlock, txn.value(),
-                     trace_site_.value(), 0, item.value(),
-                     LockModeName(mode));
-    }
+  if (result == LockResult::kWaiting) {
+    events_.Emit({.kind = obs::TraceEventKind::kLockWait, .txn = txn.value(),
+                  .site = site_.value(), .b = item.value(),
+                  .detail = LockModeName(mode)});
+  } else if (result == LockResult::kDeadlock) {
+    events_.Emit({.kind = obs::TraceEventKind::kDeadlock, .txn = txn.value(),
+                  .site = site_.value(), .b = item.value(),
+                  .detail = LockModeName(mode)});
   }
   AuditTable("Acquire", txn);
   return result;

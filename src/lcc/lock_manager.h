@@ -12,7 +12,7 @@
 #include "audit/audit.h"
 #include "common/ids.h"
 #include "common/status.h"
-#include "obs/trace.h"
+#include "obs/event_sink.h"
 
 namespace mdbs::lcc {
 
@@ -38,7 +38,11 @@ enum class LockResult {
 /// asynchronously aborting a third party).
 class LockManager {
  public:
-  LockManager() = default;
+  /// kLockWait / kDeadlock events go to `events`, labeled with `site` (the
+  /// owning local DBMS).
+  explicit LockManager(const obs::EventSink& events = obs::kNoEvents,
+                       SiteId site = SiteId())
+      : events_(events), site_(site) {}
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -99,13 +103,6 @@ class LockManager {
   /// `auditor` may be null, selecting the process-wide default.
   void EnableAudit(audit::Auditor* auditor);
 
-  /// Records kLockWait / kDeadlock events into `sink` (nullptr disables);
-  /// `site` labels them with the owning local DBMS.
-  void EnableTrace(obs::TraceSink* sink, SiteId site) {
-    trace_ = sink;
-    trace_site_ = site;
-  }
-
   /// Mutation-testing hook: injects a grant behind the bookkeeping's back
   /// so tests can prove CheckTableInvariants detects the corruption. Never
   /// called outside audit tests.
@@ -159,8 +156,8 @@ class LockManager {
   int64_t next_grant_seq_ = 0;
 
   audit::Auditor* auditor_ = nullptr;
-  obs::TraceSink* trace_ = nullptr;
-  SiteId trace_site_;
+  const obs::EventSink& events_;
+  SiteId site_;
   /// Transactions already past their shrink phase (strict-2PL audit);
   /// tracked only while auditing.
   std::unordered_set<TxnId> released_;

@@ -32,10 +32,9 @@ AccessDecision OptimisticConcurrencyControl::OnValidate(TxnId txn) {
     if (entry.cn <= state.start_cn) continue;
     for (DataItemId item : entry.write_set) {
       if (state.read_set.contains(item)) {
-        if (trace_ != nullptr) {
-          trace_->Record(obs::TraceEventKind::kValidationFail, txn.value(),
-                         trace_site_.value(), -1, item.value(), "occ");
-        }
+        events_.Emit({.kind = obs::TraceEventKind::kValidationFail,
+                      .txn = txn.value(), .site = site_.value(), .a = -1,
+                      .b = item.value(), .detail = "occ"});
         return AccessDecision::kAbort;
       }
     }

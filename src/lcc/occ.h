@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "lcc/protocol.h"
+#include "obs/event_sink.h"
 
 namespace mdbs::lcc {
 
@@ -23,7 +24,10 @@ namespace mdbs::lcc {
 /// tickets in the MDBS (§2.2), like SGT sites.
 class OptimisticConcurrencyControl : public ConcurrencyControl {
  public:
-  OptimisticConcurrencyControl() = default;
+  /// Validation failures go to `events`, labeled with `site`.
+  explicit OptimisticConcurrencyControl(
+      const obs::EventSink& events = obs::kNoEvents, SiteId site = SiteId())
+      : events_(events), site_(site) {}
 
   ProtocolKind kind() const override { return ProtocolKind::kOptimistic; }
   const char* Name() const override { return "BOCC"; }
@@ -50,11 +54,6 @@ class OptimisticConcurrencyControl : public ConcurrencyControl {
   /// Validation-log length (tests/GC).
   size_t LogSize() const { return committed_log_.size(); }
 
-  void EnableTrace(obs::TraceSink* sink, SiteId site) override {
-    trace_ = sink;
-    trace_site_ = site;
-  }
-
  private:
   struct ActiveTxn {
     int64_t start_cn = 0;
@@ -68,8 +67,8 @@ class OptimisticConcurrencyControl : public ConcurrencyControl {
 
   void CollectGarbage();
 
-  obs::TraceSink* trace_ = nullptr;
-  SiteId trace_site_;
+  const obs::EventSink& events_;
+  SiteId site_;
   int64_t commit_counter_ = 0;
   std::unordered_map<TxnId, ActiveTxn> active_;
   std::deque<CommittedEntry> committed_log_;

@@ -11,10 +11,6 @@ namespace mdbs::audit {
 class Auditor;
 }  // namespace mdbs::audit
 
-namespace mdbs::obs {
-class TraceSink;
-}  // namespace mdbs::obs
-
 namespace mdbs::lcc {
 
 /// The concurrency control protocols a local DBMS may run. The MDBS cannot
@@ -154,14 +150,6 @@ class ConcurrencyControl {
   /// Turns on invariant auditing for protocols that support it (2PL audits
   /// its lock table and the strict-2PL phase discipline). Default: no-op.
   virtual void EnableAudit(audit::Auditor* auditor) { (void)auditor; }
-
-  /// Records protocol-level events (lock waits, deadlocks, wounds,
-  /// validation failures) into `sink`; `site` labels them with the owning
-  /// local DBMS. nullptr disables. Default: no-op.
-  virtual void EnableTrace(obs::TraceSink* sink, SiteId site) {
-    (void)sink;
-    (void)site;
-  }
 };
 
 }  // namespace mdbs::lcc

@@ -58,10 +58,9 @@ AccessDecision TwoPhaseLocking::OnAccess(TxnId txn, const DataOp& op) {
         if (age_it == age_.end()) continue;
         if (age_it->second > my_age) {
           ++wounds_inflicted_;
-          if (trace_ != nullptr) {
-            trace_->Record(obs::TraceEventKind::kWound, blocker.value(),
-                           trace_site_.value(), -1, txn.value());
-          }
+          events_.Emit({.kind = obs::TraceEventKind::kWound,
+                        .txn = blocker.value(), .site = site_.value(), .a = -1,
+                        .b = txn.value()});
           host_->AbortTransaction(
               blocker, "wounded by older " + ToString(txn));
         }

@@ -36,9 +36,17 @@ const char* DeadlockPolicyName(DeadlockPolicy policy);
 /// sites (paper §2.2) regardless of the deadlock policy.
 class TwoPhaseLocking : public ConcurrencyControl {
  public:
+  /// Wounds and the lock table's waits/deadlocks go to `events`, labeled
+  /// with `site`.
   explicit TwoPhaseLocking(ProtocolHost* host,
-                           DeadlockPolicy policy = DeadlockPolicy::kDetect)
-      : host_(host), policy_(policy) {}
+                           DeadlockPolicy policy = DeadlockPolicy::kDetect,
+                           const obs::EventSink& events = obs::kNoEvents,
+                           SiteId site = SiteId())
+      : host_(host),
+        policy_(policy),
+        lock_manager_(events, site),
+        events_(events),
+        site_(site) {}
 
   ProtocolKind kind() const override {
     switch (policy_) {
@@ -75,12 +83,6 @@ class TwoPhaseLocking : public ConcurrencyControl {
     lock_manager_.EnableAudit(auditor);
   }
 
-  void EnableTrace(obs::TraceSink* sink, SiteId site) override {
-    trace_ = sink;
-    trace_site_ = site;
-    lock_manager_.EnableTrace(sink, site);
-  }
-
   const LockManager& lock_manager() const { return lock_manager_; }
   DeadlockPolicy policy() const { return policy_; }
   int64_t wounds_inflicted() const { return wounds_inflicted_; }
@@ -89,8 +91,8 @@ class TwoPhaseLocking : public ConcurrencyControl {
   ProtocolHost* host_;
   DeadlockPolicy policy_;
   LockManager lock_manager_;
-  obs::TraceSink* trace_ = nullptr;
-  SiteId trace_site_;
+  const obs::EventSink& events_;
+  SiteId site_;
   /// Age (begin order) for the prevention policies; smaller = older.
   std::unordered_map<TxnId, int64_t> age_;
   int64_t next_age_ = 0;

@@ -89,10 +89,9 @@ void SubmitGlobalTry(const std::shared_ptr<GlobalTxnTry>& txn) {
                        state.config.retry.max_resubmissions) {
           ++txn->resubmissions;
           ++state.global_resubmissions;
-          if (obs::TraceSink* sink = state.mdbs->trace_sink()) {
-            sink->Record(obs::TraceEventKind::kTxnResubmit, -1, -1,
-                         txn->resubmissions, txn->attempts_total);
-          }
+          state.mdbs->events().Emit({.kind = obs::TraceEventKind::kTxnResubmit,
+                                     .a = txn->resubmissions,
+                                     .b = txn->attempts_total});
           // Doubling backoff (capped at 8x) with jitter before the fresh
           // submission.
           sim::Time base = state.config.retry.backoff;
@@ -454,7 +453,7 @@ DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,
 
   sim::Time end_time = 0;
   if (mdbs->threaded()) {
-    if (mdbs->trace_sink() != nullptr) {
+    if (mdbs->events().Wants(obs::TraceEventKind::kStrandBacklog)) {
       state->runner->Schedule(0, [state]() { SampleBacklogs(state); });
     }
     all_done.wait();

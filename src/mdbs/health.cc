@@ -6,10 +6,12 @@ namespace mdbs {
 
 HealthMonitor::HealthMonitor(const HealthConfig& config,
                              sim::TaskRunner* runner, std::vector<SiteId> sites,
-                             Callbacks callbacks)
+                             Callbacks callbacks,
+                             const obs::EventSink& events)
     : config_(config),
       runner_(runner),
       callbacks_(std::move(callbacks)),
+      events_(events),
       sites_(std::move(sites)) {
   for (SiteId site : sites_) entries_[site] = Entry{};
 }
@@ -37,17 +39,13 @@ void HealthMonitor::Tick() {
     sim::Time silent = now - entry.last_ack;
     if (entry.state == SiteState::kUp && silent >= config_.suspect_after) {
       entry.state = SiteState::kSuspect;
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kSiteSuspect, -1, site.value(),
-                       silent);
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kSiteSuspect,
+                    .site = site.value(), .a = silent});
     }
     if (entry.state != SiteState::kDown && silent >= config_.down_after) {
       entry.state = SiteState::kDown;
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kSiteDown, -1, site.value(),
-                       silent);
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kSiteDown,
+                    .site = site.value(), .a = silent});
       callbacks_.site_down(site);
     }
   }
@@ -60,9 +58,7 @@ void HealthMonitor::OnAck(SiteId site) {
   SiteState previous = entry.state;
   entry.state = SiteState::kUp;
   if (previous == SiteState::kDown) {
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kSiteUp, -1, site.value());
-    }
+    events_.Emit({.kind = obs::TraceEventKind::kSiteUp, .site = site.value()});
     callbacks_.site_up(site);
   }
 }

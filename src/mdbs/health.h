@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "obs/trace.h"
+#include "obs/event_sink.h"
 #include "sim/task_runner.h"
 
 namespace mdbs {
@@ -51,8 +51,10 @@ class HealthMonitor {
     std::function<bool()> keep_probing;
   };
 
+  /// Suspect/down/up declarations go to `events`.
   HealthMonitor(const HealthConfig& config, sim::TaskRunner* runner,
-                std::vector<SiteId> sites, Callbacks callbacks);
+                std::vector<SiteId> sites, Callbacks callbacks,
+                const obs::EventSink& events);
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
@@ -60,9 +62,6 @@ class HealthMonitor {
   /// GTM activity notification (wired to Gtm1's activity hook). Starts the
   /// probe loop when it is not already running. Must run on the runner.
   void Activity();
-
-  /// Records site_suspect/site_down/site_up events (nullptr disables).
-  void EnableTrace(obs::TraceSink* sink) { trace_ = sink; }
 
   bool running() const { return running_; }
   SiteState state(SiteId site) const { return entries_.at(site).state; }
@@ -79,7 +78,7 @@ class HealthMonitor {
   const HealthConfig config_;
   sim::TaskRunner* runner_;
   Callbacks callbacks_;
-  obs::TraceSink* trace_ = nullptr;
+  const obs::EventSink& events_;
   std::vector<SiteId> sites_;
   std::unordered_map<SiteId, Entry> entries_;
   bool running_ = false;

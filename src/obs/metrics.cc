@@ -25,6 +25,29 @@ double QuantileOf(std::vector<int64_t>* values, double q) {
          static_cast<double>((*values)[hi]) * frac;
 }
 
+/// The phase a GTM1 step charges. A begin is synchronous at the site, so
+/// its whole round trip is network time; ticket, data and commit round
+/// trips are split at kRoundTripEnd by the site-measured busy slice.
+TxnPhase PhaseOf(Step step) {
+  switch (step) {
+    case Step::kBegin:
+      return TxnPhase::kNetwork;
+    case Step::kTicket:
+      return TxnPhase::kTicket;
+    case Step::kData:
+    case Step::kCommit:
+      return TxnPhase::kSiteExec;
+    case Step::kBackoff:
+      return TxnPhase::kBackoff;
+    case Step::kPark:
+      return TxnPhase::kParked;
+    case Step::kNone:
+    case Step::kGtm2:
+      break;
+  }
+  return TxnPhase::kScheme;
+}
+
 }  // namespace
 
 const char* TxnPhaseName(TxnPhase phase) {
@@ -181,13 +204,104 @@ sim::Time MetricsEngine::RecoveryOverlap(const std::vector<SiteId>& sites,
   return covered;
 }
 
-void MetricsEngine::StageAdmission(sim::Time enqueue_time) {
+void MetricsEngine::On(const Event& event) {
   if (!config_.enabled) return;
-  staged_admission_ = enqueue_time;
+  switch (event.kind) {
+    case TraceEventKind::kAdmission:
+      staged_admission_ = event.ticks;
+      return;
+    case TraceEventKind::kSubmit:
+      TxnSubmitted(event.job, *event.sites);
+      return;
+    case TraceEventKind::kAttemptStart:
+      // GTM2 reports WAIT dwell keyed by attempt id.
+      attempt_job_[GlobalTxnId(event.txn)] = event.job;
+      Transition(event.job, TxnPhase::kScheme);
+      return;
+    case TraceEventKind::kStep:
+      Transition(event.job, PhaseOf(event.step));
+      return;
+    case TraceEventKind::kWaitEnter:
+    case TraceEventKind::kWaitExit: {
+      // Only the critical path counts: a ser or validate operation, and
+      // only while its transaction is not in a site round trip.
+      if (event.step != Step::kGtm2) return;
+      auto it = attempt_job_.find(GlobalTxnId(event.txn));
+      if (it == attempt_job_.end()) return;
+      const bool enter = event.kind == TraceEventKind::kWaitEnter;
+      TxnState* state = Find(it->second);
+      if (state == nullptr ||
+          state->phase != (enter ? TxnPhase::kScheme : TxnPhase::kSerWait)) {
+        return;
+      }
+      ClosePhase(state, Now());
+      state->phase = enter ? TxnPhase::kSerWait : TxnPhase::kScheme;
+      return;
+    }
+    case TraceEventKind::kQueueDepth: {
+      WindowAcc& window = Window(Now());
+      window.point.max_queue_depth =
+          std::max(window.point.max_queue_depth, event.a);
+      window.point.max_wait_depth =
+          std::max(window.point.max_wait_depth, event.b);
+      return;
+    }
+    case TraceEventKind::kSiteReply:
+      // Same GTM-strand task as the kRoundTripEnd that consumes it.
+      staged_sub_ = TxnId(event.txn);
+      staged_busy_ = event.ticks;
+      return;
+    case TraceEventKind::kRoundTripEnd:
+      EndRoundTrip(event.job, TxnId(event.txn));
+      return;
+    case TraceEventKind::kAttemptAbort:
+      ++Window(Now()).point.attempt_aborts;
+      attempt_job_.erase(GlobalTxnId(event.txn));
+      return;
+    case TraceEventKind::kTxnCommit:
+    case TraceEventKind::kTxnFail:
+      attempt_job_.erase(GlobalTxnId(event.txn));
+      TxnFinished(event.job, event.kind == TraceEventKind::kTxnCommit);
+      return;
+    case TraceEventKind::kTxnParked:
+      Transition(event.job, TxnPhase::kParked);
+      return;
+    case TraceEventKind::kGtmCrash:
+      // The crashed GTM's attempts are gone; every live transaction waits
+      // in kRecovery until the recovered GTM moves it on.
+      attempt_job_.clear();
+      for (const auto& [job, state] : txns_) {
+        Transition(job, TxnPhase::kRecovery);
+      }
+      return;
+    case TraceEventKind::kSiteDown:
+      ++Window(Now()).point.site_down_events;
+      return;
+    case TraceEventKind::kSiteWork: {
+      // Site strand: this thread's shard of the site's summary.
+      auto it = site_index_.find(SiteId(event.site));
+      if (it != site_index_.end()) {
+        site_exec_[it->second]->Record(static_cast<double>(event.ticks));
+      }
+      return;
+    }
+    case TraceEventKind::kRecoveryBegin: {
+      // Any strand: the site replays its WAL during [now, now + ticks);
+      // parks overlapping that window count as kRecovery, not kParked.
+      if (event.ticks <= 0) return;
+      sim::Time now = Now();
+      std::lock_guard<std::mutex> lock(recovery_mu_);
+      recovery_windows_[SiteId(event.site)].emplace_back(now,
+                                                         now + event.ticks);
+      return;
+    }
+    default:
+      return;
+  }
 }
 
-void MetricsEngine::TxnSubmitted(int64_t job, std::vector<SiteId> sites) {
-  if (!config_.enabled) return;
+void MetricsEngine::TxnSubmitted(int64_t job,
+                                 const std::vector<SiteId>& sites) {
   sim::Time now = Now();
   TxnState state;
   // A staged admission stamp (threaded client) starts the lifetime at the
@@ -197,29 +311,12 @@ void MetricsEngine::TxnSubmitted(int64_t job, std::vector<SiteId> sites) {
   staged_admission_.reset();
   state.phase = TxnPhase::kAdmission;
   state.phase_start = state.submit;
-  state.sites = std::move(sites);
+  state.sites = sites;
   txns_[job] = std::move(state);
   ++Window(now).point.submitted;
 }
 
-void MetricsEngine::AttemptStarted(GlobalTxnId attempt, int64_t job) {
-  if (!config_.enabled) return;
-  attempt_job_[attempt] = job;
-}
-
-void MetricsEngine::AttemptEnded(GlobalTxnId attempt) {
-  if (!config_.enabled) return;
-  attempt_job_.erase(attempt);
-}
-
-void MetricsEngine::AttemptAborted(int64_t job) {
-  if (!config_.enabled) return;
-  (void)job;
-  ++Window(Now()).point.attempt_aborts;
-}
-
 void MetricsEngine::Transition(int64_t job, TxnPhase next) {
-  if (!config_.enabled) return;
   TxnState* state = Find(job);
   if (state == nullptr) return;
   sim::Time now = Now();
@@ -234,36 +331,7 @@ void MetricsEngine::Transition(int64_t job, TxnPhase next) {
   state->phase = next;
 }
 
-void MetricsEngine::WaitEnter(GlobalTxnId attempt) {
-  if (!config_.enabled) return;
-  auto it = attempt_job_.find(attempt);
-  if (it == attempt_job_.end()) return;
-  TxnState* state = Find(it->second);
-  // Only the critical path is tracked: an init op can sit in WAIT while a
-  // site round trip is in flight — the round trip keeps the phase.
-  if (state == nullptr || state->phase != TxnPhase::kScheme) return;
-  ClosePhase(state, Now());
-  state->phase = TxnPhase::kSerWait;
-}
-
-void MetricsEngine::WaitExit(GlobalTxnId attempt) {
-  if (!config_.enabled) return;
-  auto it = attempt_job_.find(attempt);
-  if (it == attempt_job_.end()) return;
-  TxnState* state = Find(it->second);
-  if (state == nullptr || state->phase != TxnPhase::kSerWait) return;
-  ClosePhase(state, Now());
-  state->phase = TxnPhase::kScheme;
-}
-
-void MetricsEngine::StageSiteWork(TxnId sub, sim::Time busy) {
-  if (!config_.enabled) return;
-  staged_sub_ = sub;
-  staged_busy_ = busy;
-}
-
 void MetricsEngine::EndRoundTrip(int64_t job, TxnId sub) {
-  if (!config_.enabled) return;
   TxnState* state = Find(job);
   sim::Time busy = 0;
   if (staged_sub_.valid() && staged_sub_ == sub) busy = staged_busy_;
@@ -282,7 +350,6 @@ void MetricsEngine::EndRoundTrip(int64_t job, TxnId sub) {
 }
 
 void MetricsEngine::TxnFinished(int64_t job, bool committed) {
-  if (!config_.enabled) return;
   TxnState* state = Find(job);
   if (state == nullptr) return;
   sim::Time now = Now();
@@ -312,34 +379,6 @@ void MetricsEngine::TxnFinished(int64_t job, bool committed) {
     ++window.point.failed;
   }
   txns_.erase(job);
-}
-
-void MetricsEngine::SampleGtm2Depth(int64_t queue_depth, int64_t wait_depth) {
-  if (!config_.enabled) return;
-  WindowAcc& window = Window(Now());
-  window.point.max_queue_depth =
-      std::max(window.point.max_queue_depth, queue_depth);
-  window.point.max_wait_depth =
-      std::max(window.point.max_wait_depth, wait_depth);
-}
-
-void MetricsEngine::SiteDownEvent() {
-  if (!config_.enabled) return;
-  ++Window(Now()).point.site_down_events;
-}
-
-void MetricsEngine::RecordSiteExec(SiteId site, sim::Time busy) {
-  if (!config_.enabled) return;
-  auto it = site_index_.find(site);
-  if (it == site_index_.end()) return;
-  site_exec_[it->second]->Record(static_cast<double>(busy));
-}
-
-void MetricsEngine::AddRecoveryWindow(SiteId site, sim::Time begin,
-                                      sim::Time end) {
-  if (!config_.enabled || end <= begin) return;
-  std::lock_guard<std::mutex> lock(recovery_mu_);
-  recovery_windows_[site].emplace_back(begin, end);
 }
 
 MetricsSnapshot MetricsEngine::Snapshot() const {

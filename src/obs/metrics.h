@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "obs/event.h"
 #include "sim/metrics.h"
 #include "sim/task_runner.h"
 
@@ -146,16 +147,17 @@ class ShardedSummary {
 };
 
 /// Always-on metrics engine: per-transaction latency decomposition, windowed
-/// timeline, and per-site execution histograms, independent of the
-/// compile-time-gated trace sink.
+/// timeline, and per-site execution histograms. It subscribes to the
+/// lifecycle event stream (EventSink) and decides from each event which
+/// phase the transaction enters — including which phase each GTM1 step
+/// charges.
 ///
-/// Threading model. All transaction accounting entry points (TxnSubmitted
-/// through TxnFinished) MUST be called on the GTM strand — the same strand
-/// that runs every GTM1/GTM2 state transition — which makes the per-job
-/// phase state machine single-writer and lock-free. RecordSiteExec runs on
-/// site strands through per-thread shards. AddRecoveryWindow is rare
-/// (durable crash recovery) and takes a mutex. Snapshot() requires
-/// quiescence (strands stopped or the simulator idle).
+/// Threading model. Every kind On() takes runs on the GTM strand — the same
+/// strand that runs every GTM1/GTM2 state transition — which makes the
+/// per-job phase state machine single-writer and lock-free, except two:
+/// kSiteWork runs on site strands and records into per-thread shards, and
+/// kRecoveryBegin (rare, durable crash recovery, any strand) takes a mutex.
+/// Snapshot() requires quiescence (strands stopped or the simulator idle).
 class MetricsEngine {
  public:
   using Clock = std::function<sim::Time()>;
@@ -168,69 +170,9 @@ class MetricsEngine {
 
   bool enabled() const { return config_.enabled; }
 
-  // --- GTM-strand entry points -------------------------------------------
-
-  /// Threaded admission: the submitter stamped `enqueue_time` before
-  /// posting to the GTM strand; the next TxnSubmitted starts the lifetime
-  /// there and charges the gap to kAdmission.
-  void StageAdmission(sim::Time enqueue_time);
-
-  /// A new global transaction entered the GTM. Starts its lifetime clock
-  /// (at the staged admission time if one is pending) in phase kAdmission.
-  void TxnSubmitted(int64_t job, std::vector<SiteId> sites);
-
-  /// Attempt bookkeeping: GTM2 reports WAIT dwell keyed by attempt id, so
-  /// the engine keeps an attempt -> job map.
-  void AttemptStarted(GlobalTxnId attempt, int64_t job);
-  void AttemptEnded(GlobalTxnId attempt);
-
-  /// Attempt-level abort (retry or give-up); timeline counter only.
-  void AttemptAborted(int64_t job);
-
-  /// Moves the transaction into `next`, charging the elapsed interval to
-  /// the phase it leaves. Unknown jobs are ignored (metrics never throw).
-  void Transition(int64_t job, TxnPhase next);
-
-  /// A ser operation of `attempt` entered / left GTM2's WAIT list. Applied
-  /// only when the transaction currently sits in the matching phase: an
-  /// init op can WAIT while a site round trip is in flight, and the round
-  /// trip — not the waiting side op — is the critical path.
-  void WaitEnter(GlobalTxnId attempt);
-  void WaitExit(GlobalTxnId attempt);
-
-  /// Site round trips. The gateway measures the site-side busy time on the
-  /// site's strand and stages it (same GTM-strand task as the response
-  /// callback); EndRoundTrip consumes the staged value if it matches
-  /// `sub` — charging min(busy, interval) to the current phase and the
-  /// remainder to kNetwork — or attributes the whole interval to kNetwork
-  /// (e.g. a synchronous Begin). Lost responses never reach here; their
-  /// interval stays on the current phase until the attempt times out.
-  void StageSiteWork(TxnId sub, sim::Time busy);
-  void EndRoundTrip(int64_t job, TxnId sub);
-
-  /// Final outcome; closes the open phase (splitting any park overlap with
-  /// durable recovery windows into kRecovery), checks the balance
-  /// invariant, folds the decomposition into the run summaries, and drops
-  /// the per-job state.
-  void TxnFinished(int64_t job, bool committed);
-
-  /// GTM2 queue/wait depth at enqueue time; per-window maxima.
-  void SampleGtm2Depth(int64_t queue_depth, int64_t wait_depth);
-
-  /// Health layer: a site was declared down (timeline counter).
-  void SiteDownEvent();
-
-  // --- site-strand entry points ------------------------------------------
-
-  /// Site-side busy time of one round trip (delivery to response), recorded
-  /// on the site's own strand into a per-thread shard.
-  void RecordSiteExec(SiteId site, sim::Time busy);
-
-  /// Durable recovery: `site` replays its WAL during [begin, end); parks
-  /// overlapping this window count as kRecovery, not kParked. Any strand.
-  void AddRecoveryWindow(SiteId site, sim::Time begin, sim::Time end);
-
-  // --- drain -------------------------------------------------------------
+  /// Takes one event of a kind SubscribersOf routes here. Unknown jobs and
+  /// attempts are ignored (metrics never throw).
+  void On(const Event& event);
 
   /// Folds everything into an immutable snapshot. Quiescence required.
   MetricsSnapshot Snapshot() const;
@@ -252,6 +194,25 @@ class MetricsEngine {
 
   sim::Time Now() const { return clock_(); }
   TxnState* Find(int64_t job);
+
+  /// A new global transaction entered the GTM. Starts its lifetime clock
+  /// (at the staged admission stamp if one is pending, so the GTM-strand
+  /// queueing delay of a threaded submit counts as kAdmission).
+  void TxnSubmitted(int64_t job, const std::vector<SiteId>& sites);
+  /// Moves the transaction into `next`, charging the elapsed interval to
+  /// the phase it leaves.
+  void Transition(int64_t job, TxnPhase next);
+  /// Closes a site round trip: charges min(staged busy, interval) to the
+  /// current phase and the remainder to kNetwork, or the whole interval to
+  /// kNetwork when no busy time was staged for `sub`. Lost replies never
+  /// get here; their interval stays on the current phase until the attempt
+  /// times out.
+  void EndRoundTrip(int64_t job, TxnId sub);
+  /// Final outcome; closes the open phase (splitting any park overlap with
+  /// durable recovery windows into kRecovery), checks the balance
+  /// invariant, folds the decomposition into the run summaries, and drops
+  /// the per-job state.
+  void TxnFinished(int64_t job, bool committed);
   WindowAcc& Window(sim::Time at);
   /// Closes the open phase interval at `now`, splitting parked time against
   /// recovery windows.

@@ -100,6 +100,16 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "gtm_promote_begin";
     case TraceEventKind::kGtmPromote:
       return "gtm_promote";
+    case TraceEventKind::kAdmission:
+      return "admission";
+    case TraceEventKind::kStep:
+      return "step";
+    case TraceEventKind::kSiteWork:
+      return "site_work";
+    case TraceEventKind::kSiteReply:
+      return "site_reply";
+    case TraceEventKind::kRoundTripEnd:
+      return "round_trip_end";
   }
   return "?";
 }

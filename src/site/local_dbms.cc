@@ -15,32 +15,36 @@
 namespace mdbs::site {
 
 std::unique_ptr<lcc::ConcurrencyControl> MakeProtocol(
-    lcc::ProtocolKind kind, lcc::ProtocolHost* host) {
+    lcc::ProtocolKind kind, lcc::ProtocolHost* host,
+    const obs::EventSink& events, SiteId site) {
   switch (kind) {
     case lcc::ProtocolKind::kTwoPhaseLocking:
-      return std::make_unique<lcc::TwoPhaseLocking>(host);
+      return std::make_unique<lcc::TwoPhaseLocking>(
+          host, lcc::DeadlockPolicy::kDetect, events, site);
     case lcc::ProtocolKind::kTimestampOrdering:
       return std::make_unique<lcc::TimestampOrdering>(host);
     case lcc::ProtocolKind::kSerializationGraph:
       return std::make_unique<lcc::SerializationGraphTesting>(host);
     case lcc::ProtocolKind::kOptimistic:
-      return std::make_unique<lcc::OptimisticConcurrencyControl>();
+      return std::make_unique<lcc::OptimisticConcurrencyControl>(events,
+                                                                 site);
     case lcc::ProtocolKind::kMultiversionTO:
       return std::make_unique<lcc::MultiversionTimestampOrdering>(host);
     case lcc::ProtocolKind::kTwoPhaseLockingWoundWait:
       return std::make_unique<lcc::TwoPhaseLocking>(
-          host, lcc::DeadlockPolicy::kWoundWait);
+          host, lcc::DeadlockPolicy::kWoundWait, events, site);
     case lcc::ProtocolKind::kTwoPhaseLockingWaitDie:
       return std::make_unique<lcc::TwoPhaseLocking>(
-          host, lcc::DeadlockPolicy::kWaitDie);
+          host, lcc::DeadlockPolicy::kWaitDie, events, site);
   }
   return nullptr;
 }
 
 LocalDbms::LocalDbms(const SiteConfig& config, sim::TaskRunner* loop,
-                     sched::ScheduleRecorder* recorder)
-    : config_(config), loop_(loop), recorder_(recorder) {
-  protocol_ = MakeProtocol(config.protocol, this);
+                     sched::ScheduleRecorder* recorder,
+                     const obs::EventSink& events)
+    : config_(config), loop_(loop), recorder_(recorder), events_(events) {
+  protocol_ = MakeProtocol(config.protocol, this, events_, config_.id);
   MDBS_CHECK(protocol_ != nullptr);
   if (config_.durable) {
     wal_device_ = config_.wal_device != nullptr
@@ -74,10 +78,8 @@ Status LocalDbms::Begin(TxnId txn, GlobalTxnId global) {
     wal_->Append(rec);
     MaybeCheckpoint();
   }
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kSiteBegin, txn.value(),
-                   config_.id.value(), global.value());
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kSiteBegin, .txn = txn.value(),
+                .site = config_.id.value(), .a = global.value()});
   if (recorder_ != nullptr) recorder_->RecordBegin(config_.id, txn, global);
   return Status::OK();
 }
@@ -113,22 +115,18 @@ void LocalDbms::ProcessOp(TxnId txn, const DataOp& op, OpCallback cb) {
       ++blocked_count_;
       MDBS_CHECK(!state.pending_op.has_value())
           << ToString(txn) << " blocked with an operation already pending";
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kOpBlocked, txn.value(),
-                       config_.id.value(), state.global.value(),
-                       op.item.value());
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kOpBlocked,
+                    .txn = txn.value(), .site = config_.id.value(),
+                    .a = state.global.value(), .b = op.item.value()});
       state.pending_op = op;
       state.pending_cb = std::move(cb);
       return;
     }
     case lcc::AccessDecision::kAbort: {
       ++abort_count_;
-      if (trace_ != nullptr) {
-        trace_->Record(obs::TraceEventKind::kLocalAbort, txn.value(),
-                       config_.id.value(), state.global.value(),
-                       op.item.value());
-      }
+      events_.Emit({.kind = obs::TraceEventKind::kLocalAbort,
+                    .txn = txn.value(), .site = config_.id.value(),
+                    .a = state.global.value(), .b = op.item.value()});
       DoAbort(txn, &state);
       txns_.erase(txn);
       cb(Status::TransactionAborted("local protocol abort at " +
@@ -283,10 +281,8 @@ void LocalDbms::ProcessCommit(TxnId txn, TxnCallback cb) {
     rec.clock = protocol_->DurableClock();
     wal_->Append(rec);
   }
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kSiteCommit, txn.value(),
-                   config_.id.value(), state.global.value());
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kSiteCommit, .txn = txn.value(),
+                .site = config_.id.value(), .a = state.global.value()});
   if (recorder_ != nullptr) {
     recorder_->RecordFinish(txn, TxnOutcome::kCommitted,
                             protocol_->SerializationKey(txn));
@@ -342,10 +338,8 @@ void LocalDbms::DoAbort(TxnId txn, TxnState* state) {
     wal_->Append(rec);
   }
   protocol_->OnFinish(txn, TxnOutcome::kAborted);
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kSiteAbort, txn.value(),
-                   config_.id.value(), state->global.value());
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kSiteAbort, .txn = txn.value(),
+                .site = config_.id.value(), .a = state->global.value()});
   if (recorder_ != nullptr) {
     recorder_->RecordFinish(txn, TxnOutcome::kAborted, std::nullopt);
   }
@@ -373,10 +367,9 @@ void LocalDbms::Crash() {
   down_ = true;
   ++crash_count_;
   ++abort_count_;
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kCrash, -1, config_.id.value(),
-                   static_cast<int64_t>(txns_.size()));
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kCrash,
+                .site = config_.id.value(),
+                .a = static_cast<int64_t>(txns_.size())});
   std::vector<TxnId> active;
   active.reserve(txns_.size());
   for (const auto& [txn, state] : txns_) active.push_back(txn);
@@ -401,10 +394,8 @@ void LocalDbms::Crash() {
     auto it = txns_.find(txn);
     if (it == txns_.end()) continue;
     TxnState& state = it->second;
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kSiteAbort, txn.value(),
-                     config_.id.value(), state.global.value());
-    }
+    events_.Emit({.kind = obs::TraceEventKind::kSiteAbort, .txn = txn.value(),
+                  .site = config_.id.value(), .a = state.global.value()});
     if (recorder_ != nullptr) {
       recorder_->RecordFinish(txn, TxnOutcome::kAborted, std::nullopt);
     }
@@ -432,14 +423,9 @@ void LocalDbms::Crash() {
 void LocalDbms::Recover() {
   if (!config_.durable) {
     down_ = false;
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kRecover, -1, config_.id.value());
-    }
+    events_.Emit({.kind = obs::TraceEventKind::kRecover,
+                  .site = config_.id.value()});
     return;
-  }
-  if (trace_ != nullptr) {
-    trace_->Record(obs::TraceEventKind::kRecoveryBegin, -1,
-                   config_.id.value());
   }
   storage::RecoveredState recovered = ReplayAndInstall();
   // The site stays down for the modeled replay time; with the default of
@@ -449,17 +435,13 @@ void LocalDbms::Recover() {
       config_.recovery_base_time +
       config_.recovery_time_per_record * recovered.scanned_records;
   durability_stats_.recovery_ticks += replay_time;
-  if (metrics_ != nullptr && replay_time > 0) {
-    sim::Time now = loop_->now();
-    metrics_->AddRecoveryWindow(config_.id, now, now + replay_time);
-  }
+  events_.Emit({.kind = obs::TraceEventKind::kRecoveryBegin,
+                .site = config_.id.value(), .ticks = replay_time});
   auto finish = [this, records = recovered.scanned_records,
                  bytes = recovered.scanned_bytes]() {
     down_ = false;
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kRecover, -1, config_.id.value(),
-                     records, bytes);
-    }
+    events_.Emit({.kind = obs::TraceEventKind::kRecover,
+                  .site = config_.id.value(), .a = records, .b = bytes});
   };
   if (replay_time == 0) {
     finish();
@@ -471,10 +453,9 @@ void LocalDbms::Recover() {
 storage::RecoveredState LocalDbms::ReplayAndInstall() {
   // A fresh protocol instance: the old one's volatile state died with the
   // site. Rebuild before replay so its multiversion-ness drives it.
-  protocol_ = MakeProtocol(config_.protocol, this);
+  protocol_ = MakeProtocol(config_.protocol, this, events_, config_.id);
   MDBS_CHECK(protocol_ != nullptr);
   if (auditor_ != nullptr) protocol_->EnableAudit(auditor_);
-  if (trace_ != nullptr) protocol_->EnableTrace(trace_, config_.id);
 
   storage::RecoveredState recovered;
   Status replayed = storage::RecoverWal(
@@ -756,11 +737,9 @@ void LocalDbms::ResumeTransaction(TxnId txn) {
     DataOp op = *resume_state.pending_op;
     OpCallback cb = std::move(resume_state.pending_cb);
     resume_state.pending_op.reset();
-    if (trace_ != nullptr) {
-      trace_->Record(obs::TraceEventKind::kOpResumed, txn.value(),
-                     config_.id.value(), resume_state.global.value(),
-                     op.item.value());
-    }
+    events_.Emit({.kind = obs::TraceEventKind::kOpResumed, .txn = txn.value(),
+                  .site = config_.id.value(), .a = resume_state.global.value(),
+                  .b = op.item.value()});
     ProcessOp(txn, op, std::move(cb));
   });
 }

@@ -12,8 +12,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "lcc/protocol.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/event_sink.h"
 #include "sched/schedule.h"
 #include "sim/task_runner.h"
 #include "storage/kv_store.h"
@@ -91,8 +90,12 @@ class LocalDbms : public lcc::ProtocolHost {
   /// `loop` is this site's strand: the simulation loop, or — in threaded
   /// mode — the site's own RealStrand. All state-touching work runs there;
   /// Submit/Commit/Abort only post to it and are safe from any thread.
+  /// Site lifecycle events (begin/commit/abort, blocked operations,
+  /// crashes, recovery) and the protocol's lock-wait / wound / validation
+  /// events go to `events`, which must outlive the site.
   LocalDbms(const SiteConfig& config, sim::TaskRunner* loop,
-            sched::ScheduleRecorder* recorder);
+            sched::ScheduleRecorder* recorder,
+            const obs::EventSink& events = obs::kNoEvents);
   ~LocalDbms() override = default;
 
   LocalDbms(const LocalDbms&) = delete;
@@ -111,19 +114,6 @@ class LocalDbms : public lcc::ProtocolHost {
     auditor_ = auditor;
     protocol_->EnableAudit(auditor);
   }
-
-  /// Records site lifecycle events (begin/commit/abort, blocked operations,
-  /// crashes) into `sink` (nullptr disables) and forwards to the protocol
-  /// for its lock-wait / wound / validation events.
-  void EnableTrace(obs::TraceSink* sink) {
-    trace_ = sink;
-    protocol_->EnableTrace(sink, config_.id);
-  }
-
-  /// Reports durable-recovery replay windows to the always-on metrics
-  /// engine (nullptr disables), so parked global transactions overlapping a
-  /// replay are attributed to the recovery phase instead of plain parking.
-  void EnableMetrics(obs::MetricsEngine* engine) { metrics_ = engine; }
 
   /// Starts a transaction. `global` is invalid for purely local ones.
   Status Begin(TxnId txn, GlobalTxnId global);
@@ -246,8 +236,7 @@ class LocalDbms : public lcc::ProtocolHost {
   SiteConfig config_;
   sim::TaskRunner* loop_;
   sched::ScheduleRecorder* recorder_;
-  obs::TraceSink* trace_ = nullptr;
-  obs::MetricsEngine* metrics_ = nullptr;
+  const obs::EventSink& events_;
   audit::Auditor* auditor_ = nullptr;
   storage::KvStore store_;
   std::unique_ptr<lcc::ConcurrencyControl> protocol_;
@@ -294,9 +283,11 @@ class LocalDbms : public lcc::ProtocolHost {
   int64_t abort_count_ = 0;
 };
 
-/// Factory for the protocol implementations in src/lcc.
-std::unique_ptr<lcc::ConcurrencyControl> MakeProtocol(lcc::ProtocolKind kind,
-                                                      lcc::ProtocolHost* host);
+/// Factory for the protocol implementations in src/lcc; their events go
+/// to `events`, labeled with `site`.
+std::unique_ptr<lcc::ConcurrencyControl> MakeProtocol(
+    lcc::ProtocolKind kind, lcc::ProtocolHost* host,
+    const obs::EventSink& events, SiteId site);
 
 }  // namespace mdbs::site
 
