@@ -16,79 +16,16 @@ std::string WaitKey(const TraceEvent& e) {
          (e.detail != nullptr ? e.detail : "?");
 }
 
-/// Per-attempt lifecycle timestamps, filled in as the scan encounters them.
-struct AttemptTimes {
-  sim::Time start = -1;
-  sim::Time init = -1;
-  sim::Time last_ser = -1;
-  sim::Time last_ack = -1;
-};
-
 }  // namespace
 
 void AggregateTrace(const std::vector<TraceEvent>& events,
                     sim::MetricsRegistry* registry) {
-  std::unordered_map<int64_t, sim::Time> submit_time;   // job id -> time
-  std::unordered_map<int64_t, int64_t> attempt_job;     // attempt -> job id
-  std::unordered_map<int64_t, AttemptTimes> attempts;   // attempt id
   std::unordered_map<std::string, sim::Time> wait_since;
   std::unordered_map<int64_t, sim::Time> recovery_since;  // site -> time
 
   for (const TraceEvent& e : events) {
     registry->Increment(std::string("events.") + TraceEventKindName(e.kind));
     switch (e.kind) {
-      case TraceEventKind::kSubmit:
-        submit_time[e.txn] = e.time;
-        break;
-      case TraceEventKind::kAttemptStart:
-        attempt_job[e.txn] = e.a;
-        attempts[e.txn].start = e.time;
-        break;
-      case TraceEventKind::kInit: {
-        AttemptTimes& t = attempts[e.txn];
-        if (t.init < 0) t.init = e.time;
-        if (t.start >= 0) {
-          registry->Observe("phase.attempt_to_init",
-                            static_cast<double>(e.time - t.start));
-        }
-        break;
-      }
-      case TraceEventKind::kSerRelease: {
-        AttemptTimes& t = attempts[e.txn];
-        t.last_ser = e.time;
-        if (t.init >= 0) {
-          registry->Observe("phase.init_to_ser",
-                            static_cast<double>(e.time - t.init));
-        }
-        break;
-      }
-      case TraceEventKind::kAck: {
-        AttemptTimes& t = attempts[e.txn];
-        t.last_ack = e.time;
-        if (t.last_ser >= 0) {
-          registry->Observe("phase.ser_to_ack",
-                            static_cast<double>(e.time - t.last_ser));
-        }
-        break;
-      }
-      case TraceEventKind::kFin: {
-        AttemptTimes& t = attempts[e.txn];
-        if (t.last_ack >= 0) {
-          registry->Observe("phase.ack_to_fin",
-                            static_cast<double>(e.time - t.last_ack));
-        }
-        break;
-      }
-      case TraceEventKind::kTxnCommit: {
-        auto job = attempt_job.find(e.txn);
-        int64_t job_id = job == attempt_job.end() ? e.a : job->second;
-        auto submitted = submit_time.find(job_id);
-        if (submitted != submit_time.end()) {
-          registry->Observe("phase.submit_to_commit",
-                            static_cast<double>(e.time - submitted->second));
-        }
-        break;
-      }
       case TraceEventKind::kWaitEnter:
         wait_since[WaitKey(e)] = e.time;
         break;

@@ -16,9 +16,6 @@ namespace mdbs::obs {
 /// Derives run-level series from a drained (time, seq)-sorted trace into
 /// `registry`:
 ///   - `events.<kind>` counters, one per TraceEventKind seen;
-///   - `phase.submit_to_commit`, `phase.attempt_to_init`, `phase.init_to_ser`,
-///     `phase.ser_to_ack`, `phase.ack_to_fin` latency summaries (ticks),
-///     linking each committed attempt back through its lifecycle events;
 ///   - `wait.dwell.<op-kind>` — how long operations sat in GTM2's WAIT,
 ///     split by the operation kind whose cond failed (plus
 ///     `wait.dwell.abandoned.<op-kind>` for waits cut short by an abort);

@@ -635,7 +635,7 @@ def check_metrics(path, trace_stats=None):
         if histogram and total != summary["count"]:
             fail(f"{path}: summary {name} histogram counts {total} != "
                  f"count {summary['count']}")
-    required = {"phase.submit_to_commit"}
+    required = {"txn.lifetime"}
     missing = required - set(doc["summaries"])
     if missing:
         fail(f"{path}: expected summaries missing: {sorted(missing)}")
