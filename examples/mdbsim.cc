@@ -443,11 +443,6 @@ int main(int argc, char** argv) {
   }
   bool want_trace =
       !options.trace_out.empty() || !options.metrics_out.empty();
-  if (want_trace && !mdbs::obs::kTraceCompiledIn) {
-    std::fprintf(stderr,
-                 "warning: tracing requested but compiled out "
-                 "(rebuild with -DMDBS_TRACE=ON)\n");
-  }
   config.trace.enabled = want_trace;
   if (options.trace_buffer > 0) {
     config.trace.buffer_capacity = static_cast<size_t>(options.trace_buffer);
