@@ -407,8 +407,10 @@ struct OneWorker {
       pinned = pin.pinned();
       ticker = std::make_unique<RealTicker>();
       for (int i = 0; i < strands; ++i) {
-        this->strands.push_back(std::make_unique<RealStrand>(
-            ticker.get(), "s" + std::to_string(i)));
+        std::string name = "s";
+        name.append(std::to_string(i));
+        this->strands.push_back(
+            std::make_unique<RealStrand>(ticker.get(), name));
       }
     }
     beside.emplace(/*index=*/1);
