@@ -1,21 +1,31 @@
 // E17 — Log-device append latency: the append pattern of a durable site's
 // WAL, 48-byte records with a 250 KiB checkpoint after every 256 of them,
-// until the log holds --mib MiB. It runs against storage::MemLogDevice,
-// which keeps its bytes in fixed-size chunks, and against the flat device
-// it replaced: one std::vector<uint8_t> grown by insert, which copies the
-// whole log every time its capacity doubles.
+// until --mib MiB have been appended. It runs against three devices:
+//
+//   flat             one std::vector<uint8_t> grown by insert, which copies
+//                    the whole log every time its capacity doubles (the
+//                    layout storage::MemLogDevice replaced);
+//   chunked          storage::MemLogDevice keeping every byte;
+//   chunked_discard  storage::MemLogDevice discarding everything before
+//                    each checkpoint once it is appended, as the site WAL
+//                    does (storage::WalWriter); the discard is timed with
+//                    the checkpoint's append.
 //
 // Each append is timed on its own. A repetition reports the total append
-// time, the p99.9 and the worst single append; the table and
-// BENCH_storage.json give the median, min and max of each over --reps
-// repetitions. Every repetition runs in a fresh child process, so no run
-// inherits pages or malloc state another run left behind. Pin the bench to
-// one CPU (`taskset -c 0`) to match a federation sharing one worker.
+// time, the p99.9 and the worst single append, and the most bytes the
+// device held at once; the table and BENCH_storage.json give the median,
+// min and max of each timing over --reps repetitions. Every repetition runs
+// in a fresh child process, so no run inherits pages or malloc state
+// another run left behind. Pin the bench to one CPU (`taskset -c 0`) to
+// match a federation sharing one worker.
 //
 // Expected shape: the flat device's worst appends are the doublings, tens
 // to hundreds of milliseconds each at this size; the chunked device's worst
 // append stays in the low milliseconds, and its total is lower because no
-// byte is copied twice.
+// byte is copied twice. The discarding device's peak is two checkpoints
+// and the records between them (512 KiB, just before a discard) whatever
+// --mib is, and it reuses the chunks it frees, so its total is lower
+// still.
 //
 //   bench_storage [--mib=200] [--reps=5] [--json=PATH]
 
@@ -24,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -65,34 +76,61 @@ class FlatVectorLogDevice final : public LogDevice {
   std::vector<uint8_t> bytes_;
 };
 
+enum class Device { kFlat, kChunked, kChunkedDiscard };
+constexpr Device kDevices[] = {Device::kFlat, Device::kChunked,
+                               Device::kChunkedDiscard};
+
+const char* DeviceName(Device device) {
+  switch (device) {
+    case Device::kFlat:
+      return "flat";
+    case Device::kChunked:
+      return "chunked";
+    case Device::kChunkedDiscard:
+      return "chunked_discard";
+  }
+  return "?";
+}
+
 /// One repetition's figures.
 struct Rep {
   double total_ms = 0;
   double p999_us = 0;
   double worst_ms = 0;
   double appends = 0;
+  double peak_retained_bytes = 0;
 };
 
-Rep AppendUntil(LogDevice* device, int64_t target_bytes) {
+/// Appends the WAL pattern until `target_bytes` have been appended; with
+/// `discard`, everything before each checkpoint is given up once the
+/// checkpoint is on the device.
+Rep AppendUntil(LogDevice* device, int64_t target_bytes, bool discard) {
   const std::vector<uint8_t> record(kRecordBytes, 0x5A);
   const std::vector<uint8_t> checkpoint(kCheckpointBytes, 0xC3);
   std::vector<int64_t> ns;
   ns.reserve(static_cast<size_t>(target_bytes / kCheckpointBytes + 1) *
              (kRecordsPerCheckpoint + 1));
-  auto timed = [&](const std::vector<uint8_t>& bytes) {
+  int64_t appended = 0;
+  int64_t peak = 0;
+  auto timed = [&](const std::vector<uint8_t>& bytes, bool cut) {
+    const int64_t size = static_cast<int64_t>(bytes.size());
     auto start = std::chrono::steady_clock::now();
     Status status = device->Append(bytes.data(), bytes.size());
+    peak = std::max(peak, device->Size());
+    if (cut) device->DiscardPrefix(device->Size() - size);
     auto end = std::chrono::steady_clock::now();
     if (!status.ok()) std::abort();
+    appended += size;
     ns.push_back(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
             .count());
   };
-  while (device->Size() < target_bytes) {
-    for (int i = 0; i < kRecordsPerCheckpoint; ++i) timed(record);
-    timed(checkpoint);
+  while (appended < target_bytes) {
+    for (int i = 0; i < kRecordsPerCheckpoint; ++i) timed(record, false);
+    timed(checkpoint, discard);
   }
   Rep rep;
+  rep.peak_retained_bytes = static_cast<double>(peak);
   rep.appends = static_cast<double>(ns.size());
   for (int64_t t : ns) rep.total_ms += static_cast<double>(t) / 1e6;
   std::sort(ns.begin(), ns.end());
@@ -103,7 +141,7 @@ Rep AppendUntil(LogDevice* device, int64_t target_bytes) {
 }
 
 /// Runs one repetition in a child process and reads its figures back.
-Rep RunIsolated(bool chunked, int64_t target_bytes) {
+Rep RunIsolated(Device kind, int64_t target_bytes) {
   int fds[2] = {-1, -1};
   if (pipe(fds) != 0) std::abort();
   pid_t pid = fork();
@@ -111,12 +149,13 @@ Rep RunIsolated(bool chunked, int64_t target_bytes) {
   if (pid == 0) {
     close(fds[0]);
     Rep rep;
-    if (chunked) {
-      MemLogDevice device;
-      rep = AppendUntil(&device, target_bytes);
-    } else {
+    if (kind == Device::kFlat) {
       FlatVectorLogDevice device;
-      rep = AppendUntil(&device, target_bytes);
+      rep = AppendUntil(&device, target_bytes, false);
+    } else {
+      MemLogDevice device;
+      rep = AppendUntil(&device, target_bytes,
+                        kind == Device::kChunkedDiscard);
     }
     bool ok = write(fds[1], &rep, sizeof(rep)) ==
               static_cast<ssize_t>(sizeof(rep));
@@ -171,24 +210,28 @@ int main(int argc, char** argv) {
   const int64_t target = mib * 1024 * 1024;
 
   std::printf("E17 — log-device appends: %zu B records, a %zu KiB "
-              "checkpoint every %d, up to %lld MiB; %d reps per device\n\n",
+              "checkpoint every %d, %lld MiB appended; %d reps per "
+              "device\n\n",
               kRecordBytes, kCheckpointBytes / 1024, kRecordsPerCheckpoint,
               static_cast<long long>(mib), reps);
-  std::vector<std::vector<Rep>> runs(2);  // [0] flat, [1] chunked.
+  constexpr int kNumDevices = std::size(kDevices);
+  std::vector<std::vector<Rep>> runs(kNumDevices);  // Indexed like kDevices.
   for (int r = 0; r < reps; ++r) {
-    // Alternate which device goes first, so drift hits both alike.
-    for (int k = 0; k < 2; ++k) {
-      bool chunked = (r + k) % 2 == 1;
-      runs[chunked ? 1 : 0].push_back(RunIsolated(chunked, target));
+    // Rotate which device goes first, so drift hits all alike.
+    for (int k = 0; k < kNumDevices; ++k) {
+      int d = (r + k) % kNumDevices;
+      runs[d].push_back(RunIsolated(kDevices[d], target));
     }
   }
 
   mdbs::bench::BenchReport results("storage");
-  std::printf("%-8s %9s  %-24s %-24s %-24s\n", "device", "appends",
-              "total ms (med [min-max])", "p99.9 us (med [min-max])",
-              "worst ms (med [min-max])");
-  for (int d = 0; d < 2; ++d) {
-    const char* name = d == 1 ? "chunked" : "flat";
+  std::printf("%-15s %9s %10s  %-24s %-24s %-24s\n", "device", "appends",
+              "peak KiB", "total ms (med [min-max])",
+              "p99.9 us (med [min-max])", "worst ms (med [min-max])");
+  for (int d = 0; d < kNumDevices; ++d) {
+    const char* name = DeviceName(kDevices[d]);
+    // Appends and the peak are the same in every repetition.
+    const double peak = runs[d].front().peak_retained_bytes;
     std::vector<double> total, p999, worst;
     for (const Rep& rep : runs[d]) {
       total.push_back(rep.total_ms);
@@ -196,15 +239,16 @@ int main(int argc, char** argv) {
       worst.push_back(rep.worst_ms);
     }
     Spread t = SpreadOf(total), p = SpreadOf(p999), w = SpreadOf(worst);
-    std::printf("%-8s %9.0f  %7.1f [%6.1f-%6.1f]  %7.1f [%6.1f-%6.1f]  "
-                "%7.2f [%6.2f-%6.2f]\n",
-                name, runs[d].front().appends, t.median, t.min, t.max,
-                p.median, p.min, p.max, w.median, w.min, w.max);
+    std::printf("%-15s %9.0f %10.0f  %7.1f [%6.1f-%6.1f]  "
+                "%7.1f [%6.1f-%6.1f]  %7.2f [%6.2f-%6.2f]\n",
+                name, runs[d].front().appends, peak / 1024, t.median, t.min,
+                t.max, p.median, p.min, p.max, w.median, w.min, w.max);
     results.AddRow()
         .Set("device", name)
         .Set("mib", static_cast<double>(mib))
         .Set("reps", static_cast<double>(reps))
         .Set("appends", runs[d].front().appends)
+        .Set("peak_retained_bytes", peak)
         .Set("total_ms_median", t.median)
         .Set("total_ms_min", t.min)
         .Set("total_ms_max", t.max)

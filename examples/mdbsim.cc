@@ -139,7 +139,8 @@ bool ParseOptions(int argc, char** argv, Options* options) {
         return false;
       }
     } else if (arg.rfind("--global-clients=", 0) == 0) {
-      options->global_clients = std::atoi(value_of("--global-clients=").c_str());
+      options->global_clients =
+          std::atoi(value_of("--global-clients=").c_str());
     } else if (arg.rfind("--local-clients=", 0) == 0) {
       options->local_clients = std::atoi(value_of("--local-clients=").c_str());
     } else if (arg.rfind("--commits=", 0) == 0) {
@@ -217,7 +218,8 @@ bool ParseOptions(int argc, char** argv, Options* options) {
           std::atoll(value_of("--checkpoint_interval=").c_str());
       options->durable = true;
     } else if (arg.rfind("--recovery_cost=", 0) == 0) {
-      options->recovery_cost = std::atoll(value_of("--recovery_cost=").c_str());
+      options->recovery_cost =
+          std::atoll(value_of("--recovery_cost=").c_str());
       options->durable = true;
     } else if (arg.rfind("--wal_dir=", 0) == 0) {
       options->wal_dir = value_of("--wal_dir=");

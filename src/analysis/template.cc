@@ -60,7 +60,9 @@ StatusOr<TemplateOp> ParseAccess(const std::string& token, int line_no) {
     return bad("must start with 'r' or 'w'");
   }
   size_t at = token.find("@s");
-  if (at == std::string::npos || at == 1) return bad("expected <class>@s<site>");
+  if (at == std::string::npos || at == 1) {
+    return bad("expected <class>@s<site>");
+  }
   int64_t key_class = 0;
   int64_t site = 0;
   if (!ParseInt(token.substr(1, at - 1), &key_class) ||
@@ -224,8 +226,8 @@ gtm::GlobalTxnSpec Instantiate(const TxnTemplate& tmpl, const TemplateMix& mix,
   gtm::GlobalTxnSpec spec;
   for (const TemplateOp& op : tmpl.ops) {
     DataItemId item(op.key_class * mix.keys_per_class +
-                    static_cast<int64_t>(
-                        rng->NextBelow(static_cast<uint64_t>(mix.keys_per_class))));
+                    static_cast<int64_t>(rng->NextBelow(
+                        static_cast<uint64_t>(mix.keys_per_class))));
     if (op.type == OpType::kRead) {
       spec.ops.push_back(gtm::GlobalOp::Read(op.site, item));
     } else {

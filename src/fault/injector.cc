@@ -21,7 +21,8 @@ FaultInjector::FaultInjector(const FaultPlan& plan, uint64_t fallback_seed)
 MessageFate FaultInjector::DrawFate(double loss_probability, bool request,
                                     bool allow_duplicate) {
   MessageFate fate;
-  if (loss_probability <= 0 && plan_.duplicate <= 0 && plan_.delay_spike <= 0) {
+  if (loss_probability <= 0 && plan_.duplicate <= 0 &&
+      plan_.delay_spike <= 0) {
     return fate;
   }
   std::lock_guard<std::mutex> lock(mu_);

@@ -719,7 +719,8 @@ sim::Time Gtm1::RetryDelay(const Job& job) {
   for (int i = 1; i < job.attempts && base < config_.retry_backoff_cap; ++i) {
     base *= 2;
   }
-  base = std::min(base, std::max(config_.retry_backoff_cap, config_.retry_backoff));
+  base = std::min(base,
+                  std::max(config_.retry_backoff_cap, config_.retry_backoff));
   return base + static_cast<sim::Time>(
                     rng_.NextBelow(static_cast<uint64_t>(base) + 1));
 }
@@ -842,8 +843,9 @@ void Gtm1::OnSiteUp(SiteId site) {
     // Jittered resume so a herd of parked transactions doesn't stampede the
     // recovering site; RetryJob re-checks quarantine at fire time.
     int64_t job_id = job->id;
-    sim::Time delay = 1 + static_cast<sim::Time>(rng_.NextBelow(
-                              static_cast<uint64_t>(config_.retry_backoff) + 1));
+    sim::Time delay =
+        1 + static_cast<sim::Time>(rng_.NextBelow(
+                static_cast<uint64_t>(config_.retry_backoff) + 1));
     int64_t epoch = epoch_;
     loop_->Schedule(delay, [this, job_id, epoch]() {
       if (epoch != epoch_) return;

@@ -192,8 +192,8 @@ struct Gtm1Stats {
   int64_t committed = 0;
   int64_t failed = 0;           // Gave up after max_attempts.
   int64_t attempts = 0;
-  int64_t aborted_attempts = 0; // Local aborts + scheme aborts + timeouts.
-  int64_t scheme_aborts = 0;    // Subset demanded by the (non-conservative) scheme.
+  int64_t aborted_attempts = 0;  // Local aborts + scheme aborts + timeouts.
+  int64_t scheme_aborts = 0;    // Subset the non-conservative scheme demanded.
   int64_t timeouts = 0;
   int64_t partial_commits = 0;  // OCC validation failed after some commits.
   int64_t site_down_aborts = 0; // Attempts aborted by a site-down declaration.

@@ -300,8 +300,8 @@ void Gtm2::RestoreFromCheckpoint(const VolatileImage& image) {
   stats_ = image.stats;
   MDBS_CHECK(scheme_->SupportsSnapshot())
       << scheme_->Name() << " cannot restore a checkpoint";
-  MDBS_CHECK(
-      scheme_->DecodeState(image.scheme_state.data(), image.scheme_state.size()))
+  MDBS_CHECK(scheme_->DecodeState(image.scheme_state.data(),
+                                  image.scheme_state.size()))
       << "undecodable " << scheme_->Name() << " snapshot";
   scheme_->RestoreSteps(image.scheme_steps);
 }

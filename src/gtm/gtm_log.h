@@ -39,7 +39,7 @@ enum class GtmLogRecordType : uint8_t {
   kAttemptFail = 7,   // attempt retired; code = GtmAttemptFailReason
   kCommitStart = 8,   // validation passed, commit fan-out begins
   kCommitSite = 9,    // site #index committed (acked)
-  kFinish = 10,       // job finished; code = GtmFinishOutcome, index = attempts
+  kFinish = 10,       // job done; code = GtmFinishOutcome, index = attempts
   kPark = 11,         // job parked on a quarantined site
   kUnpark = 12,       // parked job resumed
   kSiteDown = 13,     // health monitor quarantined `site`

@@ -67,9 +67,9 @@ Status Scheme2::CheckStructuralInvariants() const {
   }
   for (const auto& pair : acked_) {
     if (!executed_.contains(pair)) {
-      return Status::Internal("Scheme2: (" + ToString(GlobalTxnId(pair.first)) +
-                              ", " + ToString(SiteId(pair.second)) +
-                              ") acked but never executed");
+      return Status::Internal(
+          "Scheme2: (" + ToString(GlobalTxnId(pair.first)) + ", " +
+          ToString(SiteId(pair.second)) + ") acked but never executed");
     }
   }
   return Status::OK();

@@ -5,7 +5,8 @@
 namespace mdbs {
 
 HealthMonitor::HealthMonitor(const HealthConfig& config,
-                             sim::TaskRunner* runner, std::vector<SiteId> sites,
+                             sim::TaskRunner* runner,
+                             std::vector<SiteId> sites,
                              Callbacks callbacks,
                              const obs::EventSink& events)
     : config_(config),

@@ -219,7 +219,8 @@ void Mdbs::ArmGtmCrashes() {
 }
 
 void Mdbs::ArmGtmFailovers() {
-  for (const fault::GtmFailoverEvent& event : injector_->plan().gtm_failovers) {
+  for (const fault::GtmFailoverEvent& event :
+       injector_->plan().gtm_failovers) {
     GtmRunner()->Schedule(event.at, [this, event]() {
       // Kill the primary for good; `duration` models failure detection
       // (health-check timeouts), after which the standby takes over.
@@ -298,7 +299,8 @@ sim::Time Mdbs::NowTicks() const {
   return threaded_ ? ticker_->NowMicros() : loop_.now();
 }
 
-void Mdbs::SubmitGlobal(gtm::GlobalTxnSpec spec, gtm::Gtm1::ResultCallback cb) {
+void Mdbs::SubmitGlobal(gtm::GlobalTxnSpec spec,
+                        gtm::Gtm1::ResultCallback cb) {
   if (!threaded_) {
     active_gtm_->Submit(std::move(spec), std::move(cb));
     return;
@@ -320,7 +322,8 @@ void Mdbs::SubmitGlobal(gtm::GlobalTxnSpec spec, gtm::Gtm1::ResultCallback cb) {
 sim::TaskRunner* Mdbs::ClientRunner() {
   if (!threaded_) return &loop_;
   if (client_strand_ == nullptr) {
-    client_strand_ = std::make_unique<sim::RealStrand>(ticker_.get(), "client");
+    client_strand_ =
+        std::make_unique<sim::RealStrand>(ticker_.get(), "client");
   }
   return client_strand_.get();
 }
@@ -643,8 +646,9 @@ void Mdbs::Abort(SiteId site, TxnId txn, TxnCallback cb) {
                                                  cb = std::move(cb)]() {
     sites_.at(site)->Abort(
         txn, [this, cb = std::move(cb)](const Status& status) {
-          GtmRunner()->Schedule(config_.net_delay,
-                                [status, cb = std::move(cb)]() { cb(status); });
+          GtmRunner()->Schedule(
+              config_.net_delay,
+              [status, cb = std::move(cb)]() { cb(status); });
         });
   });
 }

@@ -187,9 +187,10 @@ void WriteChromeTrace(std::ostream& os, const std::vector<TraceEvent>& events,
         break;
 
       case TraceEventKind::kWaitEnter:
-        spans.Open(WaitKey(e),
-                   std::string("WAIT ") + (e.detail != nullptr ? e.detail : "?"),
-                   "wait", 1, e.time);
+        spans.Open(
+            WaitKey(e),
+            std::string("WAIT ") + (e.detail != nullptr ? e.detail : "?"),
+            "wait", 1, e.time);
         break;
       case TraceEventKind::kWaitExit:
       case TraceEventKind::kWaitAbandon:

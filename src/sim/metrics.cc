@@ -34,7 +34,8 @@ int64_t LogLinearHistogram::BucketLower(size_t index) {
     return static_cast<int64_t>(index);
   }
   size_t slot = index - static_cast<size_t>(kSubBucketCount);
-  int octave = static_cast<int>(slot >> kSubBucketBits);  // msb - kSubBucketBits
+  // The octave is msb - kSubBucketBits.
+  int octave = static_cast<int>(slot >> kSubBucketBits);
   int64_t sub = static_cast<int64_t>(slot & (kSubBucketCount - 1));
   return (int64_t{1} << (kSubBucketBits + octave)) + (sub << octave);
 }

@@ -94,8 +94,9 @@ Status ScanFrames(const std::vector<uint8_t>& image, FrameScan* out) {
     }
     const uint8_t* payload = image.data() + pos + 8;
     if (Crc32(payload, len) != crc) {
-      return Status::Internal("log corruption: CRC mismatch in frame at byte " +
-                              std::to_string(pos));
+      return Status::Internal(
+          "log corruption: CRC mismatch in frame at byte " +
+          std::to_string(pos));
     }
     out->payloads.emplace_back(pos + 8, len);
     pos += 8 + len;

@@ -14,7 +14,7 @@ MemLogDevice::MemLogDevice(const std::vector<uint8_t>& image) {
 Status MemLogDevice::Append(const void* data, size_t size) {
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   while (size > 0) {
-    size_t offset = size_ % kChunkBytes;
+    size_t offset = end_ % kChunkBytes;
     if (offset == 0) {
       chunks_.push_back(
           std::make_unique_for_overwrite<uint8_t[]>(kChunkBytes));
@@ -23,18 +23,18 @@ Status MemLogDevice::Append(const void* data, size_t size) {
     std::memcpy(chunks_.back().get() + offset, bytes, n);
     bytes += n;
     size -= n;
-    size_ += n;
+    end_ += n;
   }
   return Status::OK();
 }
 
 Status MemLogDevice::ReadAll(std::vector<uint8_t>* out) const {
   out->clear();
-  out->reserve(size_);
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    const uint8_t* chunk = chunks_[i].get();
-    out->insert(out->end(), chunk,
-                chunk + std::min(kChunkBytes, size_ - i * kChunkBytes));
+  out->reserve(end_ - head_);
+  for (size_t at = head_; at < end_;) {
+    size_t n = std::min(kChunkBytes - at % kChunkBytes, end_ - at);
+    out->insert(out->end(), At(at), At(at) + n);
+    at += n;
   }
   return Status::OK();
 }
@@ -46,16 +46,25 @@ std::vector<uint8_t> MemLogDevice::Image() const {
 }
 
 void MemLogDevice::Truncate(int64_t size) {
-  if (size >= 0 && static_cast<size_t>(size) < size_) {
-    size_ = static_cast<size_t>(size);
-    chunks_.resize((size_ + kChunkBytes - 1) / kChunkBytes);
+  if (size >= 0 && static_cast<size_t>(size) < end_ - head_) {
+    end_ = head_ + static_cast<size_t>(size);
+    chunks_.resize((end_ + kChunkBytes - 1) / kChunkBytes -
+                   head_ / kChunkBytes);
   }
 }
 
+void MemLogDevice::DiscardPrefix(int64_t bytes) {
+  if (bytes <= 0) return;
+  size_t old_head = head_;
+  head_ += std::min(static_cast<size_t>(bytes), end_ - head_);
+  auto first_kept = chunks_.begin() +
+                    static_cast<std::ptrdiff_t>(head_ / kChunkBytes -
+                                                old_head / kChunkBytes);
+  chunks_.erase(chunks_.begin(), first_kept);
+}
+
 void MemLogDevice::CorruptByte(size_t offset, uint8_t mask) {
-  if (offset < size_) {
-    chunks_[offset / kChunkBytes][offset % kChunkBytes] ^= mask;
-  }
+  if (offset < end_ - head_) *At(head_ + offset) ^= mask;
 }
 
 FileLogDevice::FileLogDevice(const std::string& path) : path_(path) {

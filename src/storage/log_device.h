@@ -41,6 +41,14 @@ class LogDevice {
   /// Cuts the device to its first `size` bytes. Recovery truncates a torn
   /// tail here before appending new records; tests build crash points.
   virtual void Truncate(int64_t size) = 0;
+
+  /// Gives up the device's first `bytes` bytes (all of them when `bytes`
+  /// is past the end; nothing when it is not positive): offsets, `Size`
+  /// and `ReadAll` then count from the first byte kept. The site WAL calls
+  /// this at every checkpoint, because recovery never reads what precedes
+  /// the last complete checkpoint. The default keeps everything, which is
+  /// equally correct: a device that keeps its history still recovers.
+  virtual void DiscardPrefix(int64_t bytes) { (void)bytes; }
 };
 
 /// The default "disk": the device's bytes in fixed-size chunks held in
@@ -52,6 +60,9 @@ class LogDevice {
 /// again. A flat buffer would instead copy the whole log every time it
 /// doubled, inside one strand task, and a multi-megabyte log stalls every
 /// strand on the worker for tens of milliseconds (DESIGN §9).
+///
+/// `DiscardPrefix` frees every chunk that lies wholly below the cut; the
+/// chunk holding the new front stays until a later cut passes it.
 class MemLogDevice : public LogDevice {
  public:
   /// 64 KiB: below glibc's smallest mmap threshold (128 KiB), so a chunk
@@ -66,22 +77,39 @@ class MemLogDevice : public LogDevice {
   explicit MemLogDevice(const std::vector<uint8_t>& image);
 
   Status Append(const void* data, size_t size) override;
-  int64_t Size() const override { return static_cast<int64_t>(size_); }
+  int64_t Size() const override {
+    return static_cast<int64_t>(end_ - head_);
+  }
   Status ReadAll(std::vector<uint8_t>* out) const override;
 
   void Truncate(int64_t size) override;
+  void DiscardPrefix(int64_t bytes) override;
 
   /// The whole image as one vector (a copy), for tests and digests.
   std::vector<uint8_t> Image() const;
+  /// Memory the chunks hold: kChunkBytes per chunk, Size() or more.
+  int64_t AllocatedBytes() const {
+    return static_cast<int64_t>(chunks_.size() * kChunkBytes);
+  }
   /// XORs one byte of the image (corruption fuzzing).
   void CorruptByte(size_t offset, uint8_t mask = 0xFF);
 
  private:
-  /// Invariant: chunks_.size() == ceil(size_ / kChunkBytes). The first
-  /// chunk is allocated by the first append, and none is zero-filled:
-  /// bytes past size_ are never read.
+  /// The byte at stream offset `at` (head_ <= at < end_).
+  uint8_t* At(size_t at) const {
+    return chunks_[at / kChunkBytes - head_ / kChunkBytes].get() +
+           at % kChunkBytes;
+  }
+
+  /// Offsets count every byte ever appended: head_ is the first byte kept,
+  /// end_ one past the last. chunks_[0] starts at the chunk boundary at or
+  /// below head_. Invariant: chunks_.size() == ceil(end_ / kChunkBytes) -
+  /// floor(head_ / kChunkBytes). A chunk is allocated by the append that
+  /// first writes into it, and none is zero-filled: bytes outside
+  /// [head_, end_) are never read.
   std::vector<std::unique_ptr<uint8_t[]>> chunks_;
-  size_t size_ = 0;
+  size_t head_ = 0;
+  size_t end_ = 0;
 };
 
 /// A real append-only file, for `mdbsim --wal_dir=`. Writes are flushed per

@@ -24,6 +24,8 @@ struct RecoveredState {
     int64_t wts = 0;
     int64_t writer = -1;
     int64_t value = 0;
+
+    friend bool operator==(const MvVersion&, const MvVersion&) = default;
   };
   /// Multiversion sites: latest committed version per item in TIMESTAMP
   /// order. Can disagree with `store` (the commit-order mirror) when a

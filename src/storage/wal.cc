@@ -226,8 +226,12 @@ void WalWriter::Append(const WalRecord& record) {
   bool is_commit_point =
       is_checkpoint || record.type == WalRecordType::kCommit;
   auto encode = [&](ByteWriter& out) { EncodePayload(record, out); };
-  frames_.AppendEncoded(PayloadSize(record), encode, is_checkpoint,
-                        is_commit_point);
+  const std::vector<uint8_t>& frame = frames_.AppendEncoded(
+      PayloadSize(record), encode, is_checkpoint, is_commit_point);
+  if (is_checkpoint) {
+    device_->DiscardPrefix(device_->Size() -
+                           static_cast<int64_t>(frame.size()));
+  }
 }
 
 }  // namespace mdbs::storage

@@ -112,9 +112,15 @@ Status ReadWal(const LogDevice& device, WalScan* out);
 /// Append-side of the log: encodes and appends records, counting bytes and
 /// records for the checkpoint trigger and the run report. A thin record
 /// schema over the shared CRC framing (storage::FrameWriter).
+///
+/// Once a checkpoint's frame is on the device, everything before that frame
+/// is discarded (`LogDevice::DiscardPrefix`): RecoverWal starts from the
+/// last complete checkpoint and never reads it again, so the device keeps
+/// at most one checkpoint and the records appended since (ARIES truncates
+/// its log below the redo point of the last checkpoint the same way).
 class WalWriter {
  public:
-  explicit WalWriter(LogDevice* device) : frames_(device) {}
+  explicit WalWriter(LogDevice* device) : device_(device), frames_(device) {}
 
   /// Replaces the sync policy (default: every commit point). Commit points
   /// here are kCommit and kCheckpoint records — the records whose loss
@@ -137,6 +143,7 @@ class WalWriter {
   int64_t syncs() const { return frames_.syncs(); }
 
  private:
+  LogDevice* device_;
   FrameWriter frames_;
 };
 

@@ -362,7 +362,7 @@ TEST(ObsDigestTest, TraceAndMetricsKeepTheirRecordedBytes) {
        0xb8e168019d578adfull, 0x9a344858fc9de78bull},
       {"durable-site-crash", durable, retries, 23,
        {TraceEventKind::kRecoveryBegin, TraceEventKind::kRecover},
-       0xbf4f53e201d5a7b7ull, 0x51c390abaddb38d2ull},
+       0x2cbf3189a43f7794ull, 0xa5b2b3f5716636e0ull},
       {"gtm-crash", gtm_crash, Workload(), 19,
        {TraceEventKind::kGtmCrash, TraceEventKind::kGtmRecover},
        0xb4b8adde484d55d1ull, 0x987697bcf5bc852dull},

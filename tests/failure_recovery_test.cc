@@ -54,8 +54,9 @@ TEST_P(FailureRecoveryTest, CrashDuringWaitParksAndRecovers) {
   StatusOr<TxnId> lock_holder = system.BeginLocal(kS0);
   ASSERT_TRUE(lock_holder.ok());
   Status holder_status = Status::Internal("pending");
-  system.site(kS0).Submit(*lock_holder, DataOp::Write(kX, 7),
-                          [&](const Status& s, int64_t) { holder_status = s; });
+  system.site(kS0).Submit(
+      *lock_holder, DataOp::Write(kX, 7),
+      [&](const Status& s, int64_t) { holder_status = s; });
 
   auto two_site_spec = []() {
     gtm::GlobalTxnSpec spec;

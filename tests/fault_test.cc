@@ -143,7 +143,8 @@ TEST(FaultPlanTest, PeriodicDirectiveRoundTrips) {
   EXPECT_EQ(plan->periodic->interval, 4000);
   EXPECT_EQ(plan->periodic->duration, 1500);
   EXPECT_FALSE(plan->Empty());
-  EXPECT_EQ(plan->ToSpec(), "crash@100:s1:50;periodic@4000:1500;req_loss=0.01");
+  EXPECT_EQ(plan->ToSpec(),
+            "crash@100:s1:50;periodic@4000:1500;req_loss=0.01");
   StatusOr<FaultPlan> again = ParseFaultPlan(plan->ToSpec());
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(again->periodic, plan->periodic);

@@ -1,8 +1,11 @@
 // Differential test of storage::MemLogDevice: every sequence of Append,
-// Truncate, CorruptByte and ReadAll must leave the chunked device holding
-// exactly the bytes a plain std::vector<uint8_t> holds under the same
-// operations (the flat buffer the device used to be). Sizes are chosen to
-// land on, just before and just past chunk boundaries.
+// Truncate, DiscardPrefix, CorruptByte and ReadAll must leave the chunked
+// device holding exactly the bytes a plain std::vector<uint8_t> holds under
+// the same operations (the flat buffer the device used to be), and exactly
+// the chunks that cover them. Sizes are chosen to land on, just before and
+// just past chunk boundaries.
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,13 +31,31 @@ class FlatLog {
       bytes_.resize(static_cast<size_t>(size));
     }
   }
+  void DiscardPrefix(int64_t bytes) {
+    if (bytes <= 0) return;
+    size_t cut = std::min(static_cast<size_t>(bytes), bytes_.size());
+    bytes_.erase(bytes_.begin(),
+                 bytes_.begin() + static_cast<std::ptrdiff_t>(cut));
+    discarded_ += cut;
+  }
   void CorruptByte(size_t offset, uint8_t mask) {
     if (offset < bytes_.size()) bytes_[offset] ^= mask;
   }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
+  /// Bytes given up from the front so far.
+  size_t discarded() const { return discarded_; }
+  /// The chunk memory a device holding these bytes needs: every chunk that
+  /// overlaps [discarded, discarded + size) in the stream of all bytes
+  /// ever appended, and no other.
+  int64_t ChunkBytes() const {
+    size_t end = discarded_ + bytes_.size();
+    size_t chunks = (end + kChunk - 1) / kChunk - discarded_ / kChunk;
+    return static_cast<int64_t>(chunks * kChunk);
+  }
 
  private:
   std::vector<uint8_t> bytes_;
+  size_t discarded_ = 0;
 };
 
 /// Bytes that differ from their neighbours and from one append to the next,
@@ -47,8 +68,9 @@ std::vector<uint8_t> Payload(size_t size, uint64_t salt) {
   return data;
 }
 
-/// The two logs agree: same size, and ReadAll (into a reused, possibly
-/// larger vector) and Image both return the reference bytes.
+/// The two logs agree: same size, ReadAll (into a reused, possibly larger
+/// vector) and Image both return the reference bytes, and the device holds
+/// exactly the chunks that cover them.
 ::testing::AssertionResult Matches(const MemLogDevice& device,
                                    const FlatLog& reference,
                                    std::vector<uint8_t>* scratch) {
@@ -56,6 +78,11 @@ std::vector<uint8_t> Payload(size_t size, uint64_t salt) {
   if (device.Size() != static_cast<int64_t>(want.size())) {
     return ::testing::AssertionFailure()
            << "Size " << device.Size() << ", reference " << want.size();
+  }
+  if (device.AllocatedBytes() != reference.ChunkBytes()) {
+    return ::testing::AssertionFailure()
+           << "holds " << device.AllocatedBytes() << " B of chunks, needs "
+           << reference.ChunkBytes();
   }
   if (!device.ReadAll(scratch).ok() || *scratch != want) {
     return ::testing::AssertionFailure() << "ReadAll differs from reference";
@@ -76,6 +103,10 @@ class Pair {
   void Truncate(int64_t size) {
     device.Truncate(size);
     reference.Truncate(size);
+  }
+  void DiscardPrefix(int64_t bytes) {
+    device.DiscardPrefix(bytes);
+    reference.DiscardPrefix(bytes);
   }
   void CorruptByte(size_t offset, uint8_t mask) {
     device.CorruptByte(offset, mask);
@@ -166,6 +197,98 @@ TEST(MemLogDeviceTest, TruncatesFollowedByAppendsMatchAFlatVector) {
   EXPECT_TRUE(pair.Same());
 }
 
+TEST(MemLogDeviceTest, DiscardsFollowedByAppendsMatchAFlatVector) {
+  Pair pair;
+  pair.Append(3 * kChunk + 100);
+  ASSERT_TRUE(pair.Same());
+
+  // Zero and negative cuts keep everything.
+  pair.DiscardPrefix(0);
+  EXPECT_TRUE(pair.Same());
+  pair.DiscardPrefix(-5);
+  EXPECT_TRUE(pair.Same());
+  pair.Append(7);
+  EXPECT_TRUE(pair.Same());
+
+  // Inside the first chunk: it stays, holding the new front.
+  pair.DiscardPrefix(100);
+  EXPECT_TRUE(pair.Same());
+  pair.Append(kChunk);
+  EXPECT_TRUE(pair.Same());
+
+  // Up to a chunk boundary of the stream: every chunk below it is freed.
+  pair.DiscardPrefix(2 * kChunk - 100);
+  EXPECT_TRUE(pair.Same());
+  ASSERT_EQ(pair.device.AllocatedBytes(), static_cast<int64_t>(3 * kChunk));
+  pair.Append(kChunk - 7);
+  EXPECT_TRUE(pair.Same());
+
+  // Across several chunks, from and to the middle of one.
+  pair.DiscardPrefix(kChunk + 3);
+  EXPECT_TRUE(pair.Same());
+  pair.Append(2 * kChunk + 1);
+  EXPECT_TRUE(pair.Same());
+
+  // The whole device: the tail chunk stays only when the stream ends
+  // inside it, and appends continue the stream from there.
+  pair.DiscardPrefix(pair.device.Size());
+  EXPECT_TRUE(pair.Same());
+  pair.Append(5);
+  EXPECT_TRUE(pair.Same());
+  size_t end = pair.reference.discarded() + pair.reference.bytes().size();
+  pair.Append(kChunk - end % kChunk);
+  pair.DiscardPrefix(pair.device.Size());
+  ASSERT_EQ(pair.device.AllocatedBytes(), 0);
+  EXPECT_TRUE(pair.Same());
+  pair.Append(kChunk + 9);
+  EXPECT_TRUE(pair.Same());
+
+  // Past the end: the same as the whole device.
+  pair.DiscardPrefix(pair.device.Size() + kChunk);
+  EXPECT_TRUE(pair.Same());
+  pair.Append(2 * kChunk);
+  EXPECT_TRUE(pair.Same());
+}
+
+TEST(MemLogDeviceTest, TruncateAndCorruptByteCountFromTheKeptFront) {
+  Pair pair;
+  pair.Append(4 * kChunk + 300);
+  pair.DiscardPrefix(kChunk + 200);
+  ASSERT_TRUE(pair.Same());
+
+  // Offsets are into what the device kept, not into the stream.
+  for (size_t offset : {size_t{0}, kChunk - 201, kChunk - 200, kChunk - 199,
+                        2 * kChunk, 3 * kChunk + 99, 3 * kChunk + 100}) {
+    pair.CorruptByte(offset, 0x3C);
+    EXPECT_TRUE(pair.Same()) << "offset " << offset;
+  }
+
+  // Cuts inside a chunk, on the stream's chunk boundary, to zero and past
+  // the end, each followed by appends.
+  pair.Truncate(2 * kChunk + 17);
+  EXPECT_TRUE(pair.Same());
+  pair.Append(kChunk);
+  EXPECT_TRUE(pair.Same());
+  pair.Truncate(2 * kChunk - 200);
+  EXPECT_TRUE(pair.Same());
+  pair.Append(3);
+  EXPECT_TRUE(pair.Same());
+  pair.Truncate(pair.device.Size() + 4);
+  EXPECT_TRUE(pair.Same());
+  pair.Truncate(0);
+  EXPECT_TRUE(pair.Same());
+  pair.Append(kChunk + 1);
+  EXPECT_TRUE(pair.Same());
+
+  // A second discard after the truncations.
+  pair.DiscardPrefix(kChunk / 2);
+  EXPECT_TRUE(pair.Same());
+  pair.CorruptByte(0, 0x81);
+  pair.Truncate(10);
+  pair.Append(kChunk);
+  EXPECT_TRUE(pair.Same());
+}
+
 TEST(MemLogDeviceTest, CorruptByteHitsTheSameByteAcrossChunkBoundaries) {
   Pair pair;
   pair.Append(2 * kChunk + 9);
@@ -201,7 +324,20 @@ TEST(MemLogDeviceTest, SeededRandomOperationsMatchAFlatVector) {
         if (kind == 2) cut = 0;
         if (kind == 3) cut = size + rng.NextInRange(0, 3);
         pair.Truncate(cut);
-      } else if (op < 90) {
+      } else if (op < 82) {
+        // Discards: inside the device, to a chunk boundary of the stream,
+        // the whole device, past the end, or a non-positive no-op.
+        uint64_t kind = rng.NextBelow(5);
+        int64_t cut = rng.NextInRange(0, size);
+        if (kind == 1) {
+          cut = static_cast<int64_t>(kChunk -
+                                     pair.reference.discarded() % kChunk);
+        }
+        if (kind == 2) cut = size;
+        if (kind == 3) cut = size + rng.NextInRange(1, 3);
+        if (kind == 4) cut = -rng.NextInRange(0, 2);
+        pair.DiscardPrefix(cut);
+      } else if (op < 92) {
         pair.CorruptByte(rng.NextBelow(size + 2),
                          static_cast<uint8_t>(1 + rng.NextBelow(255)));
       }
@@ -237,7 +373,8 @@ TEST(MemLogDeviceTest, ImageConstructorSeedsExactlyTheImage) {
 
 // A checkpoint frame spanning several chunks, appended from a tail in the
 // middle of a chunk, decodes back to the image it was written from; so does
-// a device seeded with the same bytes.
+// a device seeded with the same bytes. The writer discards what precedes
+// the checkpoint, so the device then starts mid-chunk with that frame.
 TEST(MemLogDeviceTest, CheckpointLargerThanAChunkRoundTripsThroughReadWal) {
   MemLogDevice device;
   WalWriter writer(&device);
@@ -258,7 +395,11 @@ TEST(MemLogDeviceTest, CheckpointLargerThanAChunkRoundTripsThroughReadWal) {
   }
   int64_t before = device.Size();
   writer.Append(checkpoint);
-  ASSERT_GT(device.Size() - before, static_cast<int64_t>(2 * kChunk));
+  int64_t frame = device.Size();
+  ASSERT_GT(frame, static_cast<int64_t>(2 * kChunk));
+  ASSERT_EQ(frame, static_cast<int64_t>(
+                       EncodeWalRecord(checkpoint).size()))
+      << "the " << before << " B before the checkpoint were not discarded";
 
   WalRecord commit;
   commit.type = WalRecordType::kCommit;
@@ -271,15 +412,15 @@ TEST(MemLogDeviceTest, CheckpointLargerThanAChunkRoundTripsThroughReadWal) {
     WalScan scan;
     ASSERT_TRUE(ReadWal(*log, &scan).ok());
     EXPECT_FALSE(scan.torn_tail);
-    ASSERT_EQ(scan.records.size(), 3u);
+    ASSERT_EQ(scan.records.size(), 2u);
     EXPECT_EQ(scan.valid_bytes, static_cast<size_t>(device.Size()));
-    const CheckpointImage& image = scan.records[1].checkpoint;
-    EXPECT_EQ(scan.records[1].type, WalRecordType::kCheckpoint);
+    const CheckpointImage& image = scan.records[0].checkpoint;
+    EXPECT_EQ(scan.records[0].type, WalRecordType::kCheckpoint);
     EXPECT_EQ(image.clock, 77);
     EXPECT_EQ(image.items, checkpoint.checkpoint.items);
     EXPECT_EQ(image.committed, checkpoint.checkpoint.committed);
-    EXPECT_EQ(scan.records[2].type, WalRecordType::kCommit);
-    EXPECT_EQ(scan.records[2].clock, 78);
+    EXPECT_EQ(scan.records[1].type, WalRecordType::kCommit);
+    EXPECT_EQ(scan.records[1].clock, 78);
   }
 }
 

@@ -138,7 +138,8 @@ TEST(MdbsEndToEndSingle, Scheme2AcyclicityInvariantHoldsUnderStress) {
   // Run Scheme 2 with its exhaustive TSGD-acyclicity self-check enabled:
   // after every Eliminate_Cycles the TSGD must have no cycle through the
   // incoming transaction (a violation aborts the process via MDBS_CHECK).
-  MdbsConfig config = MdbsConfig::Mixed(AllProtocolMix(), SchemeKind::kScheme2);
+  MdbsConfig config =
+      MdbsConfig::Mixed(AllProtocolMix(), SchemeKind::kScheme2);
   config.seed = 99;
   config.gtm.scheme_factory = []() {
     auto scheme = std::make_unique<gtm::Scheme2>();
@@ -168,7 +169,8 @@ TEST(MdbsEndToEndSingle, UniformTwoPlManySites) {
 }
 
 TEST(MdbsEndToEndSingle, LocalOnlyWorkloadNeedsNoGtm) {
-  MdbsConfig config = MdbsConfig::Mixed(AllProtocolMix(), SchemeKind::kScheme3);
+  MdbsConfig config =
+      MdbsConfig::Mixed(AllProtocolMix(), SchemeKind::kScheme3);
   Mdbs system(config);
   DriverConfig driver;
   driver.global_clients = 0;

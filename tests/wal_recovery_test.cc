@@ -5,6 +5,8 @@
 // exactly the committed prefix or fails loudly. The reference is an
 // independent committed-prefix projection, deliberately a different
 // algorithm from storage::RecoverWal (no checkpoints, no CLRs, no undo).
+// Sites discard their WAL below each checkpoint, so the seeded runs log
+// through a HistoryLogDevice and the fuzz cuts its full history.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_plan.h"
+#include "history_log_device.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 #include "sim/event_loop.h"
@@ -270,17 +273,17 @@ int64_t ValueOf(const std::unordered_map<int64_t, int64_t>& store,
   return it == store.end() ? 0 : it->second;
 }
 
-/// One finished seeded durable run (sim engine) plus site 0's log image.
+/// One finished seeded durable run (sim engine) plus site 0's log.
 struct DurableRun {
-  std::shared_ptr<MemLogDevice> device;  // Site 0's WAL.
-  std::unique_ptr<Mdbs> system;          // Quiesced; live stores readable.
+  std::shared_ptr<HistoryLogDevice> device;  // Site 0's WAL.
+  std::unique_ptr<Mdbs> system;  // Quiesced; live stores readable.
 };
 
 /// Runs a small hot durable federation; site 0 runs `protocol`.
 DurableRun RunDurableWorkload(ProtocolKind protocol, uint64_t seed,
                               int64_t checkpoint_interval) {
   DurableRun run;
-  run.device = std::make_shared<MemLogDevice>();
+  run.device = std::make_shared<HistoryLogDevice>();
   MdbsConfig config = MdbsConfig::Mixed(
       {protocol, ProtocolKind::kTwoPhaseLocking}, SchemeKind::kScheme3);
   config.seed = seed;
@@ -316,15 +319,21 @@ INSTANTIATE_TEST_SUITE_P(Protocols, WalFuzzTest,
 TEST_P(WalFuzzTest, QuiescedReplayMatchesLiveStore) {
   DurableRun run = RunDurableWorkload(GetParam(), 17, 64);
   bool multiversion = GetParam() == ProtocolKind::kMultiversionTO;
+  MemLogDevice history(run.device->history());
 
   WalScan scan;
-  ASSERT_TRUE(ReadWal(*run.device, &scan).ok());
+  ASSERT_TRUE(ReadWal(history, &scan).ok());
   ASSERT_GT(scan.records.size(), 100u) << "workload too small to fuzz";
 
   RecoveredState state;
-  ASSERT_TRUE(RecoverWal(*run.device, multiversion, &state).ok());
+  ASSERT_TRUE(RecoverWal(history, multiversion, &state).ok());
   EXPECT_EQ(state.scanned_records,
             static_cast<int64_t>(scan.records.size()));
+  // What the site kept recovers the same store from a shorter scan.
+  RecoveredState kept;
+  ASSERT_TRUE(RecoverWal(*run.device, multiversion, &kept).ok());
+  EXPECT_EQ(kept.store, state.store);
+  EXPECT_LT(kept.scanned_records, state.scanned_records);
   for (int64_t item : ItemUniverse(scan.records)) {
     EXPECT_EQ(ValueOf(state.store, item),
               run.system->site(SiteId{0}).UnsafePeek(DataItemId{item}))
@@ -336,12 +345,12 @@ TEST_P(WalFuzzTest, QuiescedReplayMatchesLiveStore) {
 // recovery restores exactly the committed prefix — with checkpoints in the
 // stream, so most cuts land between a fuzzy snapshot and its undo horizon.
 TEST_P(WalFuzzTest, TruncationAtEveryBoundaryRestoresCommittedPrefix) {
-  std::shared_ptr<MemLogDevice> device = RunDurableWorkload(
-      GetParam(), 29, 48).device;
+  MemLogDevice device(
+      RunDurableWorkload(GetParam(), 29, 48).device->history());
   bool multiversion = GetParam() == ProtocolKind::kMultiversionTO;
 
   WalScan scan;
-  ASSERT_TRUE(ReadWal(*device, &scan).ok());
+  ASSERT_TRUE(ReadWal(device, &scan).ok());
   ASSERT_GE(scan.boundaries.size(), 100u)
       << "the battery must cover >= 100 truncation points";
   std::vector<int64_t> universe = ItemUniverse(scan.records);
@@ -359,7 +368,7 @@ TEST_P(WalFuzzTest, TruncationAtEveryBoundaryRestoresCommittedPrefix) {
   }
   ASSERT_GE(cut_indices.size(), 100u);
 
-  const std::vector<uint8_t> image = device->Image();
+  const std::vector<uint8_t> image = device.Image();
   size_t checkpointed_cuts = 0;
   for (size_t i : cut_indices) {
     size_t cut = i == 0 ? 0 : scan.boundaries[i - 1];
@@ -387,14 +396,14 @@ TEST_P(WalFuzzTest, TruncationAtEveryBoundaryRestoresCommittedPrefix) {
 // Cuts inside a frame are the torn tail a crash mid-append leaves: recovery
 // must land on the previous boundary's state and flag the tail.
 TEST_P(WalFuzzTest, MidFrameCutsBehaveAsTornTail) {
-  std::shared_ptr<MemLogDevice> device = RunDurableWorkload(
-      GetParam(), 43, 64).device;
+  MemLogDevice device(
+      RunDurableWorkload(GetParam(), 43, 64).device->history());
   bool multiversion = GetParam() == ProtocolKind::kMultiversionTO;
 
   WalScan scan;
-  ASSERT_TRUE(ReadWal(*device, &scan).ok());
+  ASSERT_TRUE(ReadWal(device, &scan).ok());
   std::vector<int64_t> universe = ItemUniverse(scan.records);
-  const std::vector<uint8_t> image = device->Image();
+  const std::vector<uint8_t> image = device.Image();
 
   size_t torn_cuts = 0;
   size_t frame_stride = std::max<size_t>(7, scan.boundaries.size() / 60);
@@ -428,14 +437,14 @@ TEST_P(WalFuzzTest, MidFrameCutsBehaveAsTornTail) {
 // hit): recovery then equals the boundary before that frame. Silent
 // acceptance of a corrupted committed value is the one forbidden outcome.
 TEST_P(WalFuzzTest, CorruptionFailsLoudlyOrRecoversACommittedPrefix) {
-  std::shared_ptr<MemLogDevice> device = RunDurableWorkload(
-      GetParam(), 57, 64).device;
+  MemLogDevice device(
+      RunDurableWorkload(GetParam(), 57, 64).device->history());
   bool multiversion = GetParam() == ProtocolKind::kMultiversionTO;
 
   WalScan scan;
-  ASSERT_TRUE(ReadWal(*device, &scan).ok());
+  ASSERT_TRUE(ReadWal(device, &scan).ok());
   std::vector<int64_t> universe = ItemUniverse(scan.records);
-  const std::vector<uint8_t> image = device->Image();
+  const std::vector<uint8_t> image = device.Image();
   size_t image_size = image.size();
   ASSERT_GT(image_size, 120u);
 
@@ -482,13 +491,14 @@ TEST_P(WalFuzzTest, CorruptionFailsLoudlyOrRecoversACommittedPrefix) {
 // crash image a test built) must come up with exactly the committed prefix
 // and answer reads from it.
 TEST(WalRecoveryTest, SiteRestartFromTruncatedImageServesCommittedPrefix) {
-  std::shared_ptr<MemLogDevice> device = RunDurableWorkload(
-      ProtocolKind::kTwoPhaseLocking, 71, 32).device;
+  MemLogDevice device(
+      RunDurableWorkload(ProtocolKind::kTwoPhaseLocking, 71, 32)
+          .device->history());
   WalScan scan;
-  ASSERT_TRUE(ReadWal(*device, &scan).ok());
+  ASSERT_TRUE(ReadWal(device, &scan).ok());
   std::vector<int64_t> universe = ItemUniverse(scan.records);
   ASSERT_GE(scan.boundaries.size(), 50u);
-  const std::vector<uint8_t> image = device->Image();
+  const std::vector<uint8_t> image = device.Image();
 
   for (size_t i = 0; i < scan.boundaries.size(); i += 11) {
     size_t cut = scan.boundaries[i];
@@ -600,8 +610,10 @@ uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
 // protocol checkpoints every 4 records through a crash on every site, and
 // each site's WAL, like the log of the durable GTM that ships its frames to
 // a warm standby, must hash to the digest this exact run produced when the
-// checkpoint was still rebuilt from the live tables. Every site log must
-// also replay to its site's live store.
+// checkpoint was still rebuilt from the live tables. A site keeps only its
+// WAL's suffix from the last checkpoint on, so the digest is taken over the
+// history its device recorded: the appended byte stream, which discarding
+// does not change. What each site kept must replay to its live store.
 TEST(WalDigestTest, FrequentCheckpointsThroughCrashesWriteTheRecordedBytes) {
   const std::vector<ProtocolKind> protocols = {
       ProtocolKind::kTwoPhaseLocking, ProtocolKind::kTimestampOrdering,
@@ -630,11 +642,11 @@ TEST(WalDigestTest, FrequentCheckpointsThroughCrashesWriteTheRecordedBytes) {
   config.gtm.checkpoint_interval = 16;
   config.gtm.wal_device = gtm_device;
   config.gtm_standby = true;
-  std::vector<std::shared_ptr<MemLogDevice>> devices;
+  std::vector<std::shared_ptr<HistoryLogDevice>> devices;
   for (site::SiteConfig& site : config.sites) {
     site.durable = true;
     site.checkpoint_interval = 4;
-    devices.push_back(std::make_shared<MemLogDevice>());
+    devices.push_back(std::make_shared<HistoryLogDevice>());
     site.wal_device = devices.back();
   }
   Mdbs system(config);
@@ -665,13 +677,13 @@ TEST(WalDigestTest, FrequentCheckpointsThroughCrashesWriteTheRecordedBytes) {
     SCOPED_TRACE(lcc::ProtocolKindName(protocols[i]));
     site::LocalDbms& site = system.site(SiteId{static_cast<int64_t>(i)});
     ASSERT_FALSE(site.IsDown());
-    std::vector<uint8_t> image = devices[i]->Image();
+    const std::vector<uint8_t>& image = devices[i]->history();
     EXPECT_EQ(Fnv1a64(image), kRecordedDigests[i])
         << "site " << i << " WAL digest is now " << hex(Fnv1a64(image))
         << " over " << image.size() << " bytes";
 
     WalScan scan;
-    ASSERT_TRUE(ReadWal(*devices[i], &scan).ok());
+    ASSERT_TRUE(ReadWal(MemLogDevice(image), &scan).ok());
     RecoveredState state;
     ASSERT_TRUE(RecoverWal(*devices[i],
                            protocols[i] == ProtocolKind::kMultiversionTO,
