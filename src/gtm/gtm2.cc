@@ -27,9 +27,21 @@ Gtm2::Gtm2(std::unique_ptr<Scheme> scheme, Callbacks callbacks,
            const obs::EventSink& events)
     : scheme_(std::move(scheme)),
       callbacks_(std::move(callbacks)),
-      events_(events) {
+      events_(&events) {
   MDBS_CHECK(scheme_ != nullptr);
-  scheme_->AttachEvents(&events_);
+  scheme_->AttachEvents(events_);
+}
+
+void Gtm2::Rebind(Callbacks callbacks, const obs::EventSink& events) {
+  callbacks_ = std::move(callbacks);
+  events_ = &events;
+  scheme_->AttachEvents(events_);
+}
+
+void Gtm2::CopyAuditFrom(const Gtm2& other) {
+  audit_config_ = other.audit_config_;
+  audit_enabled_ = other.audit_enabled_;
+  auditor_ = other.auditor_;
 }
 
 void Gtm2::EnableAudit(const audit::AuditConfig& config,
@@ -90,7 +102,7 @@ void Gtm2::AuditAfterAct(const QueueOp& op) {
 
 void Gtm2::Enqueue(QueueOp op) {
   queue_.push_back(std::move(op));
-  events_.Emit({.kind = obs::TraceEventKind::kQueueDepth,
+  events_->Emit({.kind = obs::TraceEventKind::kQueueDepth,
                 .txn = queue_.back().txn.value(),
                 .a = static_cast<int64_t>(queue_.size()),
                 .b = static_cast<int64_t>(wait_.size())});
@@ -108,7 +120,7 @@ void Gtm2::Pump() {
     } else {
       ++stats_.wait_additions;
       if (op.kind == QueueOpKind::kSer) ++stats_.ser_wait_additions;
-      events_.Emit({.kind = obs::TraceEventKind::kWaitEnter,
+      events_->Emit({.kind = obs::TraceEventKind::kWaitEnter,
                     .txn = op.txn.value(), .site = op.site.value(),
                     .a = static_cast<int64_t>(wait_.size()) + 1,
                     .detail = QueueOpKindName(op.kind),
@@ -145,7 +157,7 @@ bool Gtm2::TryProcess(const QueueOp& op) {
       return false;
     case Verdict::kAbort:
       ++stats_.scheme_aborts;
-      events_.Emit({.kind = obs::TraceEventKind::kSchemeAbort,
+      events_->Emit({.kind = obs::TraceEventKind::kSchemeAbort,
                     .txn = op.txn.value(), .site = op.site.value(),
                     .detail = QueueOpKindName(op.kind)});
       if (callbacks_.abort_txn) callbacks_.abort_txn(op.txn);
@@ -162,7 +174,7 @@ void Gtm2::RunAct(const QueueOp& op) {
   switch (op.kind) {
     case QueueOpKind::kInit:
       scheme_->ActInit(op);
-      events_.Emit({.kind = obs::TraceEventKind::kInit, .txn = op.txn.value(),
+      events_->Emit({.kind = obs::TraceEventKind::kInit, .txn = op.txn.value(),
                     .a = static_cast<int64_t>(op.sites.size())});
       break;
     case QueueOpKind::kSer:
@@ -170,25 +182,26 @@ void Gtm2::RunAct(const QueueOp& op) {
       // justified by the data structures as they are *now*.
       AuditBeforeSerRelease(op.txn, op.site);
       scheme_->ActSer(op.txn, op.site);
-      events_.Emit({.kind = obs::TraceEventKind::kSerRelease,
+      events_->Emit({.kind = obs::TraceEventKind::kSerRelease,
                     .txn = op.txn.value(), .site = op.site.value()});
       if (callbacks_.release_ser) callbacks_.release_ser(op.txn, op.site);
       break;
     case QueueOpKind::kAck:
       scheme_->ActAck(op.txn, op.site);
-      events_.Emit({.kind = obs::TraceEventKind::kAck, .txn = op.txn.value(),
+      events_->Emit({.kind = obs::TraceEventKind::kAck, .txn = op.txn.value(),
                     .site = op.site.value()});
       if (callbacks_.forward_ack) callbacks_.forward_ack(op.txn, op.site);
       break;
     case QueueOpKind::kValidate:
       scheme_->ActValidate(op.txn);
-      events_.Emit({.kind = obs::TraceEventKind::kValidate,
+      events_->Emit({.kind = obs::TraceEventKind::kValidate,
                     .txn = op.txn.value()});
       if (callbacks_.validate_passed) callbacks_.validate_passed(op.txn);
       break;
     case QueueOpKind::kFin:
       scheme_->ActFin(op.txn);
-      events_.Emit({.kind = obs::TraceEventKind::kFin, .txn = op.txn.value()});
+      events_->Emit(
+          {.kind = obs::TraceEventKind::kFin, .txn = op.txn.value()});
       if (callbacks_.fin_done) callbacks_.fin_done(op.txn);
       break;
   }
@@ -203,7 +216,7 @@ void Gtm2::DrainWait() {
     progress = false;
     for (auto it = wait_.begin(); it != wait_.end();) {
       if (dead_txns_.contains(it->txn)) {
-        events_.Emit({.kind = obs::TraceEventKind::kWaitAbandon,
+        events_->Emit({.kind = obs::TraceEventKind::kWaitAbandon,
                       .txn = it->txn.value(), .site = it->site.value(),
                       .detail = QueueOpKindName(it->kind)});
         it = wait_.erase(it);
@@ -214,7 +227,7 @@ void Gtm2::DrainWait() {
       // may splice other entries out of wait_, but never *it itself.
       const QueueOp& waiting = *it;
       if (TryProcess(waiting)) {
-        events_.Emit({.kind = obs::TraceEventKind::kWaitExit,
+        events_->Emit({.kind = obs::TraceEventKind::kWaitExit,
                       .txn = waiting.txn.value(), .site = waiting.site.value(),
                       .a = static_cast<int64_t>(wait_.size()) - 1,
                       .detail = QueueOpKindName(waiting.kind),
@@ -240,7 +253,7 @@ void Gtm2::AbortCleanup(GlobalTxnId txn) {
     // the abort callback.
     for (auto it = wait_.begin(); it != wait_.end();) {
       if (it->txn == txn) {
-        events_.Emit({.kind = obs::TraceEventKind::kWaitAbandon,
+        events_->Emit({.kind = obs::TraceEventKind::kWaitAbandon,
                       .txn = it->txn.value(), .site = it->site.value(),
                       .detail = QueueOpKindName(it->kind)});
         it = wait_.erase(it);
@@ -315,7 +328,7 @@ void Gtm2::ResetForRecovery(std::unique_ptr<Scheme> fresh) {
   pumping_ = false;
   ser_graph_ = audit::SerGraphAudit();
   scheme_ = std::move(fresh);
-  scheme_->AttachEvents(&events_);
+  scheme_->AttachEvents(events_);
 }
 
 std::vector<uint8_t> Gtm2::StateFingerprint() const {

@@ -65,6 +65,11 @@ class Gtm2 {
   Gtm2(const Gtm2&) = delete;
   Gtm2& operator=(const Gtm2&) = delete;
 
+  /// Hands the driver to a new owner: replaces its callbacks and its event
+  /// stream (the scheme's too). A GTM log catch-up (GtmReplica) rebuilds
+  /// GTM2 without callbacks or subscribers, then GTM1 takes it over.
+  void Rebind(Callbacks callbacks, const obs::EventSink& events);
+
   /// Inserts `op` at the back of QUEUE and processes the queue to
   /// quiescence (synchronously; all site interaction is deferred through
   /// the callbacks).
@@ -93,6 +98,10 @@ class Gtm2 {
   ///                              failed after an act.
   void EnableAudit(const audit::AuditConfig& config,
                    audit::Auditor* auditor);
+
+  /// Audits this driver exactly as `other` is audited (or not). Its ser(S)
+  /// graph starts empty.
+  void CopyAuditFrom(const Gtm2& other);
 
   bool audit_enabled() const { return audit_enabled_; }
   const audit::Auditor* auditor() const { return auditor_; }
@@ -146,7 +155,7 @@ class Gtm2 {
 
   std::unique_ptr<Scheme> scheme_;
   Callbacks callbacks_;
-  const obs::EventSink& events_;
+  const obs::EventSink* events_;
   std::deque<QueueOp> queue_;
   std::list<QueueOp> wait_;
   std::unordered_set<GlobalTxnId> dead_txns_;

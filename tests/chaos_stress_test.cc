@@ -135,7 +135,9 @@ TEST_P(ChaosStressTest, ThreadedFailoverUnderHeavyChaosStaysCorrect) {
   EXPECT_GE(report.global_committed, 30);
   EXPECT_EQ(report.gtm_standby.promotions, 1);
   EXPECT_EQ(report.gtm_standby.fencing_epoch, 1);
-  EXPECT_TRUE(system.primary_gtm().IsDown());
+  EXPECT_TRUE(system.gtm_replica()->promoted());
+  EXPECT_EQ(report.gtm_durability.recoveries, 0)
+      << "the fenced old primary must stay dead";
   EXPECT_EQ(report.faults.duplicates_suppressed,
             report.faults.duplicates_injected);
   EXPECT_TRUE(system.CheckLocallySerializable().ok());
