@@ -623,7 +623,7 @@ TEST(WalDigestTest, FrequentCheckpointsThroughCrashesWriteTheRecordedBytes) {
   const std::vector<uint64_t> kRecordedDigests = {
       0x40c1c69e4272afc7ull, 0x82e8441b78e72b26ull, 0x51f3d297d28084caull,
       0x14caee9dcc6d12faull, 0x55b05abdcbf630cfull};
-  const uint64_t kRecordedGtmDigest = 0x86b2d3e8edf05febull;
+  const uint64_t kRecordedGtmDigest = 0x63871d58d51674f9ull;
 
   MdbsConfig config = MdbsConfig::Mixed(protocols, SchemeKind::kScheme3);
   config.seed = 41;
