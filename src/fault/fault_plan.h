@@ -36,7 +36,7 @@ struct GtmCrashEvent {
 
 /// One scheduled GTM failover: the primary GTM crashes at `at` and — after
 /// `duration` ticks of detection delay — the warm standby is promoted in
-/// its place (fenced takeover, see gtm::Gtm1::Promote). Requires both a
+/// its place (fenced takeover, see gtm::GtmReplica::Promote). Requires both a
 /// durable GTM and a configured standby; at most one per plan, and never
 /// mixed with gtm_crash directives (the fenced old primary must stay dead —
 /// recovering it alongside the promoted standby would be split brain).

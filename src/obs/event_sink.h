@@ -16,8 +16,8 @@ namespace mdbs::obs {
 ///
 /// A plain value of two pointers, fixed before any component is built, so
 /// concurrent emits from every strand only read it. Muting a component is
-/// handing it a subscriber-less copy (see Gtm1, whose standby shadow and
-/// WAL replay must stay silent).
+/// handing it a subscriber-less sink (see GtmReplica, whose log replay
+/// must stay silent).
 class EventSink {
  public:
   constexpr EventSink() = default;
