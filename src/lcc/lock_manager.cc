@@ -115,7 +115,8 @@ LockResult LockManager::AcquireImpl(TxnId txn, DataItemId item,
       std::unordered_set<TxnId> visited;
       if (WaitsForReaches(r.txn, txn, &visited)) return LockResult::kDeadlock;
     }
-    entry.waiting.push_front(Request{txn, LockMode::kExclusive, true});
+    entry.waiting.insert(entry.waiting.begin(),
+                         Request{txn, LockMode::kExclusive, true});
     waiting_on_[txn] = item;
     return LockResult::kWaiting;
   }
@@ -142,8 +143,10 @@ LockResult LockManager::AcquireImpl(TxnId txn, DataItemId item,
 
 void LockManager::GrantFromQueue(DataItemId item, ItemLock* entry,
                                  std::vector<TxnId>* granted_out) {
-  while (!entry->waiting.empty()) {
-    const Request& front = entry->waiting.front();
+  std::vector<Request>& waiting = entry->waiting;
+  size_t served = 0;
+  for (; served < waiting.size(); ++served) {
+    const Request& front = waiting[served];
     if (front.is_upgrade) {
       // Grantable when the upgrader is the sole remaining holder.
       if (entry->granted.size() == 1 && entry->granted[0].txn == front.txn) {
@@ -159,12 +162,12 @@ void LockManager::GrantFromQueue(DataItemId item, ItemLock* entry,
       if (!compatible) break;
       entry->granted.push_back(front);
     }
-    TxnId txn = front.txn;
-    entry->waiting.pop_front();
-    waiting_on_.erase(txn);
-    RecordGrant(txn, item);
-    granted_out->push_back(txn);
+    waiting_on_.erase(front.txn);
+    RecordGrant(front.txn, item);
+    granted_out->push_back(front.txn);
   }
+  waiting.erase(waiting.begin(),
+                waiting.begin() + static_cast<ptrdiff_t>(served));
 }
 
 std::vector<TxnId> LockManager::ReleaseAll(TxnId txn) {

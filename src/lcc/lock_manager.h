@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -116,7 +115,11 @@ class LockManager {
   };
   struct ItemLock {
     std::vector<Request> granted;
-    std::deque<Request> waiting;
+    /// FIFO, an upgrade at the front. A vector: an entry lives only while
+    /// its item is locked, and most entries never queue anyone, so an
+    /// empty queue must not allocate (a std::deque allocates 576 B even
+    /// empty); queues are short, so inserting at the front is cheap.
+    std::vector<Request> waiting;
   };
 
   static bool Compatible(LockMode a, LockMode b) {

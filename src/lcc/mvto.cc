@@ -1,6 +1,7 @@
 #include "lcc/mvto.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -135,9 +136,10 @@ void MultiversionTimestampOrdering::OnFinish(TxnId txn, TxnOutcome outcome) {
 }
 
 void MultiversionTimestampOrdering::WakeWaiters(ItemState* state) {
-  std::deque<TxnId> waiters;
-  waiters.swap(state->waiters);
-  for (TxnId waiter : waiters) host_->ResumeTransaction(waiter);
+  // Taken out of the table first: a resumed reader may queue again.
+  for (TxnId waiter : std::exchange(state->waiters, {})) {
+    host_->ResumeTransaction(waiter);
+  }
 }
 
 void MultiversionTimestampOrdering::CollectGarbage() {

@@ -2,7 +2,6 @@
 #define MDBS_LCC_MVTO_H_
 
 #include <algorithm>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +75,10 @@ class MultiversionTimestampOrdering : public ConcurrencyControl {
     std::vector<Version> versions;
     /// Max timestamp that read the (implicit) initial version.
     int64_t initial_max_rts = -1;
-    std::deque<TxnId> waiters;
+    /// Readers blocked on an uncommitted version, in arrival order; a
+    /// vector because an empty one allocates nothing (see
+    /// TimestampOrdering::ItemMeta::waiters).
+    std::vector<TxnId> waiters;
   };
 
   /// Index of the newest version with wts <= ts, or -1 for the initial one.

@@ -1,6 +1,7 @@
 #include "lcc/sgt.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -125,9 +126,7 @@ void SerializationGraphTesting::OnFinish(TxnId txn, TxnOutcome outcome) {
         state.committed_writer = txn;
         state.readers.clear();
       }
-      std::deque<TxnId> waiters;
-      waiters.swap(state.latch_waiters);
-      for (TxnId waiter : waiters) {
+      for (TxnId waiter : std::exchange(state.latch_waiters, {})) {
         latch_waiting_for_.erase(waiter);
         host_->ResumeTransaction(waiter);
       }

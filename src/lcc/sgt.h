@@ -1,7 +1,6 @@
 #ifndef MDBS_LCC_SGT_H_
 #define MDBS_LCC_SGT_H_
 
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -56,7 +55,9 @@ class SerializationGraphTesting : public ConcurrencyControl {
     TxnId committed_writer;          // Last committed writer, if any.
     TxnId active_writer;             // Latch holder, if any.
     std::vector<TxnId> readers;      // Readers since last committed write.
-    std::deque<TxnId> latch_waiters;
+    /// Blocked on the latch, in arrival order; a vector because an empty
+    /// one allocates nothing (see TimestampOrdering::ItemMeta::waiters).
+    std::vector<TxnId> latch_waiters;
   };
 
   /// Conflict-edge sources for `op` by `txn` (excluding txn itself and

@@ -1,6 +1,7 @@
 #include "lcc/timestamp_ordering.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -67,9 +68,10 @@ void TimestampOrdering::OnFinish(TxnId txn, TxnOutcome outcome) {
       ItemMeta& meta = items_[item];
       if (meta.uncommitted_writer == txn) {
         meta.uncommitted_writer = TxnId();
-        std::deque<TxnId> waiters;
-        waiters.swap(meta.waiters);
-        for (TxnId waiter : waiters) host_->ResumeTransaction(waiter);
+        // Taken out of the table first: a resumed waiter may queue again.
+        for (TxnId waiter : std::exchange(meta.waiters, {})) {
+          host_->ResumeTransaction(waiter);
+        }
       }
     }
     written_.erase(it);
