@@ -394,8 +394,7 @@ Status ReadGtmLog(storage::LogDevice& device, GtmLogScan* out) {
   return Status::OK();
 }
 
-const std::vector<uint8_t>& GtmLogWriter::Append(
-    const GtmLogRecord& record) {
+std::span<const uint8_t> GtmLogWriter::Append(const GtmLogRecord& record) {
   bool is_checkpoint = record.type == GtmLogRecordType::kCheckpoint;
   bool is_commit_point = is_checkpoint ||
                          record.type == GtmLogRecordType::kCommitStart ||

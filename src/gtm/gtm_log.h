@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -161,7 +162,7 @@ class GtmLogWriter {
 
   /// Returns the CRC-framed bytes the device got, valid until the next
   /// append: what the warm standby is shipped.
-  const std::vector<uint8_t>& Append(const GtmLogRecord& record);
+  std::span<const uint8_t> Append(const GtmLogRecord& record);
 
   int64_t records_written() const { return frames_.records_written(); }
   int64_t bytes_written() const { return frames_.bytes_written(); }

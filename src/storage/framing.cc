@@ -1,5 +1,6 @@
 #include "storage/framing.h"
 
+#include <algorithm>
 #include <array>
 #include <string>
 
@@ -69,12 +70,21 @@ void PutI64(std::vector<uint8_t>* out, int64_t v) {
   StoreI64(out->data() + out->size() - 8, v);
 }
 
-void SealFrame(std::vector<uint8_t>* frame) {
-  MDBS_CHECK(frame->size() >= kFrameHeaderSize);
-  size_t payload_size = frame->size() - kFrameHeaderSize;
-  StoreU32(frame->data(), static_cast<uint32_t>(payload_size));
-  StoreU32(frame->data() + 4,
-           Crc32(frame->data() + kFrameHeaderSize, payload_size));
+void SealFrame(uint8_t* frame, size_t size) {
+  MDBS_CHECK(size >= kFrameHeaderSize);
+  size_t payload_size = size - kFrameHeaderSize;
+  StoreU32(frame, static_cast<uint32_t>(payload_size));
+  StoreU32(frame + 4, Crc32(frame + kFrameHeaderSize, payload_size));
+}
+
+bool ReadSingleFrame(std::span<const uint8_t> frame,
+                     std::span<const uint8_t>* payload) {
+  if (frame.size() < kFrameHeaderSize) return false;
+  const uint32_t len = LoadU32(frame.data());
+  const uint32_t crc = LoadU32(frame.data() + 4);
+  if (frame.size() - kFrameHeaderSize != len) return false;
+  *payload = frame.subspan(kFrameHeaderSize);
+  return Crc32(payload->data(), payload->size()) == crc;
 }
 
 Status ScanFrames(const std::vector<uint8_t>& image, FrameScan* out) {
@@ -144,13 +154,24 @@ void FrameWriter::AppendPayload(const std::vector<uint8_t>& payload,
   AppendEncoded(payload.size(), encode, is_checkpoint, is_commit_point);
 }
 
-const std::vector<uint8_t>& FrameWriter::AppendFrame(bool is_checkpoint,
-                                                     bool is_commit_point) {
-  SealFrame(&frame_);
-  Status appended = device_->Append(frame_.data(), frame_.size());
+uint8_t* FrameWriter::StartFrame(size_t size) {
+  if (size > capacity_) {
+    // Geometric growth, as a vector's, so a checkpoint frame that grows a
+    // little at every checkpoint does not reallocate every time.
+    capacity_ = std::max(size, 2 * capacity_);
+    buffer_ = std::make_unique_for_overwrite<uint8_t[]>(capacity_);
+  }
+  frame_size_ = size;
+  return buffer_.get();
+}
+
+std::span<const uint8_t> FrameWriter::AppendFrame(bool is_checkpoint,
+                                                  bool is_commit_point) {
+  SealFrame(buffer_.get(), frame_size_);
+  Status appended = device_->Append(buffer_.get(), frame_size_);
   MDBS_CHECK(appended.ok()) << appended.message();
   ++records_written_;
-  bytes_written_ += static_cast<int64_t>(frame_.size());
+  bytes_written_ += static_cast<int64_t>(frame_size_);
   if (is_checkpoint) {
     records_since_checkpoint_ = 0;
   } else {
@@ -174,7 +195,7 @@ const std::vector<uint8_t>& FrameWriter::AppendFrame(bool is_checkpoint,
     ++syncs_;
     records_since_sync_ = 0;
   }
-  return frame_;
+  return {buffer_.get(), frame_size_};
 }
 
 }  // namespace mdbs::storage

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,12 +122,12 @@ class Cursor {
 /// Bytes of the frame header: [u32 payload_len][u32 crc32(payload)].
 inline constexpr size_t kFrameHeaderSize = 8;
 
-/// Fills in the header of `frame`, whose payload already follows the
-/// kFrameHeaderSize bytes reserved for it. A frame is
+/// Fills in the header of the `size`-byte `frame`, whose payload already
+/// follows the kFrameHeaderSize bytes reserved for it. A frame is
 ///   [u32 payload_len][u32 crc32(payload)][payload]
 /// This is the one framing implementation shared by the site WAL and the
 /// GTM log; the two differ only in their payload (record) schemas.
-void SealFrame(std::vector<uint8_t>* frame);
+void SealFrame(uint8_t* frame, size_t size);
 
 /// Frames the `payload_size`-byte payload `encode(ByteWriter&)` writes.
 template <typename Encode>
@@ -133,9 +135,16 @@ std::vector<uint8_t> FrameEncoded(size_t payload_size, Encode&& encode) {
   std::vector<uint8_t> frame(kFrameHeaderSize + payload_size);
   ByteWriter out(frame.data() + kFrameHeaderSize);
   encode(out);
-  SealFrame(&frame);
+  SealFrame(frame.data(), frame.size());
   return frame;
 }
+
+/// Checks that `frame` is exactly one complete frame — a header, a payload
+/// of the length it states and a matching CRC, nothing more — and points
+/// `payload` at its payload. Reads one frame in place, without allocating
+/// (ScanFrames splits a whole image). False when any check fails.
+bool ReadSingleFrame(std::span<const uint8_t> frame,
+                     std::span<const uint8_t>* payload);
 
 /// Result of scanning a framed device image front to back, before any
 /// payload decoding.
@@ -200,12 +209,11 @@ class FrameWriter {
   /// `encode(ByteWriter&)` writes straight into the frame buffer. Returns
   /// the appended frame, valid until the next append.
   template <typename Encode>
-  const std::vector<uint8_t>& AppendEncoded(size_t payload_size,
-                                            Encode&& encode,
-                                            bool is_checkpoint,
-                                            bool is_commit_point = false) {
-    frame_.resize(kFrameHeaderSize + payload_size);
-    ByteWriter out(frame_.data() + kFrameHeaderSize);
+  std::span<const uint8_t> AppendEncoded(size_t payload_size,
+                                         Encode&& encode, bool is_checkpoint,
+                                         bool is_commit_point = false) {
+    uint8_t* frame = StartFrame(kFrameHeaderSize + payload_size);
+    ByteWriter out(frame + kFrameHeaderSize);
     encode(out);
     return AppendFrame(is_checkpoint, is_commit_point);
   }
@@ -220,14 +228,23 @@ class FrameWriter {
   int64_t syncs() const { return syncs_; }
 
  private:
-  /// Seals `frame_`, appends it to the device and applies the sync policy.
-  const std::vector<uint8_t>& AppendFrame(bool is_checkpoint,
-                                          bool is_commit_point);
+  /// Makes the frame buffer hold `size` bytes and returns it. The buffer
+  /// only grows, and is never zero-filled: the encoder overwrites every
+  /// byte of the frame, so filling a large checkpoint frame with zeros
+  /// first would be wasted work.
+  uint8_t* StartFrame(size_t size);
+  /// Seals the frame, appends it to the device and applies the sync
+  /// policy.
+  std::span<const uint8_t> AppendFrame(bool is_checkpoint,
+                                       bool is_commit_point);
 
   LogDevice* device_;
   WalSyncConfig sync_;
-  /// The frame being appended; reused so appends do not allocate.
-  std::vector<uint8_t> frame_;
+  /// The frame being appended: the first `frame_size_` of the
+  /// `capacity_` bytes at `buffer_`, reused so appends do not allocate.
+  std::unique_ptr<uint8_t[]> buffer_;
+  size_t capacity_ = 0;
+  size_t frame_size_ = 0;
   int64_t records_written_ = 0;
   int64_t bytes_written_ = 0;
   int64_t records_since_checkpoint_ = 0;

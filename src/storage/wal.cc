@@ -226,7 +226,7 @@ void WalWriter::Append(const WalRecord& record) {
   bool is_commit_point =
       is_checkpoint || record.type == WalRecordType::kCommit;
   auto encode = [&](ByteWriter& out) { EncodePayload(record, out); };
-  const std::vector<uint8_t>& frame = frames_.AppendEncoded(
+  const std::span<const uint8_t> frame = frames_.AppendEncoded(
       PayloadSize(record), encode, is_checkpoint, is_commit_point);
   if (is_checkpoint) {
     device_->DiscardPrefix(device_->Size() -

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -24,6 +25,7 @@
 #include "mdbs/mdbs.h"
 #include "sim/event_loop.h"
 #include "site/local_dbms.h"
+#include "storage/framing.h"
 #include "storage/log_device.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
@@ -193,6 +195,70 @@ TEST(WalEncodingTest, TornTailIsFlaggedAndIgnored) {
   EXPECT_TRUE(scan.torn_tail);
   EXPECT_EQ(scan.records.size(), 1u);
   EXPECT_EQ(scan.valid_bytes, static_cast<size_t>(boundary));
+}
+
+// The frame writer reuses one buffer that only grows and is never
+// zero-filled: frames of any size, in any order, must still be exactly the
+// bytes FrameEncoded builds afresh.
+TEST(WalEncodingTest, FrameWriterFramesMatchFreshFramesAcrossSizes) {
+  MemLogDevice device;
+  storage::FrameWriter writer(&device);
+  std::vector<uint8_t> expected;
+  uint8_t fill = 1;
+  for (size_t size : {1000u, 10u, 0u, 5000u, 3u, 4999u, 70'000u, 1u}) {
+    std::vector<uint8_t> payload(size, fill++);
+    auto encode = [&payload](storage::ByteWriter& out) {
+      out.Bytes(payload.data(), payload.size());
+    };
+    const std::vector<uint8_t> fresh =
+        storage::FrameEncoded(payload.size(), encode);
+    const std::span<const uint8_t> frame =
+        writer.AppendEncoded(payload.size(), encode, /*is_checkpoint=*/false);
+    EXPECT_TRUE(std::equal(frame.begin(), frame.end(), fresh.begin(),
+                           fresh.end()))
+        << "frame of a " << size << "-byte payload";
+    expected.insert(expected.end(), fresh.begin(), fresh.end());
+  }
+  EXPECT_EQ(device.Image(), expected);
+}
+
+// A shipped GTM frame is checked in place: one complete frame, its stated
+// length, a matching CRC and nothing after it.
+TEST(WalEncodingTest, ReadSingleFrameAcceptsExactlyOneIntactFrame) {
+  WalRecord rec;
+  rec.type = WalRecordType::kWrite;
+  rec.txn = 3;
+  rec.item = 4;
+  rec.value = 9;
+  const std::vector<uint8_t> frame = EncodeWalRecord(rec);
+  std::span<const uint8_t> payload;
+  ASSERT_TRUE(storage::ReadSingleFrame(frame, &payload));
+  EXPECT_EQ(payload.data(), frame.data() + storage::kFrameHeaderSize);
+  EXPECT_EQ(payload.size(), frame.size() - storage::kFrameHeaderSize);
+
+  const std::vector<uint8_t> empty =
+      storage::FrameEncoded(0, [](storage::ByteWriter&) {});
+  ASSERT_TRUE(storage::ReadSingleFrame(empty, &payload));
+  EXPECT_TRUE(payload.empty());
+
+  auto rejects = [&payload](std::vector<uint8_t> bytes) {
+    return !storage::ReadSingleFrame(bytes, &payload);
+  };
+  EXPECT_TRUE(rejects({}));
+  EXPECT_TRUE(rejects({frame.begin(), frame.begin() + 5}));  // In the header.
+  EXPECT_TRUE(rejects({frame.begin(), frame.end() - 1}));    // Torn.
+  std::vector<uint8_t> longer = frame;
+  longer.push_back(0);
+  EXPECT_TRUE(rejects(longer));
+  std::vector<uint8_t> two = frame;
+  two.insert(two.end(), frame.begin(), frame.end());
+  EXPECT_TRUE(rejects(two));
+  for (size_t at : {size_t{0}, size_t{4}, storage::kFrameHeaderSize,
+                    frame.size() - 1}) {
+    std::vector<uint8_t> flipped = frame;
+    flipped[at] ^= 0x01;
+    EXPECT_TRUE(rejects(flipped)) << "byte " << at << " flipped";
+  }
 }
 
 TEST(WalEncodingTest, CorruptedCompleteFrameFailsLoudly) {
@@ -610,10 +676,11 @@ uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
 // protocol checkpoints every 4 records through a crash on every site, and
 // each site's WAL, like the log of the durable GTM that ships its frames to
 // a warm standby, must hash to the digest this exact run produced when the
-// checkpoint was still rebuilt from the live tables. A site keeps only its
-// WAL's suffix from the last checkpoint on, so the digest is taken over the
-// history its device recorded: the appended byte stream, which discarding
-// does not change. What each site kept must replay to its live store.
+// checkpoint was still rebuilt from the live tables. A site, like the GTM,
+// keeps only its WAL's suffix from the last checkpoint on, so each digest
+// is taken over the history its device recorded: the appended byte
+// stream, which discarding does not change. What each site kept must
+// replay to its live store.
 TEST(WalDigestTest, FrequentCheckpointsThroughCrashesWriteTheRecordedBytes) {
   const std::vector<ProtocolKind> protocols = {
       ProtocolKind::kTwoPhaseLocking, ProtocolKind::kTimestampOrdering,
@@ -637,7 +704,7 @@ TEST(WalDigestTest, FrequentCheckpointsThroughCrashesWriteTheRecordedBytes) {
       "crash@6000:s1:1500;crash@7500:s3:1200;crash@9000:s4:800");
   ASSERT_TRUE(plan.ok()) << plan.status().message();
   config.fault_plan = *plan;
-  auto gtm_device = std::make_shared<MemLogDevice>();
+  auto gtm_device = std::make_shared<HistoryLogDevice>();
   config.gtm.durable = true;
   config.gtm.checkpoint_interval = 16;
   config.gtm.wal_device = gtm_device;
@@ -669,7 +736,7 @@ TEST(WalDigestTest, FrequentCheckpointsThroughCrashesWriteTheRecordedBytes) {
                   static_cast<unsigned long long>(digest));
     return std::string(text);
   };
-  std::vector<uint8_t> gtm_image = gtm_device->Image();
+  const std::vector<uint8_t>& gtm_image = gtm_device->history();
   EXPECT_EQ(Fnv1a64(gtm_image), kRecordedGtmDigest)
       << "GTM log digest is now " << hex(Fnv1a64(gtm_image)) << " over "
       << gtm_image.size() << " bytes";
