@@ -52,7 +52,8 @@ struct GtmStandbyStats {
   int64_t applied_bytes = 0;
   /// Durable-but-unshipped backlog at promotion time: the records the
   /// promoted standby had to read from the primary's log before taking
-  /// over. This — not the log length — bounds failover unavailability.
+  /// over — the whole kept log when it lacked the kept checkpoint. This —
+  /// not the log length — bounds failover unavailability.
   int64_t lag_records = 0;
   int64_t lag_bytes = 0;
   int64_t promotions = 0;
@@ -74,14 +75,23 @@ struct GtmStandbyStats {
 /// and their submissions in a buffer; and the optional warm standby, a
 /// follower fed every frame the primary appends, plus its fencing epoch.
 ///
+/// Once a checkpoint's frame is on the WAL, everything before it is
+/// discarded (`LogDevice::DiscardPrefix`), as the site WAL does: the log
+/// keeps one checkpoint and the records since. Log positions still count
+/// every record written, so kept record i sits at position
+/// `discarded records + i`; the standby's frame sequence numbers are such
+/// positions.
+///
 /// Recovery is one catch-up path: a follower (a GtmLogReplayer plus a
 /// GTM2 of its own) applies log records one at a time, then Gtm1::Install
 /// takes its analysis and its GTM2. Cold Recover() runs a fresh follower
-/// over the GTM's own log; Promote() runs the standby's follower over the
-/// primary's unshipped tail. They differ only in where the records come
-/// from and in how the aborted attempts become durable: cold recovery
-/// appends them to the log it replayed, a promoted node opens its own log
-/// with a checkpoint that holds them. All methods run on the GTM strand.
+/// over the GTM's kept log; Promote() runs the standby's follower over the
+/// primary's unshipped tail, or over the whole kept log when the standby
+/// has not yet received the kept checkpoint. They differ only in where the
+/// records come from and in how the aborted attempts become durable: cold
+/// recovery appends them to the log it replayed, a promoted node opens its
+/// own log with a checkpoint that holds them. All methods run on the GTM
+/// strand.
 class GtmReplica : private SiteGateway {
  public:
   /// Builds the Gtm1 and the WAL on `config.wal_device` (a fresh in-memory
@@ -116,7 +126,8 @@ class GtmReplica : private SiteGateway {
   bool Crash();
 
   /// Restarts the crashed primary from its log: a fresh follower analyzes
-  /// it from the head and replays GTM2 from the latest checkpoint, audited.
+  /// what the log kept, from its checkpoint (or from the head before the
+  /// first), and replays GTM2 from the latest checkpoint, audited.
   /// The GTM resumes after recovery_base_time + recovery_time_per_record *
   /// records. `down_sites` is the health monitor's current down set. No-op
   /// unless down; after a promotion the primary is fenced out, and the
@@ -125,9 +136,10 @@ class GtmReplica : private SiteGateway {
 
   /// Fails over to the warm standby while the primary is down: bumps the
   /// fencing epoch, applies the durable records the standby has not
-  /// received (the tail), installs, and opens a fresh WAL with a
-  /// checkpoint. Resumes after recovery_base_time +
-  /// recovery_time_per_record * tail records. No-op once promoted.
+  /// received (the tail; the whole kept log when the standby lacks the
+  /// kept checkpoint), installs, and opens a fresh WAL with a checkpoint.
+  /// Resumes after recovery_base_time + recovery_time_per_record * tail
+  /// records. No-op once promoted.
   void Promote(const std::vector<SiteId>& down_sites);
 
   bool IsDown() const { return down_; }
@@ -139,6 +151,12 @@ class GtmReplica : private SiteGateway {
   /// The log the GTM writes now: the primary's, or after a promotion the
   /// promoted node's own.
   storage::LogDevice* wal_device() const { return wal_device_.get(); }
+
+  /// The device a promotion opens the promoted node's WAL on; a fresh
+  /// in-memory device when none is set.
+  void SetPromotionWalDevice(std::shared_ptr<storage::LogDevice> device) {
+    promotion_wal_device_ = std::move(device);
+  }
 
  private:
   struct Follower;
@@ -162,6 +180,9 @@ class GtmReplica : private SiteGateway {
   void Record(const GtmLogRecord& record);
   void MaybeScheduleCheckpoint();
   void TakeCheckpoint();
+  /// Discards the WAL below the checkpoint frame of `frame_size` bytes
+  /// just appended, and moves the kept base up to it.
+  void DiscardBelowCheckpoint(int64_t frame_size);
   void OpenWal(std::shared_ptr<storage::LogDevice> device);
 
   /// A follower with a fresh GTM2 that has no callbacks and no subscribers.
@@ -171,7 +192,8 @@ class GtmReplica : private SiteGateway {
   /// replayed a GTM2 mutation.
   bool CatchUp(Follower* follower, const GtmLogRecord& record,
                bool into_gtm2);
-  /// Standby: applies one frame the primary shipped.
+  /// Standby: applies one frame the primary shipped, at log position
+  /// `seq`.
   void ReceiveShippedFrame(int64_t seq, std::vector<uint8_t> frame);
   /// The catch-up both recoveries share: audits the follower's GTM2 like
   /// the live one, applies `records` from `from` on (into GTM2 from
@@ -195,6 +217,12 @@ class GtmReplica : private SiteGateway {
 
   std::shared_ptr<storage::LogDevice> wal_device_;
   std::unique_ptr<GtmLogWriter> wal_;
+  /// The kept base: records and bytes of the WAL discarded so far. Records
+  /// count from the writer's first, which is the log head whenever a
+  /// standby is attached (its WAL must start empty).
+  int64_t discarded_records_ = 0;
+  int64_t discarded_bytes_ = 0;
+  std::shared_ptr<storage::LogDevice> promotion_wal_device_;
   bool checkpoint_scheduled_ = false;
   bool down_ = false;
   /// Between Recover()/Promote() and the delayed resume.

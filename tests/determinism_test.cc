@@ -365,7 +365,7 @@ TEST(ObsDigestTest, TraceAndMetricsKeepTheirRecordedBytes) {
        0x2287adf56bb3b59cull, 0xe6ffa30c3ee90b9full},
       {"gtm-crash", gtm_crash, Workload(), 19,
        {TraceEventKind::kGtmCrash, TraceEventKind::kGtmRecover},
-       0xb4b8adde484d55d1ull, 0x987697bcf5bc852dull},
+       0x49f863cf43763586ull, 0xf4ef1073b4ee41a1ull},
       {"gtm-failover", failover, retries, 117,
        {TraceEventKind::kGtmPromoteBegin, TraceEventKind::kGtmPromote},
        0xe8bf72264358b1f4ull, 0x1235a3679e9ed243ull},

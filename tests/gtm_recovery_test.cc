@@ -33,6 +33,7 @@
 #include "gtm/gtm1.h"
 #include "gtm/gtm2.h"
 #include "gtm/gtm_log.h"
+#include "history_log_device.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 #include "storage/framing.h"
@@ -104,7 +105,9 @@ TEST_P(GtmCrashPointFuzzTest, EveryLogPrefixReplaysToTheLiveState) {
   const SchemeKind scheme = std::get<0>(GetParam());
   const int64_t checkpoint_interval = std::get<1>(GetParam());
 
-  auto device = std::make_shared<storage::MemLogDevice>();
+  // The GTM keeps only its log's suffix from the latest checkpoint on; the
+  // battery cuts the whole history the device recorded.
+  auto device = std::make_shared<HistoryLogDevice>();
   MdbsConfig config = MdbsConfig::Mixed(kProtocols, scheme);
   config.seed = 101;
   config.gtm.durable = true;
@@ -139,7 +142,8 @@ TEST_P(GtmCrashPointFuzzTest, EveryLogPrefixReplaysToTheLiveState) {
   RunDriver(&system, driver, 101);
 
   GtmLogScan scan;
-  ASSERT_TRUE(ReadGtmLog(*device, &scan).ok());
+  storage::MemLogDevice history(device->history());
+  ASSERT_TRUE(ReadGtmLog(history, &scan).ok());
   ASSERT_FALSE(scan.torn_tail);
   ASSERT_GT(scan.records.size(), 150u)
       << "workload too small for a meaningful crash-point sweep";
@@ -241,7 +245,7 @@ TEST_P(GtmCrashPointFuzzTest, EveryLogPrefixReplaysToTheLiveState) {
 // inside a frame must yield exactly the preceding records, flagged torn —
 // recovery then starts from a consistent prefix instead of failing.
 TEST(GtmRecoveryTest, TornTailIsIgnoredNotFatal) {
-  auto device = std::make_shared<storage::MemLogDevice>();
+  auto device = std::make_shared<HistoryLogDevice>();
   MdbsConfig config = MdbsConfig::Mixed(kProtocols, SchemeKind::kScheme3);
   config.seed = 5;
   config.gtm.durable = true;
@@ -255,8 +259,7 @@ TEST(GtmRecoveryTest, TornTailIsIgnoredNotFatal) {
   driver.global_workload.items_per_site = 20;
   RunDriver(&system, driver, 5);
 
-  std::vector<uint8_t> image;
-  ASSERT_TRUE(device->ReadAll(&image).ok());
+  const std::vector<uint8_t>& image = device->history();
   storage::FrameScan frames;
   ASSERT_TRUE(storage::ScanFrames(image, &frames).ok());
   ASSERT_GT(frames.boundaries.size(), 10u);
@@ -367,7 +370,7 @@ TEST(GtmRecoveryTest, RecoveryCostScalesWithLogLength) {
 // GTM allocates ids strictly above everything the log has seen, so trace
 // consumers (check_trace.py gtm-recovery schema) can rely on it.
 TEST(GtmRecoveryTest, IdAllocationResumesAboveTheLog) {
-  auto device = std::make_shared<storage::MemLogDevice>();
+  auto device = std::make_shared<HistoryLogDevice>();
   MdbsConfig config = MdbsConfig::Mixed(kProtocols, SchemeKind::kScheme3);
   config.seed = 47;
   config.gtm.durable = true;
@@ -386,7 +389,8 @@ TEST(GtmRecoveryTest, IdAllocationResumesAboveTheLog) {
   ASSERT_EQ(report.gtm_durability.crashes, 1);
 
   GtmLogScan scan;
-  ASSERT_TRUE(ReadGtmLog(*device, &scan).ok());
+  storage::MemLogDevice history(device->history());
+  ASSERT_TRUE(ReadGtmLog(history, &scan).ok());
   // Replaying the full log must never see an attempt id reused for a new
   // attempt: AnalyzeGtmLog errors on an attempt_start for a live id, and
   // next_attempt_id grows monotonically. The same holds for job ids.
@@ -446,10 +450,12 @@ DriverConfig DigestWorkload() {
 // Cold recovery appends to the log it replayed: an attempt_fail and an
 // abort_cleanup per undecided attempt, then the records and checkpoints of
 // the resumed run. Two restarts of this run must leave exactly the bytes
-// they left when the digest was recorded.
+// they left when the digest was recorded. The GTM discards its log below
+// every checkpoint, so the digest is taken over the history the device
+// recorded: the appended byte stream.
 TEST(GtmLogDigestTest, ColdRecoveriesWriteTheRecordedBytes) {
-  const uint64_t kRecordedDigest = 0x49bdf4aa60af0290ull;
-  auto device = std::make_shared<storage::MemLogDevice>();
+  const uint64_t kRecordedDigest = 0xa3932c169b1fda97ull;
+  auto device = std::make_shared<HistoryLogDevice>();
   MdbsConfig config = DigestConfig(13);
   config.gtm.wal_device = device;
   fault::FaultPlan plan;
@@ -460,15 +466,15 @@ TEST(GtmLogDigestTest, ColdRecoveriesWriteTheRecordedBytes) {
   DriverReport report = RunDriver(&system, DigestWorkload(), 19);
   ASSERT_EQ(report.gtm_durability.recoveries, 2);
   EXPECT_GT(report.gtm_durability.recovery_aborted_attempts, 0);
-  std::vector<uint8_t> image = device->Image();
+  const std::vector<uint8_t>& image = device->history();
   EXPECT_EQ(Fnv1a64(image), kRecordedDigest)
       << "GTM log digest is now " << Hex(Fnv1a64(image)) << " over "
       << image.size() << " bytes";
 }
 
 // A promoted standby starts a fresh WAL with one checkpoint of the state
-// it replayed, then logs the resumed run. That log must hash to the digest
-// this run produced when it was recorded.
+// it replayed, then logs the resumed run. That log's history must hash to
+// the digest this run produced when it was recorded.
 TEST(GtmLogDigestTest, PromotedStandbyWritesTheRecordedBytes) {
   const uint64_t kRecordedDigest = 0xb6bff9c4e8cc4534ull;
   MdbsConfig config = DigestConfig(17);
@@ -478,14 +484,16 @@ TEST(GtmLogDigestTest, PromotedStandbyWritesTheRecordedBytes) {
   plan.gtm_failovers.push_back(fault::GtmFailoverEvent{20'000, 1500});
   config.fault_plan = plan;
   Mdbs system(config);
+  auto promoted_wal = std::make_shared<HistoryLogDevice>();
+  system.gtm_replica()->SetPromotionWalDevice(promoted_wal);
   DriverReport report = RunDriver(&system, DigestWorkload(), 117);
   EXPECT_GT(report.gtm_durability.recovery_aborted_attempts, 0);
   ASSERT_EQ(report.gtm_standby.promotions, 1);
-  std::vector<uint8_t> image;
-  storage::LogDevice* promoted_wal = system.gtm_replica()->wal_device();
-  ASSERT_TRUE(promoted_wal->ReadAll(&image).ok());
+  ASSERT_EQ(system.gtm_replica()->wal_device(), promoted_wal.get());
+  const std::vector<uint8_t>& image = promoted_wal->history();
   GtmLogScan scan;
-  ASSERT_TRUE(ReadGtmLog(*promoted_wal, &scan).ok());
+  storage::MemLogDevice history(image);
+  ASSERT_TRUE(ReadGtmLog(history, &scan).ok());
   ASSERT_GT(scan.records.size(), 1u) << "the promoted GTM logged nothing";
   EXPECT_EQ(scan.records.front().type, GtmLogRecordType::kCheckpoint);
   EXPECT_EQ(Fnv1a64(image), kRecordedDigest)

@@ -1,8 +1,8 @@
-// A site-WAL device for tests that need the log's whole history. The site
-// discards its WAL below every checkpoint; this device still does that,
-// through the MemLogDevice it forwards to, and also keeps every byte ever
-// appended, so a test can cut the full byte stream anywhere and compare
-// recovery from what the site kept with recovery from the history.
+// A log device for tests that need the log's whole history. A site and the
+// durable GTM discard their WAL below every checkpoint; this device still
+// does that, through the MemLogDevice it forwards to, and also keeps every
+// byte ever appended, so a test can cut the full byte stream anywhere and
+// compare recovery from what was kept with recovery from the history.
 #ifndef MDBS_TESTS_HISTORY_LOG_DEVICE_H_
 #define MDBS_TESTS_HISTORY_LOG_DEVICE_H_
 
@@ -53,10 +53,10 @@ class HistoryLogDevice : public storage::LogDevice {
   /// Every byte appended and not truncated away, front to back: the image
   /// a device that never discards would hold.
   const std::vector<uint8_t>& history() const { return history_; }
-  /// What the site kept: the suffix of history() from discarded() on.
+  /// What the log kept: the suffix of history() from discarded() on.
   const storage::MemLogDevice& retained() const { return retained_; }
   int64_t discarded() const { return discarded_; }
-  /// DiscardPrefix calls so far: one per checkpoint the site wrote.
+  /// DiscardPrefix calls so far: one per checkpoint written.
   int64_t discards() const { return discards_; }
 
  private:
