@@ -17,7 +17,6 @@
 // recovery over the GTM's own log and a promotion with an empty tail
 // install the same state.
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -28,6 +27,7 @@
 #include "fault/fault_plan.h"
 #include "gtm/gtm1.h"
 #include "gtm/gtm_log.h"
+#include "gtm_install_capture.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 #include "storage/log_device.h"
@@ -336,29 +336,6 @@ TEST(GtmFailoverTest, StandbyShadowKeepsUpWithThePrimary) {
 // Cold recovery and promotion install the same state
 // ----------------------------------------------------------------------
 
-/// What one catch-up installed, read right after Recover() or Promote()
-/// and before the GTM resumes.
-struct Installed {
-  bool captured = false;
-  std::vector<uint8_t> gtm2;
-  std::array<int64_t, 13> stats{};
-  int64_t in_flight = 0;
-  /// Gtm1::Snapshot — id allocators, counters, job and attempt tables,
-  /// quarantine and GTM2's image — encoded as a checkpoint record.
-  std::vector<uint8_t> snapshot;
-  size_t jobs = 0;
-  size_t attempts = 0;
-  int64_t lag_records = 0;
-};
-
-std::array<int64_t, 13> StatsFields(const gtm::Gtm1Stats& s) {
-  return {s.submitted,        s.committed,       s.failed,
-          s.attempts,         s.aborted_attempts, s.scheme_aborts,
-          s.timeouts,         s.partial_commits, s.site_down_aborts,
-          s.parked,           s.unparked,        s.park_timeouts,
-          s.fast_path_attempts};
-}
-
 constexpr sim::Time kDiffDetection = 1000;
 
 /// Runs one Scheme-`scheme` workload with a site crash sweep, crashes the
@@ -393,25 +370,8 @@ Installed RunToInstall(SchemeKind scheme, bool standby, sim::Time crash_at) {
   }
   Mdbs system(config);
 
-  // Scheduled after the plan's crash, so the capture lands after the
-  // catch-up the crash scheduled and before the resume it schedules.
   Installed out;
-  system.loop().Schedule(crash_at, [&]() {
-    system.loop().Schedule(kDiffDetection, [&]() {
-      gtm::Gtm1& gtm = system.gtm();
-      out.captured = true;
-      out.gtm2 = gtm.gtm2().StateFingerprint();
-      out.stats = StatsFields(gtm.stats());
-      out.in_flight = gtm.InFlight();
-      gtm::GtmLogRecord record;
-      record.type = gtm::GtmLogRecordType::kCheckpoint;
-      gtm.Snapshot(&record.checkpoint);
-      out.snapshot = gtm::EncodeGtmLogRecord(record);
-      out.jobs = record.checkpoint.jobs.size();
-      out.attempts = record.checkpoint.attempts.size();
-      out.lag_records = system.gtm_standby_stats().lag_records;
-    });
-  });
+  CaptureInstall(&system, crash_at, kDiffDetection, &out);
   DriverConfig driver;
   driver.global_clients = 6;
   driver.local_clients_per_site = 1;
@@ -450,11 +410,7 @@ TEST_P(GtmCatchUpDiffTest, ColdRecoveryAndPromotionInstallTheSameState) {
     Installed warm = RunToInstall(scheme, /*standby=*/true, crash_at);
     ASSERT_TRUE(cold.captured && warm.captured);
     EXPECT_EQ(warm.lag_records, 0) << "the promotion had a tail to read";
-    EXPECT_EQ(cold.gtm2, warm.gtm2) << "GTM2 StateFingerprint differs";
-    EXPECT_EQ(cold.stats, warm.stats) << "Gtm1Stats differ";
-    EXPECT_EQ(cold.in_flight, warm.in_flight);
-    EXPECT_EQ(cold.snapshot, warm.snapshot)
-        << "job or attempt tables, id allocators or quarantine differ";
+    ExpectSameInstall(cold, warm);
     jobs_seen += static_cast<int64_t>(cold.jobs);
     attempts_seen += static_cast<int64_t>(cold.attempts);
   }
