@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_plan.h"
+#include "gtm/gtm_log.h"
 #include "history_log_device.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
@@ -138,6 +140,375 @@ TEST(WalEncodingTest, AllRecordTypesRoundTrip) {
   EXPECT_EQ(scan.records[3].clock, 42);
   EXPECT_EQ(scan.records[4].type, WalRecordType::kAbort);
   EXPECT_EQ(scan.records[4].txn, 9);
+}
+
+// ----------------------------------------------------------------------
+// Codec cases both logs share: every record type round-trips with fields
+// that are not the defaults, and the readers reject every malformed
+// payload built from the well-formed ones.
+// ----------------------------------------------------------------------
+
+std::vector<uint8_t> PayloadOf(const std::vector<uint8_t>& frame) {
+  return {frame.begin() + storage::kFrameHeaderSize, frame.end()};
+}
+
+/// Named malformed payloads built from the well-formed `payloads`, one of
+/// each record type: every proper prefix, one trailing byte, and a type
+/// byte of 0 or one past `last_type`, alone or in place of the real one.
+std::vector<std::pair<std::string, std::vector<uint8_t>>> MalformedPayloads(
+    const std::vector<std::vector<uint8_t>>& payloads, uint8_t last_type) {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> cases;
+  for (uint8_t type : {uint8_t{0}, static_cast<uint8_t>(last_type + 1)}) {
+    std::string name = "lone type ";
+    cases.emplace_back(name.append(std::to_string(type)),
+                       std::vector<uint8_t>{type});
+  }
+  for (const std::vector<uint8_t>& payload : payloads) {
+    std::string name = "type ";
+    name.append(std::to_string(payload.at(0))).append(" payload ");
+    for (size_t n = 0; n < payload.size(); ++n) {
+      cases.emplace_back(name + "cut to " + std::to_string(n) + " bytes",
+                         std::vector<uint8_t>(payload.begin(),
+                                              payload.begin() + n));
+    }
+    std::vector<uint8_t> longer = payload;
+    longer.push_back(0);
+    cases.emplace_back(name + "with a trailing byte", longer);
+    for (uint8_t type : {uint8_t{0}, static_cast<uint8_t>(last_type + 1)}) {
+      std::vector<uint8_t> retyped = payload;
+      retyped[0] = type;
+      cases.emplace_back(name + "retyped " + std::to_string(type), retyped);
+    }
+  }
+  return cases;
+}
+
+/// `payload` with the u32 count at byte `at` one past the bytes after it.
+std::vector<uint8_t> WithOverlongCount(std::vector<uint8_t> payload,
+                                       size_t at) {
+  const size_t left = payload.size() - at - 4;
+  storage::StoreU32(payload.data() + at, static_cast<uint32_t>(left + 1));
+  return payload;
+}
+
+/// One WAL record of each type; a checkpoint with every table filled.
+std::vector<WalRecord> EveryWalRecordType() {
+  std::vector<WalRecord> records(6);
+  records[0].type = WalRecordType::kBegin;
+  records[0].txn = 7;
+  records[0].global = 3;
+  records[0].clock = 41;
+  records[1].type = WalRecordType::kWrite;
+  records[1].txn = 7;
+  records[1].item = 11;
+  records[1].before = -2;
+  records[1].value = 55;
+  records[1].clock = 43;
+  records[2].type = WalRecordType::kClr;
+  records[2].txn = 7;
+  records[2].item = 11;
+  records[2].value = -2;
+  records[3].type = WalRecordType::kCommit;
+  records[3].txn = 7;
+  records[3].clock = 42;
+  records[4].type = WalRecordType::kAbort;
+  records[4].txn = 9;
+  WalRecord& checkpoint = records[5];
+  checkpoint.type = WalRecordType::kCheckpoint;
+  checkpoint.checkpoint.clock = 99;
+  checkpoint.checkpoint.items = {{1, 10, 7}, {2, 20, -1}};
+  checkpoint.checkpoint.committed = {4, 6};
+  checkpoint.checkpoint.mv_initial = {{1, 0}};
+  checkpoint.checkpoint.mv_latest = {{1, 12, 6, 10}};
+  checkpoint.checkpoint.active.push_back({5, 2, {{2, 15}, {2, 18}}});
+  return records;
+}
+
+std::string Dump(const WalRecord& r) {
+  std::ostringstream out;
+  out << "type=" << static_cast<int>(r.type) << " txn=" << r.txn
+      << " global=" << r.global << " clock=" << r.clock
+      << " item=" << r.item << " before=" << r.before
+      << " value=" << r.value << " image_clock=" << r.checkpoint.clock
+      << " committed=";
+  for (int64_t txn : r.checkpoint.committed) out << txn << ",";
+  out << " items=";
+  for (const CheckpointImage::Item& i : r.checkpoint.items) {
+    out << i.item << ":" << i.value << ":" << i.last_committed_writer << ",";
+  }
+  out << " mv_initial=";
+  for (const auto& [item, value] : r.checkpoint.mv_initial) {
+    out << item << ":" << value << ",";
+  }
+  out << " mv_latest=";
+  for (const CheckpointImage::MvVersion& v : r.checkpoint.mv_latest) {
+    out << v.item << ":" << v.wts << ":" << v.writer << ":" << v.value << ",";
+  }
+  out << " active=";
+  for (const CheckpointImage::ActiveTxn& txn : r.checkpoint.active) {
+    out << txn.txn << ":" << txn.global << "[";
+    for (const auto& [item, before] : txn.undo) {
+      out << item << ":" << before << ",";
+    }
+    out << "]";
+  }
+  return out.str();
+}
+
+TEST(WalEncodingTest, EveryFieldOfEveryRecordTypeRoundTrips) {
+  const std::vector<WalRecord> records = EveryWalRecordType();
+  std::vector<uint8_t> image;
+  for (const WalRecord& record : records) {
+    const std::vector<uint8_t> frame = EncodeWalRecord(record);
+    image.insert(image.end(), frame.begin(), frame.end());
+  }
+  WalScan scan;
+  ASSERT_TRUE(ReadWal(MemLogDevice(image), &scan).ok());
+  ASSERT_EQ(scan.records.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(Dump(scan.records[i]), Dump(records[i]));
+  }
+}
+
+/// True when ReadWal refuses a device holding `payload` in one intact
+/// frame.
+bool WalRejects(const std::vector<uint8_t>& payload) {
+  auto encode = [&payload](storage::ByteWriter& out) {
+    out.Bytes(payload.data(), payload.size());
+  };
+  WalScan scan;
+  return !ReadWal(MemLogDevice(storage::FrameEncoded(payload.size(), encode)),
+                  &scan)
+              .ok();
+}
+
+TEST(WalEncodingTest, RejectsEveryMalformedPayload) {
+  std::vector<std::vector<uint8_t>> payloads;
+  for (const WalRecord& record : EveryWalRecordType()) {
+    payloads.push_back(PayloadOf(EncodeWalRecord(record)));
+    ASSERT_FALSE(WalRejects(payloads.back()));
+  }
+  auto cases = MalformedPayloads(
+      payloads, static_cast<uint8_t>(WalRecordType::kCheckpoint));
+  // The checkpoint's first count (committed, after the type and clock) and
+  // its last (the undo list of the last active transaction).
+  const std::vector<uint8_t>& checkpoint = payloads.back();
+  cases.emplace_back("overlong committed count",
+                     WithOverlongCount(checkpoint, 9));
+  cases.emplace_back("overlong undo count",
+                     WithOverlongCount(checkpoint, checkpoint.size() - 36));
+  for (const auto& [name, payload] : cases) {
+    EXPECT_TRUE(WalRejects(payload)) << name;
+  }
+}
+
+/// One GTM log record of each type, every field the type encodes set to a
+/// value that is not its default; the checkpoint fills every table.
+std::vector<gtm::GtmLogRecord> EveryGtmLogRecordType() {
+  using gtm::GtmLogRecordType;
+  std::vector<gtm::GtmLogRecord> records;
+  auto add = [&records](GtmLogRecordType type) -> gtm::GtmLogRecord& {
+    records.emplace_back();
+    records.back().type = type;
+    return records.back();
+  };
+  gtm::GtmLogRecord* r = &add(GtmLogRecordType::kSubmit);
+  r->job = 4;
+  r->time = 1234;
+  r = &add(GtmLogRecordType::kAttemptStart);
+  r->attempt = 8;
+  r->job = 4;
+  r->index = 2;
+  r = &add(GtmLogRecordType::kBeginSite);
+  r->attempt = 8;
+  r->site = 1;
+  r->sub = 77;
+  r = &add(GtmLogRecordType::kRead);
+  r->attempt = 8;
+  r->site = 2;
+  r->item = 13;
+  r->value = -5;
+  r = &add(GtmLogRecordType::kEnqueue);
+  r->op = gtm::QueueOp::Init(GlobalTxnId(8), {SiteId(0), SiteId(2)});
+  r = &add(GtmLogRecordType::kAbortCleanup);
+  r->attempt = 9;
+  r = &add(GtmLogRecordType::kAttemptFail);
+  r->attempt = 9;
+  r->code = 3;
+  r = &add(GtmLogRecordType::kCommitStart);
+  r->attempt = 8;
+  r = &add(GtmLogRecordType::kCommitSite);
+  r->attempt = 8;
+  r->index = 1;
+  r = &add(GtmLogRecordType::kFinish);
+  r->job = 4;
+  r->code = 2;
+  r->index = 3;
+  add(GtmLogRecordType::kPark).job = 5;
+  add(GtmLogRecordType::kUnpark).job = 6;
+  add(GtmLogRecordType::kSiteDown).site = 2;
+  add(GtmLogRecordType::kSiteUp).site = 3;
+
+  gtm::GtmCheckpoint& cp = add(GtmLogRecordType::kCheckpoint).checkpoint;
+  cp.next_txn_id = 101;
+  cp.next_attempt_id = 102;
+  cp.next_job_id = 103;
+  int64_t n = 1;
+  for (int64_t* stat :
+       {&cp.gtm1_stats.submitted, &cp.gtm1_stats.committed,
+        &cp.gtm1_stats.failed, &cp.gtm1_stats.attempts,
+        &cp.gtm1_stats.aborted_attempts, &cp.gtm1_stats.scheme_aborts,
+        &cp.gtm1_stats.timeouts, &cp.gtm1_stats.partial_commits,
+        &cp.gtm1_stats.site_down_aborts, &cp.gtm1_stats.parked,
+        &cp.gtm1_stats.unparked, &cp.gtm1_stats.park_timeouts,
+        &cp.gtm1_stats.fast_path_attempts, &cp.gtm2.stats.processed_ops,
+        &cp.gtm2.stats.wait_additions, &cp.gtm2.stats.ser_wait_additions,
+        &cp.gtm2.stats.cond_evaluations, &cp.gtm2.stats.failed_rescan_steps,
+        &cp.gtm2.stats.scheme_aborts}) {
+    *stat = 10 * n++;
+  }
+  cp.jobs.push_back({4, 1234, 2, 8, false});
+  cp.jobs.push_back({5, 1300, 1, -1, true});
+  gtm::GtmCheckpoint::AttemptImage attempt;
+  attempt.id = 8;
+  attempt.job = 4;
+  attempt.committing = true;
+  attempt.commit_index = 1;
+  attempt.subs = {{0, 70}, {2, 77}};
+  attempt.reads = {{0, 3, 30}, {2, 13, -5}};
+  cp.attempts.push_back(attempt);
+  cp.quarantined = {1, 3};
+  cp.gtm2.wait.push_back(gtm::QueueOp::Ser(GlobalTxnId(8), SiteId(2)));
+  cp.gtm2.wait.push_back(
+      gtm::QueueOp::Init(GlobalTxnId(11), {SiteId(1), SiteId(3)}));
+  cp.gtm2.dead_txns = {6, 9};
+  cp.gtm2.scheme_steps = 4321;
+  cp.gtm2.scheme_state = {1, 0, 255, 7, 42};
+  return records;
+}
+
+std::string Dump(const gtm::QueueOp& op) {
+  std::ostringstream out;
+  out << op.ToString() << "/" << op.site.value();
+  for (SiteId site : op.sites) out << "," << site.value();
+  return out.str();
+}
+
+std::string Dump(const gtm::GtmLogRecord& r) {
+  std::ostringstream out;
+  out << "type=" << static_cast<int>(r.type) << " job=" << r.job
+      << " attempt=" << r.attempt << " site=" << r.site << " sub=" << r.sub
+      << " item=" << r.item << " value=" << r.value << " index=" << r.index
+      << " code=" << static_cast<int>(r.code) << " time=" << r.time
+      << " op=" << Dump(r.op);
+  const gtm::GtmCheckpoint& cp = r.checkpoint;
+  out << " next=" << cp.next_txn_id << ":" << cp.next_attempt_id << ":"
+      << cp.next_job_id;
+  const gtm::Gtm1Stats& s = cp.gtm1_stats;
+  out << " gtm1=" << s.submitted << "," << s.committed << "," << s.failed
+      << "," << s.attempts << "," << s.aborted_attempts << ","
+      << s.scheme_aborts << "," << s.timeouts << "," << s.partial_commits
+      << "," << s.site_down_aborts << "," << s.parked << "," << s.unparked
+      << "," << s.park_timeouts << "," << s.fast_path_attempts;
+  out << " jobs=";
+  for (const gtm::GtmCheckpoint::JobImage& job : cp.jobs) {
+    out << job.id << ":" << job.submit_time << ":" << job.attempts << ":"
+        << job.current_attempt << ":" << job.parked << ",";
+  }
+  out << " attempts=";
+  for (const gtm::GtmCheckpoint::AttemptImage& a : cp.attempts) {
+    out << a.id << ":" << a.job << ":" << a.committing << ":"
+        << a.commit_index << "[";
+    for (const auto& [site, sub] : a.subs) out << site << ":" << sub << ",";
+    out << "][";
+    for (const auto& read : a.reads) {
+      out << read[0] << ":" << read[1] << ":" << read[2] << ",";
+    }
+    out << "],";
+  }
+  out << " quarantined=";
+  for (int64_t site : cp.quarantined) out << site << ",";
+  out << " wait=";
+  for (const gtm::QueueOp& op : cp.gtm2.wait) out << Dump(op) << ";";
+  out << " dead=";
+  for (int64_t txn : cp.gtm2.dead_txns) out << txn << ",";
+  const gtm::Gtm2Stats& g = cp.gtm2.stats;
+  out << " gtm2=" << g.processed_ops << "," << g.wait_additions << ","
+      << g.ser_wait_additions << "," << g.cond_evaluations << ","
+      << g.failed_rescan_steps << "," << g.scheme_aborts
+      << " steps=" << cp.gtm2.scheme_steps << " state=";
+  for (uint8_t byte : cp.gtm2.scheme_state) out << int{byte} << ",";
+  return out.str();
+}
+
+TEST(GtmLogEncodingTest, AllRecordTypesRoundTrip) {
+  const std::vector<gtm::GtmLogRecord> records = EveryGtmLogRecordType();
+  ASSERT_EQ(records.size(),
+            static_cast<size_t>(gtm::GtmLogRecordType::kCheckpoint));
+  MemLogDevice device;
+  for (const gtm::GtmLogRecord& record : records) {
+    const std::vector<uint8_t> frame = gtm::EncodeGtmLogRecord(record);
+    const std::vector<uint8_t> payload = PayloadOf(frame);
+    gtm::GtmLogRecord decoded;
+    ASSERT_TRUE(
+        gtm::DecodeGtmLogPayload(payload.data(), payload.size(), &decoded))
+        << gtm::GtmLogRecordTypeName(record.type);
+    EXPECT_EQ(Dump(decoded), Dump(record));
+    ASSERT_TRUE(device.Append(frame.data(), frame.size()).ok());
+  }
+  gtm::GtmLogScan scan;
+  ASSERT_TRUE(gtm::ReadGtmLog(device, &scan).ok());
+  EXPECT_FALSE(scan.torn_tail);
+  EXPECT_EQ(scan.valid_bytes, static_cast<size_t>(device.Size()));
+  ASSERT_EQ(scan.records.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(Dump(scan.records[i]), Dump(records[i]));
+  }
+}
+
+bool GtmLogRejects(const std::vector<uint8_t>& payload) {
+  gtm::GtmLogRecord record;
+  return !gtm::DecodeGtmLogPayload(payload.data(), payload.size(), &record);
+}
+
+TEST(GtmLogEncodingTest, RejectsEveryMalformedPayload) {
+  using gtm::GtmLogRecordType;
+  std::vector<gtm::GtmLogRecord> records = EveryGtmLogRecordType();
+  std::vector<std::vector<uint8_t>> payloads;
+  for (const gtm::GtmLogRecord& record : records) {
+    payloads.push_back(PayloadOf(gtm::EncodeGtmLogRecord(record)));
+    ASSERT_FALSE(GtmLogRejects(payloads.back()));
+  }
+  auto cases = MalformedPayloads(
+      payloads, static_cast<uint8_t>(GtmLogRecordType::kCheckpoint));
+
+  // A QueueOpKind past kFin, in an enqueue and in a checkpoint's WAIT.
+  const auto past_fin = static_cast<gtm::QueueOpKind>(
+      static_cast<int>(gtm::QueueOpKind::kFin) + 1);
+  gtm::GtmLogRecord enqueue = records[4];
+  ASSERT_EQ(enqueue.type, GtmLogRecordType::kEnqueue);
+  enqueue.op.kind = past_fin;
+  cases.emplace_back("enqueue of a kind past kFin",
+                     PayloadOf(gtm::EncodeGtmLogRecord(enqueue)));
+  gtm::GtmLogRecord checkpoint = records.back();
+  checkpoint.checkpoint.gtm2.wait.back().kind = past_fin;
+  cases.emplace_back("WAIT op of a kind past kFin",
+                     PayloadOf(gtm::EncodeGtmLogRecord(checkpoint)));
+
+  // Counts past the bytes left: the enqueue's site list (after the type,
+  // kind, txn and site), the checkpoint's jobs (after the type, three ids
+  // and thirteen GTM1 counters) and its scheme blob (the last field).
+  cases.emplace_back("overlong site count",
+                     WithOverlongCount(payloads[4], 1 + 1 + 8 + 8));
+  const std::vector<uint8_t>& image = payloads.back();
+  cases.emplace_back("overlong job count",
+                     WithOverlongCount(image, 1 + 3 * 8 + 13 * 8));
+  const size_t blob = records.back().checkpoint.gtm2.scheme_state.size();
+  cases.emplace_back("overlong scheme blob",
+                     WithOverlongCount(image, image.size() - blob - 4));
+  for (const auto& [name, payload] : cases) {
+    EXPECT_TRUE(GtmLogRejects(payload)) << name;
+  }
 }
 
 TEST(WalEncodingTest, CheckpointImageRoundTrips) {
