@@ -208,6 +208,11 @@ TEST(GtmFailoverTest, FencedOldPrimaryCannotRecoverAndLateFramesDrop) {
          "after the promotion and be discarded";
   EXPECT_GT(standby.lag_records, 0)
       << "the promotion should have had a durable tail to read back";
+  // Quiescent: every shipped frame was either applied before the promotion
+  // or dropped after it. The tail the promotion read back is neither.
+  EXPECT_EQ(standby.shipped_records,
+            standby.applied_records + standby.dropped_frames);
+  EXPECT_LE(standby.applied_bytes, standby.shipped_bytes);
 
   // The fenced old primary refuses to recover: it lost the epoch.
   gtm::GtmReplica& replica = *system.gtm_replica();
