@@ -454,6 +454,9 @@ def check_failover(path, doc, trace_stats):
     epoch = counters.get("gtm_standby.fencing_epoch", 0)
     shipped = counters.get("gtm_standby.shipped_records", 0)
     applied = counters.get("gtm_standby.applied_records", 0)
+    dropped = counters.get("gtm_standby.dropped_frames", 0)
+    shipped_bytes = counters.get("gtm_standby.shipped_bytes", 0)
+    applied_bytes = counters.get("gtm_standby.applied_bytes", 0)
     if promotions and info.get("gtm_standby") != "1":
         fail(f"{path}: {promotions} promotions in a run not marked "
              f"gtm_standby (only a warm standby can be promoted)")
@@ -462,9 +465,15 @@ def check_failover(path, doc, trace_stats):
         # relation means a promotion was replayed or an epoch skipped.
         fail(f"{path}: gtm_standby.fencing_epoch={epoch} != "
              f"gtm_standby.promotions={promotions}")
-    if applied > shipped:
-        fail(f"{path}: gtm_standby.applied_records={applied} exceeds "
-             f"shipped_records={shipped}")
+    # Both applied counters cover shipped frames only: each shipped frame
+    # is applied before a promotion, dropped after it, or still in flight
+    # when the run ends.
+    if applied + dropped > shipped:
+        fail(f"{path}: gtm_standby.applied_records={applied} + "
+             f"dropped_frames={dropped} exceeds shipped_records={shipped}")
+    if applied_bytes > shipped_bytes:
+        fail(f"{path}: gtm_standby.applied_bytes={applied_bytes} exceeds "
+             f"shipped_bytes={shipped_bytes}")
     if trace_stats is not None:
         if trace_stats["promotions"] != promotions:
             fail(f"{path}: gtm_standby.promotions={promotions} but the "
