@@ -274,14 +274,6 @@ void Gtm2::AbortCleanup(GlobalTxnId txn) {
 
 namespace {
 
-void EncodeOp(const QueueOp& op, std::vector<uint8_t>* out) {
-  storage::PutU8(out, static_cast<uint8_t>(op.kind));
-  storage::PutI64(out, op.txn.value());
-  storage::PutI64(out, op.site.value());
-  storage::PutU32(out, static_cast<uint32_t>(op.sites.size()));
-  for (SiteId site : op.sites) storage::PutI64(out, site.value());
-}
-
 std::vector<int64_t> SortedTxns(
     const std::unordered_set<GlobalTxnId>& txns) {
   std::vector<int64_t> sorted;
@@ -296,6 +288,10 @@ std::vector<int64_t> SortedTxns(
 Gtm2::VolatileImage Gtm2::SnapshotForCheckpoint() const {
   MDBS_CHECK(!pumping_ && queue_.empty())
       << "GTM2 snapshot requires a quiescent driver";
+  return Image();
+}
+
+Gtm2::VolatileImage Gtm2::Image() const {
   VolatileImage image;
   image.wait.assign(wait_.begin(), wait_.end());
   image.dead_txns = SortedTxns(dead_txns_);
@@ -332,21 +328,7 @@ void Gtm2::ResetForRecovery(std::unique_ptr<Scheme> fresh) {
 }
 
 std::vector<uint8_t> Gtm2::StateFingerprint() const {
-  std::vector<uint8_t> out;
-  scheme_->EncodeState(&out);
-  storage::PutI64(&out, scheme_->steps());
-  storage::PutU32(&out, static_cast<uint32_t>(wait_.size()));
-  for (const QueueOp& op : wait_) EncodeOp(op, &out);
-  std::vector<int64_t> dead = SortedTxns(dead_txns_);
-  storage::PutU32(&out, static_cast<uint32_t>(dead.size()));
-  for (int64_t txn : dead) storage::PutI64(&out, txn);
-  storage::PutI64(&out, stats_.processed_ops);
-  storage::PutI64(&out, stats_.wait_additions);
-  storage::PutI64(&out, stats_.ser_wait_additions);
-  storage::PutI64(&out, stats_.cond_evaluations);
-  storage::PutI64(&out, stats_.failed_rescan_steps);
-  storage::PutI64(&out, stats_.scheme_aborts);
-  return out;
+  return storage::EncodeFields(Image());
 }
 
 }  // namespace mdbs::gtm

@@ -13,6 +13,7 @@
 #include "gtm/queue_op.h"
 #include "gtm/scheme.h"
 #include "obs/event_sink.h"
+#include "storage/framing.h"
 
 namespace mdbs::gtm {
 
@@ -133,10 +134,11 @@ class Gtm2 {
   /// one.
   void ResetForRecovery(std::unique_ptr<Scheme> fresh);
 
-  /// Deterministic structural fingerprint of the volatile state (scheme DS
-  /// encoding + steps, WAIT in order, dead set, counters). The recovery
-  /// oracle compares a replayed instance's fingerprint against the live
-  /// one's at the same log position.
+  /// Deterministic structural fingerprint of the volatile state: the
+  /// VolatileImage a checkpoint would hold, encoded through its field list,
+  /// at any point (not only a quiescent one). The recovery oracle compares
+  /// a replayed instance's fingerprint against the live one's at the same
+  /// log position.
   std::vector<uint8_t> StateFingerprint() const;
 
  private:
@@ -152,6 +154,8 @@ class Gtm2 {
   void AuditVerdict(const QueueOp& op, Verdict verdict);
   void AuditBeforeSerRelease(GlobalTxnId txn, SiteId site);
   void AuditAfterAct(const QueueOp& op);
+  /// The volatile image as it stands, quiescent or not.
+  VolatileImage Image() const;
 
   std::unique_ptr<Scheme> scheme_;
   Callbacks callbacks_;
@@ -167,6 +171,32 @@ class Gtm2 {
   audit::Auditor* auditor_ = nullptr;
   audit::SerGraphAudit ser_graph_;
 };
+
+// Field lists (storage/framing.h) of GTM2's part of a GTM checkpoint.
+template <typename Io, storage::FieldsOf<QueueOp> R>
+void Fields(Io& io, R& op) {
+  io.Enum(op.kind, QueueOpKind::kInit, QueueOpKind::kFin);
+  storage::Field(io, op.txn);
+  storage::Field(io, op.site);
+  io.Vec(op.sites);
+}
+template <typename Io, storage::FieldsOf<Gtm2Stats> R>
+void Fields(Io& io, R& stats) {
+  io.I64(stats.processed_ops);
+  io.I64(stats.wait_additions);
+  io.I64(stats.ser_wait_additions);
+  io.I64(stats.cond_evaluations);
+  io.I64(stats.failed_rescan_steps);
+  io.I64(stats.scheme_aborts);
+}
+template <typename Io, storage::FieldsOf<Gtm2::VolatileImage> R>
+void Fields(Io& io, R& image) {
+  io.Vec(image.wait);
+  io.Vec(image.dead_txns);
+  Fields(io, image.stats);
+  io.I64(image.scheme_steps);
+  io.Vec(image.scheme_state);
+}
 
 /// Constructs the scheme implementation for `kind`.
 std::unique_ptr<Scheme> MakeScheme(SchemeKind kind);

@@ -7,327 +7,113 @@
 
 namespace mdbs::gtm {
 
-namespace {
-
-using storage::ByteCounter;
-using storage::ByteWriter;
-using storage::Cursor;
-
-// The encoders below write into a storage::ByteCounter (sizing) or a
-// storage::ByteWriter (writing in place).
-template <typename Out>
-void EncodeGtm1Stats(const Gtm1Stats& s, Out& out) {
-  out.I64(s.submitted);
-  out.I64(s.committed);
-  out.I64(s.failed);
-  out.I64(s.attempts);
-  out.I64(s.aborted_attempts);
-  out.I64(s.scheme_aborts);
-  out.I64(s.timeouts);
-  out.I64(s.partial_commits);
-  out.I64(s.site_down_aborts);
-  out.I64(s.parked);
-  out.I64(s.unparked);
-  out.I64(s.park_timeouts);
-  out.I64(s.fast_path_attempts);
+// The records' field lists (storage/framing.h); GTM2's part of a
+// checkpoint has its own in gtm2.h.
+template <typename Io, storage::FieldsOf<Gtm1Stats> R>
+void Fields(Io& io, R& stats) {
+  io.I64(stats.submitted);
+  io.I64(stats.committed);
+  io.I64(stats.failed);
+  io.I64(stats.attempts);
+  io.I64(stats.aborted_attempts);
+  io.I64(stats.scheme_aborts);
+  io.I64(stats.timeouts);
+  io.I64(stats.partial_commits);
+  io.I64(stats.site_down_aborts);
+  io.I64(stats.parked);
+  io.I64(stats.unparked);
+  io.I64(stats.park_timeouts);
+  io.I64(stats.fast_path_attempts);
 }
-
-void DecodeGtm1Stats(Cursor* c, Gtm1Stats* s) {
-  s->submitted = c->I64();
-  s->committed = c->I64();
-  s->failed = c->I64();
-  s->attempts = c->I64();
-  s->aborted_attempts = c->I64();
-  s->scheme_aborts = c->I64();
-  s->timeouts = c->I64();
-  s->partial_commits = c->I64();
-  s->site_down_aborts = c->I64();
-  s->parked = c->I64();
-  s->unparked = c->I64();
-  s->park_timeouts = c->I64();
-  s->fast_path_attempts = c->I64();
+template <typename Io, storage::FieldsOf<GtmCheckpoint::JobImage> R>
+void Fields(Io& io, R& job) {
+  io.I64(job.id);
+  io.I64(job.submit_time);
+  io.I64(job.attempts);
+  io.I64(job.current_attempt);
+  io.Bool(job.parked);
 }
-
-template <typename Out>
-void EncodeGtm2Stats(const Gtm2Stats& s, Out& out) {
-  out.I64(s.processed_ops);
-  out.I64(s.wait_additions);
-  out.I64(s.ser_wait_additions);
-  out.I64(s.cond_evaluations);
-  out.I64(s.failed_rescan_steps);
-  out.I64(s.scheme_aborts);
+template <typename Io, storage::FieldsOf<GtmCheckpoint::AttemptImage> R>
+void Fields(Io& io, R& attempt) {
+  io.I64(attempt.id);
+  io.I64(attempt.job);
+  io.Bool(attempt.committing);
+  io.I64(attempt.commit_index);
+  io.Vec(attempt.subs);
+  io.Vec(attempt.reads);
 }
-
-void DecodeGtm2Stats(Cursor* c, Gtm2Stats* s) {
-  s->processed_ops = c->I64();
-  s->wait_additions = c->I64();
-  s->ser_wait_additions = c->I64();
-  s->cond_evaluations = c->I64();
-  s->failed_rescan_steps = c->I64();
-  s->scheme_aborts = c->I64();
+template <typename Io, storage::FieldsOf<GtmCheckpoint> R>
+void Fields(Io& io, R& cp) {
+  io.I64(cp.next_txn_id);
+  io.I64(cp.next_attempt_id);
+  io.I64(cp.next_job_id);
+  Fields(io, cp.gtm1_stats);
+  io.Vec(cp.jobs);
+  io.Vec(cp.attempts);
+  io.Vec(cp.quarantined);
+  Fields(io, cp.gtm2);
 }
-
-template <typename Out>
-void EncodeQueueOpInto(const QueueOp& op, Out& out) {
-  out.U8(static_cast<uint8_t>(op.kind));
-  out.I64(op.txn.value());
-  out.I64(op.site.value());
-  out.U32(static_cast<uint32_t>(op.sites.size()));
-  for (SiteId site : op.sites) out.I64(site.value());
-}
-
-bool DecodeQueueOpFrom(Cursor* c, QueueOp* op) {
-  uint8_t kind = c->U8();
-  if (kind > static_cast<uint8_t>(QueueOpKind::kFin)) return false;
-  op->kind = static_cast<QueueOpKind>(kind);
-  op->txn = GlobalTxnId(c->I64());
-  op->site = SiteId(c->I64());
-  uint32_t n = c->U32();
-  op->sites.clear();
-  for (uint32_t i = 0; i < n && c->ok(); ++i) op->sites.emplace_back(c->I64());
-  return c->ok();
-}
-
-template <typename Out>
-void EncodeCheckpoint(const GtmCheckpoint& cp, Out& out) {
-  out.I64(cp.next_txn_id);
-  out.I64(cp.next_attempt_id);
-  out.I64(cp.next_job_id);
-  EncodeGtm1Stats(cp.gtm1_stats, out);
-  out.U32(static_cast<uint32_t>(cp.jobs.size()));
-  for (const GtmCheckpoint::JobImage& job : cp.jobs) {
-    out.I64(job.id);
-    out.I64(job.submit_time);
-    out.I64(job.attempts);
-    out.I64(job.current_attempt);
-    out.U8(job.parked ? 1 : 0);
-  }
-  out.U32(static_cast<uint32_t>(cp.attempts.size()));
-  for (const GtmCheckpoint::AttemptImage& attempt : cp.attempts) {
-    out.I64(attempt.id);
-    out.I64(attempt.job);
-    out.U8(attempt.committing ? 1 : 0);
-    out.I64(attempt.commit_index);
-    out.U32(static_cast<uint32_t>(attempt.subs.size()));
-    for (const auto& [site, sub] : attempt.subs) {
-      out.I64(site);
-      out.I64(sub);
-    }
-    out.U32(static_cast<uint32_t>(attempt.reads.size()));
-    for (const auto& read : attempt.reads) {
-      out.I64(read[0]);
-      out.I64(read[1]);
-      out.I64(read[2]);
-    }
-  }
-  out.U32(static_cast<uint32_t>(cp.quarantined.size()));
-  for (int64_t site : cp.quarantined) out.I64(site);
-  const Gtm2::VolatileImage& gtm2 = cp.gtm2;
-  out.U32(static_cast<uint32_t>(gtm2.wait.size()));
-  for (const QueueOp& op : gtm2.wait) EncodeQueueOpInto(op, out);
-  out.U32(static_cast<uint32_t>(gtm2.dead_txns.size()));
-  for (int64_t txn : gtm2.dead_txns) out.I64(txn);
-  EncodeGtm2Stats(gtm2.stats, out);
-  out.I64(gtm2.scheme_steps);
-  out.U32(static_cast<uint32_t>(gtm2.scheme_state.size()));
-  out.Bytes(gtm2.scheme_state.data(), gtm2.scheme_state.size());
-}
-
-bool DecodeCheckpoint(Cursor* c, GtmCheckpoint* cp) {
-  cp->next_txn_id = c->I64();
-  cp->next_attempt_id = c->I64();
-  cp->next_job_id = c->I64();
-  DecodeGtm1Stats(c, &cp->gtm1_stats);
-  uint32_t jobs = c->U32();
-  for (uint32_t i = 0; i < jobs && c->ok(); ++i) {
-    GtmCheckpoint::JobImage job;
-    job.id = c->I64();
-    job.submit_time = c->I64();
-    job.attempts = c->I64();
-    job.current_attempt = c->I64();
-    job.parked = c->U8() != 0;
-    cp->jobs.push_back(job);
-  }
-  uint32_t attempts = c->U32();
-  for (uint32_t i = 0; i < attempts && c->ok(); ++i) {
-    GtmCheckpoint::AttemptImage attempt;
-    attempt.id = c->I64();
-    attempt.job = c->I64();
-    attempt.committing = c->U8() != 0;
-    attempt.commit_index = c->I64();
-    uint32_t subs = c->U32();
-    for (uint32_t j = 0; j < subs && c->ok(); ++j) {
-      int64_t site = c->I64();
-      int64_t sub = c->I64();
-      attempt.subs.emplace_back(site, sub);
-    }
-    uint32_t reads = c->U32();
-    for (uint32_t j = 0; j < reads && c->ok(); ++j) {
-      std::array<int64_t, 3> read;
-      read[0] = c->I64();
-      read[1] = c->I64();
-      read[2] = c->I64();
-      attempt.reads.push_back(read);
-    }
-    cp->attempts.push_back(std::move(attempt));
-  }
-  uint32_t quarantined = c->U32();
-  for (uint32_t i = 0; i < quarantined && c->ok(); ++i) {
-    cp->quarantined.push_back(c->I64());
-  }
-  Gtm2::VolatileImage* gtm2 = &cp->gtm2;
-  uint32_t wait = c->U32();
-  for (uint32_t i = 0; i < wait && c->ok(); ++i) {
-    QueueOp op;
-    if (!DecodeQueueOpFrom(c, &op)) return false;
-    gtm2->wait.push_back(std::move(op));
-  }
-  uint32_t dead = c->U32();
-  for (uint32_t i = 0; i < dead && c->ok(); ++i) {
-    gtm2->dead_txns.push_back(c->I64());
-  }
-  DecodeGtm2Stats(c, &gtm2->stats);
-  gtm2->scheme_steps = c->I64();
-  uint32_t blob = c->U32();
-  for (uint32_t i = 0; i < blob && c->ok(); ++i) {
-    gtm2->scheme_state.push_back(c->U8());
-  }
-  return c->ok();
-}
-
-template <typename Out>
-void EncodePayload(const GtmLogRecord& record, Out& out) {
-  out.U8(static_cast<uint8_t>(record.type));
-  switch (record.type) {
+template <typename Io, storage::FieldsOf<GtmLogRecord> R>
+void Fields(Io& io, R& r) {
+  io.Enum(r.type, GtmLogRecordType::kSubmit, GtmLogRecordType::kCheckpoint);
+  switch (r.type) {
     case GtmLogRecordType::kSubmit:
-      out.I64(record.job);
-      out.I64(record.time);
+      io.I64(r.job);
+      io.I64(r.time);
       break;
     case GtmLogRecordType::kAttemptStart:
-      out.I64(record.attempt);
-      out.I64(record.job);
-      out.I64(record.index);
+      io.I64(r.attempt);
+      io.I64(r.job);
+      io.I64(r.index);
       break;
     case GtmLogRecordType::kBeginSite:
-      out.I64(record.attempt);
-      out.I64(record.site);
-      out.I64(record.sub);
+      io.I64(r.attempt);
+      io.I64(r.site);
+      io.I64(r.sub);
       break;
     case GtmLogRecordType::kRead:
-      out.I64(record.attempt);
-      out.I64(record.site);
-      out.I64(record.item);
-      out.I64(record.value);
+      io.I64(r.attempt);
+      io.I64(r.site);
+      io.I64(r.item);
+      io.I64(r.value);
       break;
     case GtmLogRecordType::kEnqueue:
-      EncodeQueueOpInto(record.op, out);
+      Fields(io, r.op);
       break;
     case GtmLogRecordType::kAbortCleanup:
-      out.I64(record.attempt);
+    case GtmLogRecordType::kCommitStart:
+      io.I64(r.attempt);
       break;
     case GtmLogRecordType::kAttemptFail:
-      out.I64(record.attempt);
-      out.U8(record.code);
-      break;
-    case GtmLogRecordType::kCommitStart:
-      out.I64(record.attempt);
+      io.I64(r.attempt);
+      io.U8(r.code);
       break;
     case GtmLogRecordType::kCommitSite:
-      out.I64(record.attempt);
-      out.I64(record.index);
+      io.I64(r.attempt);
+      io.I64(r.index);
       break;
     case GtmLogRecordType::kFinish:
-      out.I64(record.job);
-      out.U8(record.code);
-      out.I64(record.index);
+      io.I64(r.job);
+      io.U8(r.code);
+      io.I64(r.index);
       break;
     case GtmLogRecordType::kPark:
     case GtmLogRecordType::kUnpark:
-      out.I64(record.job);
+      io.I64(r.job);
       break;
     case GtmLogRecordType::kSiteDown:
     case GtmLogRecordType::kSiteUp:
-      out.I64(record.site);
+      io.I64(r.site);
       break;
     case GtmLogRecordType::kCheckpoint:
-      EncodeCheckpoint(record.checkpoint, out);
+      Fields(io, r.checkpoint);
       break;
   }
 }
-
-size_t PayloadSize(const GtmLogRecord& record) {
-  ByteCounter counter;
-  EncodePayload(record, counter);
-  return counter.size();
-}
-
-}  // namespace
 
 bool DecodeGtmLogPayload(const uint8_t* data, size_t size,
                          GtmLogRecord* record) {
-  Cursor c(data, size);
-  uint8_t type = c.U8();
-  if (type < static_cast<uint8_t>(GtmLogRecordType::kSubmit) ||
-      type > static_cast<uint8_t>(GtmLogRecordType::kCheckpoint)) {
-    return false;
-  }
-  record->type = static_cast<GtmLogRecordType>(type);
-  switch (record->type) {
-    case GtmLogRecordType::kSubmit:
-      record->job = c.I64();
-      record->time = c.I64();
-      break;
-    case GtmLogRecordType::kAttemptStart:
-      record->attempt = c.I64();
-      record->job = c.I64();
-      record->index = c.I64();
-      break;
-    case GtmLogRecordType::kBeginSite:
-      record->attempt = c.I64();
-      record->site = c.I64();
-      record->sub = c.I64();
-      break;
-    case GtmLogRecordType::kRead:
-      record->attempt = c.I64();
-      record->site = c.I64();
-      record->item = c.I64();
-      record->value = c.I64();
-      break;
-    case GtmLogRecordType::kEnqueue:
-      if (!DecodeQueueOpFrom(&c, &record->op)) return false;
-      break;
-    case GtmLogRecordType::kAbortCleanup:
-      record->attempt = c.I64();
-      break;
-    case GtmLogRecordType::kAttemptFail:
-      record->attempt = c.I64();
-      record->code = c.U8();
-      break;
-    case GtmLogRecordType::kCommitStart:
-      record->attempt = c.I64();
-      break;
-    case GtmLogRecordType::kCommitSite:
-      record->attempt = c.I64();
-      record->index = c.I64();
-      break;
-    case GtmLogRecordType::kFinish:
-      record->job = c.I64();
-      record->code = c.U8();
-      record->index = c.I64();
-      break;
-    case GtmLogRecordType::kPark:
-    case GtmLogRecordType::kUnpark:
-      record->job = c.I64();
-      break;
-    case GtmLogRecordType::kSiteDown:
-    case GtmLogRecordType::kSiteUp:
-      record->site = c.I64();
-      break;
-    case GtmLogRecordType::kCheckpoint:
-      if (!DecodeCheckpoint(&c, &record->checkpoint)) return false;
-      break;
-  }
-  return c.ok() && c.exhausted();
+  return storage::DecodeFields(data, size, record);
 }
 
 const char* GtmLogRecordTypeName(GtmLogRecordType type) {
@@ -367,41 +153,19 @@ const char* GtmLogRecordTypeName(GtmLogRecordType type) {
 }
 
 std::vector<uint8_t> EncodeGtmLogRecord(const GtmLogRecord& record) {
-  auto encode = [&](ByteWriter& out) { EncodePayload(record, out); };
-  return storage::FrameEncoded(PayloadSize(record), encode);
+  return storage::FrameFields(record);
 }
 
-Status ReadGtmLog(storage::LogDevice& device, GtmLogScan* out) {
-  *out = GtmLogScan{};
-  std::vector<uint8_t> image;
-  Status status = device.ReadAll(&image);
-  if (!status.ok()) return status;
-  storage::FrameScan frames;
-  status = storage::ScanFrames(image, &frames);
-  if (!status.ok()) return status;
-  out->valid_bytes = frames.valid_bytes;
-  out->torn_tail = frames.torn_tail;
-  out->records.reserve(frames.payloads.size());
-  for (const auto& [offset, length] : frames.payloads) {
-    GtmLogRecord record;
-    if (!DecodeGtmLogPayload(image.data() + offset, length, &record)) {
-      return Status::Internal(
-          "GTM log corruption: undecodable frame at byte " +
-          std::to_string(offset - 8));
-    }
-    out->records.push_back(std::move(record));
-  }
-  return Status::OK();
+Status ReadGtmLog(const storage::LogDevice& device, GtmLogScan* out) {
+  return storage::ReadLog(device, out);
 }
 
 std::span<const uint8_t> GtmLogWriter::Append(const GtmLogRecord& record) {
-  bool is_checkpoint = record.type == GtmLogRecordType::kCheckpoint;
-  bool is_commit_point = is_checkpoint ||
-                         record.type == GtmLogRecordType::kCommitStart ||
-                         record.type == GtmLogRecordType::kFinish;
-  auto encode = [&](ByteWriter& out) { EncodePayload(record, out); };
-  return frames_.AppendEncoded(PayloadSize(record), encode, is_checkpoint,
-                               is_commit_point);
+  const bool is_checkpoint = record.type == GtmLogRecordType::kCheckpoint;
+  return frames_.AppendFields(
+      record, is_checkpoint,
+      is_checkpoint || record.type == GtmLogRecordType::kCommitStart ||
+          record.type == GtmLogRecordType::kFinish);
 }
 
 namespace {

@@ -119,7 +119,8 @@ struct GtmLogRecord {
 };
 
 /// Encodes one record as a CRC-framed log frame (storage/framing.h — the
-/// same framing the per-site WAL uses, with the GTM record schema inside).
+/// same framing the per-site WAL uses, with the GTM record's field list
+/// inside).
 std::vector<uint8_t> EncodeGtmLogRecord(const GtmLogRecord& record);
 
 /// Decodes one frame payload (the bytes between the CRC header and the next
@@ -129,23 +130,13 @@ std::vector<uint8_t> EncodeGtmLogRecord(const GtmLogRecord& record);
 bool DecodeGtmLogPayload(const uint8_t* data, size_t size,
                          GtmLogRecord* record);
 
-/// Result of scanning a GTM log image.
-struct GtmLogScan {
-  std::vector<GtmLogRecord> records;
-  /// Bytes covered by complete, CRC-valid frames.
-  size_t valid_bytes = 0;
-  /// True when the image ends in an incomplete frame (torn tail — the
-  /// crash interrupted an append). The tail is ignored, not an error.
-  bool torn_tail = false;
-};
+using GtmLogScan = storage::LogScan<GtmLogRecord>;
 
-/// Reads and decodes the device's whole image. CRC mismatches in the
-/// interior and undecodable payloads are hard errors (corruption, not a
-/// torn append).
-Status ReadGtmLog(storage::LogDevice& device, GtmLogScan* out);
+/// storage::ReadLog over the GTM log.
+Status ReadGtmLog(const storage::LogDevice& device, GtmLogScan* out);
 
 /// Appends GTM records through the shared frame writer. A kCheckpoint
-/// append resets records_since_checkpoint().
+/// append resets records_since_checkpoint() and discards the log below it.
 class GtmLogWriter {
  public:
   explicit GtmLogWriter(storage::LogDevice* device) : frames_(device) {}
@@ -171,6 +162,9 @@ class GtmLogWriter {
   }
   /// Sync barriers forced by the policy so far.
   int64_t syncs() const { return frames_.syncs(); }
+  /// The kept base (storage::FrameWriter).
+  int64_t discarded_records() const { return frames_.discarded_records(); }
+  int64_t discarded_bytes() const { return frames_.discarded_bytes(); }
 
  private:
   storage::FrameWriter frames_;

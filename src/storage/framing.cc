@@ -195,6 +195,18 @@ std::span<const uint8_t> FrameWriter::AppendFrame(bool is_checkpoint,
     ++syncs_;
     records_since_sync_ = 0;
   }
+  if (is_checkpoint) {
+    const int64_t frame_size = static_cast<int64_t>(frame_size_);
+    const int64_t before = device_->Size();
+    device_->DiscardPrefix(before - frame_size);
+    const int64_t discarded = before - device_->Size();
+    if (discarded > 0) {
+      MDBS_CHECK(device_->Size() == frame_size)
+          << "the log device kept part of the prefix it was told to discard";
+      discarded_bytes_ += discarded;
+      discarded_records_ = records_written_ - 1;
+    }
+  }
   return {buffer_.get(), frame_size_};
 }
 

@@ -2,11 +2,14 @@
 #define MDBS_STORAGE_FRAMING_H_
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -42,10 +45,66 @@ void PutU8(std::vector<uint8_t>* out, uint8_t v);
 void PutU32(std::vector<uint8_t>* out, uint32_t v);
 void PutI64(std::vector<uint8_t>* out, int64_t v);
 
-/// Record encoders are written once as templates over an output with the
-/// interface below. ByteCounter only sizes the record; ByteWriter then
-/// writes it in place into exactly that many bytes, in one pass.
-class ByteCounter {
+/// Each record type has one field list, a function template
+///   template <typename Io, FieldsOf<Record> R> void Fields(Io& io, R& r);
+/// that hands every field in turn to `io`: a ByteCounter sizes the record,
+/// a ByteWriter writes it, a Cursor reads it back (R is then non-const and
+/// every field is read by reference). One list encodes and decodes, so the
+/// two cannot drift apart. Beside U8/U32/I64, the three I/O types share
+///   Bool(b)               one byte, 0 or 1;
+///   Enum(e, first, last)  one byte; the reader refuses one outside
+///                         [first, last];
+///   Vec(v)                a u32 count, then each element (Field below).
+template <typename R, typename Record>
+concept FieldsOf = std::same_as<std::remove_const_t<R>, Record>;
+
+/// One element of a Vec: an integer, an id, a pair or array of those, or a
+/// record with a field list of its own (found by argument-dependent
+/// lookup).
+template <typename Io, typename T>
+void Field(Io& io, T& v) {
+  using U = std::remove_const_t<T>;
+  if constexpr (std::is_same_v<U, int64_t>) {
+    io.I64(v);
+  } else if constexpr (requires { v.value(); }) {
+    int64_t raw = v.value();
+    io.I64(raw);
+    if constexpr (!std::is_const_v<T>) v = U(raw);
+  } else if constexpr (requires { v.first; v.second; }) {
+    Field(io, v.first);
+    Field(io, v.second);
+  } else if constexpr (requires { std::tuple_size<U>::value; }) {
+    for (auto& element : v) Field(io, element);
+  } else {
+    Fields(io, v);
+  }
+}
+
+/// The helpers the two writers share, over the U8/U32/Bytes of `Out`.
+template <typename Out>
+class FieldWriter {
+ public:
+  void Bool(bool v) { out().U8(v ? 1 : 0); }
+  template <typename E>
+  void Enum(E v, E /*first*/, E /*last*/) {
+    out().U8(static_cast<uint8_t>(v));
+  }
+  template <typename T>
+  void Vec(const std::vector<T>& v) {
+    out().U32(static_cast<uint32_t>(v.size()));
+    if constexpr (std::is_same_v<T, uint8_t>) {
+      out().Bytes(v.data(), v.size());
+    } else {
+      for (const T& element : v) Field(out(), element);
+    }
+  }
+
+ private:
+  Out& out() { return static_cast<Out&>(*this); }
+};
+
+/// Sizes a record without writing it.
+class ByteCounter : public FieldWriter<ByteCounter> {
  public:
   void U8(uint8_t) { size_ += 1; }
   void U32(uint32_t) { size_ += 4; }
@@ -57,7 +116,8 @@ class ByteCounter {
   size_t size_ = 0;
 };
 
-class ByteWriter {
+/// Writes a record in place into exactly the bytes ByteCounter sized.
+class ByteWriter : public FieldWriter<ByteWriter> {
  public:
   explicit ByteWriter(uint8_t* out) : out_(out) {}
   void U8(uint8_t v) { *out_++ = v; }
@@ -103,6 +163,42 @@ class Cursor {
     return static_cast<int64_t>(v);
   }
 
+  // The field-list forms: each reads into its argument.
+  void U8(uint8_t& v) { v = U8(); }
+  void U32(uint32_t& v) { v = U32(); }
+  void I64(int64_t& v) { v = I64(); }
+  void Bool(bool& v) { v = U8() != 0; }
+  template <typename E>
+  void Enum(E& v, E first, E last) {
+    const uint8_t raw = U8();
+    if (raw < static_cast<uint8_t>(first) ||
+        raw > static_cast<uint8_t>(last)) {
+      ok_ = false;
+      return;
+    }
+    v = static_cast<E>(raw);
+  }
+  /// Every element takes at least one byte, so a count past the bytes left
+  /// is refused before it sizes the vector.
+  template <typename T>
+  void Vec(std::vector<T>& v) {
+    const uint32_t count = U32();
+    if (count > size_ - pos_) {
+      ok_ = false;
+      return;
+    }
+    if constexpr (std::is_same_v<T, uint8_t>) {
+      v.assign(data_ + pos_, data_ + pos_ + count);
+      pos_ += count;
+    } else {
+      v.resize(count);
+      for (T& element : v) {
+        if (!ok_) return;
+        Field(*this, element);
+      }
+    }
+  }
+
   bool ok() const { return ok_; }
   bool exhausted() const { return pos_ == size_; }
 
@@ -118,6 +214,31 @@ class Cursor {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+template <typename Record>
+size_t FieldsSize(const Record& record) {
+  ByteCounter counter;
+  Fields(counter, record);
+  return counter.size();
+}
+
+/// `record`'s fields, unframed.
+template <typename Record>
+std::vector<uint8_t> EncodeFields(const Record& record) {
+  std::vector<uint8_t> out(FieldsSize(record));
+  ByteWriter writer(out.data());
+  Fields(writer, record);
+  return out;
+}
+
+/// Reads `record`'s fields from the `size` bytes at `data`: false unless
+/// every check passes and the fields end exactly where the bytes do.
+template <typename Record>
+bool DecodeFields(const uint8_t* data, size_t size, Record* record) {
+  Cursor in(data, size);
+  Fields(in, *record);
+  return in.ok() && in.exhausted();
+}
 
 /// Bytes of the frame header: [u32 payload_len][u32 crc32(payload)].
 inline constexpr size_t kFrameHeaderSize = 8;
@@ -137,6 +258,13 @@ std::vector<uint8_t> FrameEncoded(size_t payload_size, Encode&& encode) {
   encode(out);
   SealFrame(frame.data(), frame.size());
   return frame;
+}
+
+/// Frames `record`'s fields.
+template <typename Record>
+std::vector<uint8_t> FrameFields(const Record& record) {
+  return FrameEncoded(FieldsSize(record),
+                      [&record](ByteWriter& out) { Fields(out, record); });
 }
 
 /// Checks that `frame` is exactly one complete frame — a header, a payload
@@ -166,6 +294,43 @@ struct FrameScan {
 /// admitted, flagged, ignored.
 Status ScanFrames(const std::vector<uint8_t>& image, FrameScan* out);
 
+/// A log device's image read front to back: FrameScan with each payload
+/// decoded into a record.
+template <typename Record>
+struct LogScan {
+  std::vector<Record> records;
+  /// Byte offset just past record i — the admissible truncation points.
+  std::vector<size_t> boundaries;
+  size_t valid_bytes = 0;
+  bool torn_tail = false;
+};
+
+/// The one reader of both logs: splits the device's image into frames
+/// (ScanFrames) and decodes each payload through its record's field list.
+/// A payload that fails DecodeFields is corruption, as a CRC mismatch is;
+/// a torn tail is flagged and ignored.
+template <typename Record>
+Status ReadLog(const LogDevice& device, LogScan<Record>* out) {
+  *out = LogScan<Record>{};
+  std::vector<uint8_t> image;
+  MDBS_RETURN_IF_ERROR(device.ReadAll(&image));
+  FrameScan frames;
+  MDBS_RETURN_IF_ERROR(ScanFrames(image, &frames));
+  out->records.resize(frames.payloads.size());
+  for (size_t i = 0; i < frames.payloads.size(); ++i) {
+    const auto [offset, size] = frames.payloads[i];
+    if (!DecodeFields(image.data() + offset, size, &out->records[i])) {
+      std::string message = "log corruption: undecodable frame at byte ";
+      message.append(std::to_string(offset - kFrameHeaderSize));
+      return Status::Internal(message);
+    }
+  }
+  out->boundaries = std::move(frames.boundaries);
+  out->valid_bytes = frames.valid_bytes;
+  out->torn_tail = frames.torn_tail;
+  return Status::OK();
+}
+
 /// When the log's backing device distinguishes "appended" from "on stable
 /// storage" (the file device), this decides when the writer forces a sync
 /// barrier. The in-memory device is stable by construction, so the policy
@@ -190,6 +355,14 @@ StatusOr<WalSyncConfig> ParseWalSyncSpec(const std::string& spec);
 
 /// Append-side shared by both logs: frames and appends payloads, counting
 /// bytes and records for the checkpoint trigger and the run report.
+///
+/// Once a checkpoint's frame is on the device, everything before that frame
+/// is discarded (`LogDevice::DiscardPrefix`): recovery and a lagging
+/// standby start from the last complete checkpoint and never read what
+/// precedes it, so the device keeps at most one checkpoint and the records
+/// appended since (ARIES truncates its log below the redo point of the last
+/// checkpoint the same way). A device that keeps its history (the LogDevice
+/// default) discards nothing.
 class FrameWriter {
  public:
   explicit FrameWriter(LogDevice* device) : device_(device) {}
@@ -218,6 +391,16 @@ class FrameWriter {
     return AppendFrame(is_checkpoint, is_commit_point);
   }
 
+  /// As AppendEncoded, for `record`'s fields.
+  template <typename Record>
+  std::span<const uint8_t> AppendFields(const Record& record,
+                                        bool is_checkpoint,
+                                        bool is_commit_point) {
+    auto encode = [&record](ByteWriter& out) { Fields(out, record); };
+    return AppendEncoded(FieldsSize(record), encode, is_checkpoint,
+                         is_commit_point);
+  }
+
   int64_t records_written() const { return records_written_; }
   int64_t bytes_written() const { return bytes_written_; }
   /// Records appended since the last checkpoint record.
@@ -226,6 +409,11 @@ class FrameWriter {
   }
   /// Sync barriers forced so far (`wal.syncs` in the run report).
   int64_t syncs() const { return syncs_; }
+  /// The kept base: the records and bytes discarded so far. Records count
+  /// from this writer's first, so kept record i is the writer's record
+  /// discarded_records() + i.
+  int64_t discarded_records() const { return discarded_records_; }
+  int64_t discarded_bytes() const { return discarded_bytes_; }
 
  private:
   /// Makes the frame buffer hold `size` bytes and returns it. The buffer
@@ -233,8 +421,8 @@ class FrameWriter {
   /// byte of the frame, so filling a large checkpoint frame with zeros
   /// first would be wasted work.
   uint8_t* StartFrame(size_t size);
-  /// Seals the frame, appends it to the device and applies the sync
-  /// policy.
+  /// Seals the frame, appends it to the device, applies the sync policy
+  /// and, after a checkpoint, discards the device below it.
   std::span<const uint8_t> AppendFrame(bool is_checkpoint,
                                        bool is_commit_point);
 
@@ -250,6 +438,8 @@ class FrameWriter {
   int64_t records_since_checkpoint_ = 0;
   int64_t records_since_sync_ = 0;
   int64_t syncs_ = 0;
+  int64_t discarded_records_ = 0;
+  int64_t discarded_bytes_ = 0;
 };
 
 }  // namespace mdbs::storage

@@ -88,39 +88,21 @@ struct WalRecord {
 
 /// Encodes one record as a CRC-framed byte string:
 ///   [u32 payload_len][u32 crc32(payload)][payload]
-/// payload = [u8 type][little-endian fixed-width fields...]
+/// payload = [u8 type][little-endian fixed-width fields...], the record's
+/// field list (wal.cc).
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record);
 
-/// Result of scanning a device image front to back.
-struct WalScan {
-  std::vector<WalRecord> records;
-  /// Byte offset just past record i — the admissible truncation points.
-  std::vector<size_t> boundaries;
-  /// Bytes covered by complete, CRC-valid frames.
-  size_t valid_bytes = 0;
-  /// True when trailing bytes form an incomplete frame — the torn tail a
-  /// crash mid-append legitimately leaves. The tail is ignored.
-  bool torn_tail = false;
-};
+using WalScan = LogScan<WalRecord>;
 
-/// Decodes every complete frame. A complete frame whose CRC or structure is
-/// invalid is corruption — returns a non-OK status (recovery must fail
-/// loudly, never silently diverge). An incomplete trailing frame is a torn
-/// tail: admitted, flagged, ignored.
+/// ReadLog over the site WAL.
 Status ReadWal(const LogDevice& device, WalScan* out);
 
-/// Append-side of the log: encodes and appends records, counting bytes and
-/// records for the checkpoint trigger and the run report. A thin record
-/// schema over the shared CRC framing (storage::FrameWriter).
-///
-/// Once a checkpoint's frame is on the device, everything before that frame
-/// is discarded (`LogDevice::DiscardPrefix`): RecoverWal starts from the
-/// last complete checkpoint and never reads it again, so the device keeps
-/// at most one checkpoint and the records appended since (ARIES truncates
-/// its log below the redo point of the last checkpoint the same way).
+/// Append-side of the log: a thin record schema over the shared CRC
+/// framing (storage::FrameWriter), which also discards the log below each
+/// checkpoint.
 class WalWriter {
  public:
-  explicit WalWriter(LogDevice* device) : device_(device), frames_(device) {}
+  explicit WalWriter(LogDevice* device) : frames_(device) {}
 
   /// Replaces the sync policy (default: every commit point). Commit points
   /// here are kCommit and kCheckpoint records — the records whose loss
@@ -143,7 +125,6 @@ class WalWriter {
   int64_t syncs() const { return frames_.syncs(); }
 
  private:
-  LogDevice* device_;
   FrameWriter frames_;
 };
 
