@@ -284,7 +284,8 @@ void PrintUsage() {
       "  --retry=MAX[,BACKOFF]         client-level resubmissions of failed\n"
       "                                retry-safe global txns\n"
       "  --timeout=T                   per-attempt timeout (ticks)\n"
-      "  --dump-schedule=N             print the first N recorded ops\n"
+      "  --dump-schedule=N             print the first N recorded ops of\n"
+      "                                each site\n"
       "  --threaded=0|1                engine: simulator (0) or real\n"
       "                                threads, ticks = microseconds (1)\n"
       "  --trace_out=PATH              write a Chrome/Perfetto trace JSON\n"
@@ -646,7 +647,8 @@ int main(int argc, char** argv) {
                   .c_str());
 
   if (options.dump_schedule > 0) {
-    std::printf("\n-- schedule (first %d ops) --\n%s", options.dump_schedule,
+    std::printf("\n-- schedule (first %d ops per site) --\n%s",
+                options.dump_schedule,
                 system.recorder()
                     .Dump(static_cast<size_t>(options.dump_schedule))
                     .c_str());

@@ -24,8 +24,7 @@ void Auditor::Report(AuditViolation violation) {
   MDBS_LOG(Error) << "audit violation: " << violation.ToString();
   MDBS_CHECK(!config_.fail_fast)
       << "audit fail-fast: " << violation.ToString();
-  if (static_cast<int64_t>(violations_.size()) <
-      config_.max_stored_violations) {
+  if (violations_.size() < kMaxStoredViolations) {
     violations_.push_back(std::move(violation));
   }
 }

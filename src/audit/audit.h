@@ -18,7 +18,10 @@ inline constexpr bool kAuditCompiledIn = false;
 #endif
 
 /// Runtime toggles of the invariant auditor. One instance travels from the
-/// top-level configuration (MdbsConfig::audit) into every hooked component.
+/// top-level configuration (MdbsConfig::audit) into every hooked component;
+/// an enabled auditor runs every check: the scheme's release discipline,
+/// the abstract ser(S) graph, the scheme's structural self-check after
+/// every act, the lock tables, and the end-of-run oracle.
 struct AuditConfig {
   /// Master runtime switch; defaults to on whenever the hooks are compiled
   /// in. Benchmarks turn it off — auditing is for correctness runs.
@@ -27,22 +30,6 @@ struct AuditConfig {
   /// fail at the faulty act, with the witness in the log, not thousands of
   /// events later). Mutation tests collect instead.
   bool fail_fast = true;
-  /// Re-check the released-operation discipline of the scheme on every
-  /// ser release (Schemes 0-3: cond must genuinely hold at act time).
-  bool check_release_discipline = true;
-  /// Maintain the abstract ser(S) graph across released ser operations and
-  /// re-check acyclicity incrementally (Theorems 1-3).
-  bool check_ser_graph = true;
-  /// Run the scheme's structural self-check (TSG/TSGD/queue consistency)
-  /// after every act.
-  bool check_scheme_structure = true;
-  /// Lock-table consistency + waits-for acyclicity after every lock event.
-  bool check_lock_table = true;
-  /// End-of-run oracle (local CSR, serialization-key property, strictness,
-  /// global CSR) after a driver run.
-  bool run_oracle = true;
-  /// Violations stored beyond this count are counted but not retained.
-  int64_t max_stored_violations = 64;
 };
 
 /// One detected invariant violation: which invariant, a human-readable
@@ -104,6 +91,9 @@ class Auditor {
   /// Process-wide fail-fast instance, used by components whose owner did
   /// not supply an auditor of its own.
   static Auditor* Default();
+
+  /// Violations reported beyond this count are counted but not stored.
+  static constexpr size_t kMaxStoredViolations = 64;
 
  private:
   mutable std::mutex mu_;

@@ -39,14 +39,12 @@ void Gtm2::Rebind(Callbacks callbacks, const obs::EventSink& events) {
 }
 
 void Gtm2::CopyAuditFrom(const Gtm2& other) {
-  audit_config_ = other.audit_config_;
   audit_enabled_ = other.audit_enabled_;
   auditor_ = other.auditor_;
 }
 
 void Gtm2::EnableAudit(const audit::AuditConfig& config,
                        audit::Auditor* auditor) {
-  audit_config_ = config;
   audit_enabled_ = audit::kAuditCompiledIn && config.enabled;
   auditor_ = auditor != nullptr ? auditor : audit::Auditor::Default();
 }
@@ -65,38 +63,32 @@ void Gtm2::AuditVerdict(const QueueOp& op, Verdict verdict) {
 
 void Gtm2::AuditBeforeSerRelease(GlobalTxnId txn, SiteId site) {
   if (!audit_enabled_ || !scheme_->IsConservative()) return;
-  if (audit_config_.check_release_discipline) {
-    Status status = scheme_->AuditSerRelease(txn, site);
-    if (!status.ok()) {
-      auditor_->Report(audit::AuditViolation{
-          "ser-release-discipline", status.message(), {txn.value()},
-          txn.value()});
-    }
+  Status status = scheme_->AuditSerRelease(txn, site);
+  if (!status.ok()) {
+    auditor_->Report(audit::AuditViolation{
+        "ser-release-discipline", status.message(), {txn.value()},
+        txn.value()});
   }
-  if (audit_config_.check_ser_graph) {
-    std::optional<std::vector<int64_t>> cycle =
-        ser_graph_.RecordRelease(txn.value(), site.value());
-    if (cycle.has_value()) {
-      auditor_->Report(audit::AuditViolation{
-          "ser-graph-acyclic",
-          "releasing ser(" + ToString(txn) + "@" + ToString(site) +
-              ") closes a cycle in the abstract ser(S) graph (Theorem 1)",
-          *cycle, txn.value()});
-    }
+  std::optional<std::vector<int64_t>> cycle =
+      ser_graph_.RecordRelease(txn.value(), site.value());
+  if (cycle.has_value()) {
+    auditor_->Report(audit::AuditViolation{
+        "ser-graph-acyclic",
+        "releasing ser(" + ToString(txn) + "@" + ToString(site) +
+            ") closes a cycle in the abstract ser(S) graph (Theorem 1)",
+        *cycle, txn.value()});
   }
 }
 
 void Gtm2::AuditAfterAct(const QueueOp& op) {
   if (!audit_enabled_) return;
   if (op.kind == QueueOpKind::kFin) ser_graph_.RemoveTxn(op.txn.value());
-  if (audit_config_.check_scheme_structure) {
-    Status status = scheme_->CheckStructuralInvariants();
-    if (!status.ok()) {
-      auditor_->Report(audit::AuditViolation{
-          "scheme-structure",
-          status.message() + " (after " + op.ToString() + ")",
-          {op.txn.value()}, op.txn.value()});
-    }
+  Status status = scheme_->CheckStructuralInvariants();
+  if (!status.ok()) {
+    auditor_->Report(audit::AuditViolation{
+        "scheme-structure",
+        status.message() + " (after " + op.ToString() + ")",
+        {op.txn.value()}, op.txn.value()});
   }
 }
 

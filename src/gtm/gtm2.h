@@ -167,7 +167,6 @@ class Gtm2 {
   bool pumping_ = false;
 
   bool audit_enabled_ = false;
-  audit::AuditConfig audit_config_;
   audit::Auditor* auditor_ = nullptr;
   audit::SerGraphAudit ser_graph_;
 };

@@ -2,9 +2,11 @@
 #define MDBS_OBS_EVENT_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/ids.h"
+#include "common/types.h"
 #include "sim/task_runner.h"
 
 namespace mdbs::obs {
@@ -14,8 +16,8 @@ namespace mdbs::obs {
 /// init/ser/ack -> validate -> fin, with WAIT dwell and scheme data-structure
 /// churn (marked edges, dependencies) in between, plus the local-DBMS events
 /// (lock waits, wounds, validation failures) that cause the retries. The
-/// kinds after kGtmPromote feed only the metrics engine and never reach the
-/// trace (see SubscribersOf).
+/// kinds after kGtmPromote feed only the metrics engine or the schedule
+/// recorder and never reach the trace (see SubscribersOf).
 enum class TraceEventKind : uint8_t {
   // GTM1 — transaction lifecycle. txn = attempt id unless noted.
   kSubmit,          // txn = job id (stable across attempts); sites
@@ -47,7 +49,7 @@ enum class TraceEventKind : uint8_t {
 
   // Local DBMS / LCC. txn = local TxnId value, a = global txn id or -1.
   kSiteBegin,        // subtransaction (or local txn) began at site
-  kSiteCommit,       // committed at site
+  kSiteCommit,       // committed at site; key = its serialization key
   kSiteAbort,        // rolled back at site
   kOpBlocked,        // operation blocked (lock conflict, TO wait, ...)
   kOpResumed,        // blocked operation woken for retry
@@ -99,6 +101,12 @@ enum class TraceEventKind : uint8_t {
   kSiteReply,    // GTM strand: that reply arrived; txn = sub id,
                  //   ticks = the site's busy time
   kRoundTripEnd, // GTM1 took the reply of sub `txn` for job `job`
+
+  // Schedule recorder only: the site strand executed a data operation.
+  // txn = local TxnId value, `op` = the operation (a read carries the value
+  // it observed), ticks = the time it executed.
+  kSiteRead,   // b = TxnId value of the version's writer, or -1
+  kSiteWrite,  // applied in place, or installed from a deferred buffer
 };
 
 const char* TraceEventKindName(TraceEventKind kind);
@@ -140,21 +148,33 @@ struct Event {
   sim::Time ticks = 0;
   /// kSubmit: the sites the transaction touches. Read during the emit only.
   const std::vector<SiteId>* sites = nullptr;
+  /// kSiteRead / kSiteWrite: the operation. Read during the emit only.
+  const DataOp* op = nullptr;
+  /// kSiteCommit: the local protocol's serialization key, when it has one.
+  std::optional<int64_t> key = std::nullopt;
 };
 
 /// Subscribers of a kind, as a bit set.
 enum Subscriber : uint8_t {
   kToTrace = 1,
   kToMetrics = 2,
+  kToSchedule = 4,
 };
 
 /// Which subscribers take each kind: the trace every kind before
-/// kAdmission, the metrics engine the kinds listed here. Evaluated at
-/// compile time for the constant kind of every emit site, so a kind a
-/// subscriber does not take costs it nothing.
+/// kAdmission, the metrics engine and the schedule recorder the kinds
+/// listed here. Evaluated at compile time for the constant kind of every
+/// emit site, so a kind a subscriber does not take costs it nothing.
 constexpr uint8_t SubscribersOf(TraceEventKind kind) {
   uint8_t to = kind < TraceEventKind::kAdmission ? kToTrace : 0;
   switch (kind) {
+    case TraceEventKind::kSiteBegin:
+    case TraceEventKind::kSiteCommit:
+    case TraceEventKind::kSiteAbort:
+    case TraceEventKind::kSiteRead:
+    case TraceEventKind::kSiteWrite:
+      to |= kToSchedule;
+      break;
     case TraceEventKind::kSubmit:
     case TraceEventKind::kAttemptStart:
     case TraceEventKind::kAttemptAbort:

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <iomanip>
 #include <sstream>
@@ -9,8 +8,6 @@
 namespace mdbs::obs {
 
 namespace {
-
-std::atomic<uint64_t> g_next_sharded_id{1};
 
 /// p-th quantile of an unsorted sample vector (sorted-vector interpolation,
 /// matching sim::Summary semantics). Consumes `values`.
@@ -107,40 +104,12 @@ std::string MetricsSnapshot::BreakdownTable() const {
   return os.str();
 }
 
-ShardedSummary::ShardedSummary() : id_(g_next_sharded_id.fetch_add(1)) {}
-
-ShardedSummary::Shard* ShardedSummary::LocalShard() {
-  thread_local std::unordered_map<uint64_t, Shard*> cache;
-  auto it = cache.find(id_);
-  if (it != cache.end()) return it->second;
-  auto owned = std::make_unique<Shard>();
-  Shard* shard = owned.get();
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    shards_.push_back(std::move(owned));
-  }
-  cache[id_] = shard;
-  return shard;
-}
-
-void ShardedSummary::Record(double value) { LocalShard()->summary.Add(value); }
-
-sim::Summary ShardedSummary::Drain() const {
-  sim::Summary merged;
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  for (const auto& shard : shards_) merged.Merge(shard->summary);
-  return merged;
-}
-
 MetricsEngine::MetricsEngine(const MetricsConfig& config, Clock clock,
                              std::vector<SiteId> sites)
     : config_(config), clock_(std::move(clock)), site_ids_(std::move(sites)) {
   if (config_.timeline_window <= 0) config_.timeline_window = 5000;
-  site_exec_.reserve(site_ids_.size());
-  for (size_t i = 0; i < site_ids_.size(); ++i) {
-    site_index_[site_ids_[i]] = i;
-    site_exec_.push_back(std::make_unique<ShardedSummary>());
-  }
+  site_exec_.resize(site_ids_.size());
+  for (size_t i = 0; i < site_ids_.size(); ++i) site_index_[site_ids_[i]] = i;
 }
 
 MetricsEngine::TxnState* MetricsEngine::Find(int64_t job) {
@@ -278,10 +247,10 @@ void MetricsEngine::On(const Event& event) {
       ++Window(Now()).point.site_down_events;
       return;
     case TraceEventKind::kSiteWork: {
-      // Site strand: this thread's shard of the site's summary.
+      // The site's strand, the only writer of the site's summary.
       auto it = site_index_.find(SiteId(event.site));
       if (it != site_index_.end()) {
-        site_exec_[it->second]->Record(static_cast<double>(event.ticks));
+        site_exec_[it->second].Add(static_cast<double>(event.ticks));
       }
       return;
     }
@@ -395,7 +364,7 @@ MetricsSnapshot MetricsEngine::Snapshot() const {
   snapshot.balance_violations = balance_violations_;
   snapshot.max_balance_error = max_balance_error_;
   for (size_t i = 0; i < site_ids_.size(); ++i) {
-    snapshot.site_exec.emplace_back(site_ids_[i], site_exec_[i]->Drain());
+    snapshot.site_exec.emplace_back(site_ids_[i], site_exec_[i]);
   }
   snapshot.timeline.reserve(timeline_.size());
   for (const auto& [index, acc] : timeline_) {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -113,39 +112,6 @@ struct MetricsSnapshot {
   std::string BreakdownTable() const;
 };
 
-/// A Summary recorded from many threads without hot-path synchronization:
-/// each thread owns a private shard (registered once under a mutex, then
-/// written lock-free) and Drain() folds the shards bucket-wise. The drain
-/// contract is the TraceSink one: call only after every recording thread
-/// has been joined or the run is otherwise quiescent — the join provides
-/// the happens-before edge, so no atomics are needed on the record path.
-class ShardedSummary {
- public:
-  ShardedSummary();
-
-  ShardedSummary(const ShardedSummary&) = delete;
-  ShardedSummary& operator=(const ShardedSummary&) = delete;
-
-  /// Thread-safe; allocation-free after the calling thread's first Record.
-  void Record(double value);
-
-  /// Folds all shards into one summary. Quiescence required (see above).
-  sim::Summary Drain() const;
-
- private:
-  struct Shard {
-    sim::Summary summary;
-  };
-
-  Shard* LocalShard();
-
-  /// Distinguishes this instance in the thread-local shard cache (instances
-  /// can die and the heap can recycle addresses; ids cannot collide).
-  uint64_t id_;
-  mutable std::mutex registry_mu_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
 /// Always-on metrics engine: per-transaction latency decomposition, windowed
 /// timeline, and per-site execution histograms. It subscribes to the
 /// lifecycle event stream (EventSink) and decides from each event which
@@ -155,8 +121,9 @@ class ShardedSummary {
 /// Threading model. Every kind On() takes runs on the GTM strand — the same
 /// strand that runs every GTM1/GTM2 state transition — which makes the
 /// per-job phase state machine single-writer and lock-free, except two:
-/// kSiteWork runs on site strands and records into per-thread shards, and
-/// kRecoveryBegin (rare, durable crash recovery, any strand) takes a mutex.
+/// kSiteWork runs on its site's strand and records into that site's own
+/// summary, which no other strand writes, and kRecoveryBegin (rare,
+/// durable crash recovery, any strand) takes a mutex.
 /// Snapshot() requires quiescence (strands stopped or the simulator idle).
 class MetricsEngine {
  public:
@@ -242,11 +209,12 @@ class MetricsEngine {
   int64_t parked_now_ = 0;
   std::map<int64_t, WindowAcc> timeline_;
 
-  // Site-strand state (the maps are built in the constructor and read-only
-  // afterwards; each ShardedSummary handles its own thread safety).
+  // Site-strand state: the maps are built in the constructor and read-only
+  // afterwards, and each site's summary is written only by that site's
+  // strand.
   std::vector<SiteId> site_ids_;
   std::unordered_map<SiteId, size_t> site_index_;
-  std::vector<std::unique_ptr<ShardedSummary>> site_exec_;
+  std::vector<sim::Summary> site_exec_;
 
   // Rare cross-strand state (durable recovery windows).
   mutable std::mutex recovery_mu_;

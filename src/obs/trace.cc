@@ -110,6 +110,10 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "site_reply";
     case TraceEventKind::kRoundTripEnd:
       return "round_trip_end";
+    case TraceEventKind::kSiteRead:
+      return "site_read";
+    case TraceEventKind::kSiteWrite:
+      return "site_write";
   }
   return "?";
 }

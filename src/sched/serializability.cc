@@ -4,11 +4,15 @@
 #include <functional>
 #include <map>
 #include <sstream>
-#include <utility>
 
 #include "common/logging.h"
 
 namespace mdbs::sched {
+
+int64_t GlobalNodeKey(const TxnRecord& record) {
+  if (record.global.valid()) return record.global.value() * 2;
+  return record.txn.value() * 2 + 1;
+}
 
 namespace {
 
@@ -18,18 +22,16 @@ struct ItemAccess {
   OpType type;
 };
 
-/// Committed accesses grouped per (site, item), in execution order.
-std::map<std::pair<int64_t, int64_t>, std::vector<ItemAccess>>
-GroupCommittedAccesses(const ScheduleRecorder& recorder,
-                       std::optional<SiteId> only_site) {
-  std::map<std::pair<int64_t, int64_t>, std::vector<ItemAccess>> groups;
-  for (const RecordedOp& op : recorder.ops()) {
-    if (only_site.has_value() && op.site != *only_site) continue;
-    const TxnRecord* record = recorder.FindTxn(op.txn);
+/// Committed accesses at one site grouped per item, in execution order.
+std::map<int64_t, std::vector<ItemAccess>> GroupCommittedAccesses(
+    const SiteSchedule& schedule) {
+  std::map<int64_t, std::vector<ItemAccess>> groups;
+  for (const RecordedOp& op : schedule.ops()) {
+    const TxnRecord* record = schedule.FindTxn(op.txn);
     if (record == nullptr || record->outcome != TxnOutcome::kCommitted) {
       continue;
     }
-    groups[{op.site.value(), op.op.item.value()}].push_back(
+    groups[op.op.item.value()].push_back(
         ItemAccess{op.seq, op.txn, op.op.type});
   }
   return groups;
@@ -41,17 +43,16 @@ GroupCommittedAccesses(const ScheduleRecorder& recorder,
 /// relation as the full conflict graph (every omitted edge follows a chain
 /// of emitted ones), hence the same cycles, and any per-edge monotonicity
 /// over it extends to all conflict pairs by transitivity.
-void AddConflictEdges(
-    const std::map<std::pair<int64_t, int64_t>, std::vector<ItemAccess>>&
-        groups,
-    const std::function<int64_t(TxnId)>& node_key, DirectedGraph* graph) {
+void AddConflictEdges(const std::map<int64_t, std::vector<ItemAccess>>& groups,
+                      const std::function<int64_t(TxnId)>& node_key,
+                      DirectedGraph* graph) {
   auto add_edge = [&](TxnId from_txn, TxnId to_txn) {
     if (from_txn == to_txn) return;
     int64_t from = node_key(from_txn);
     int64_t to = node_key(to_txn);
     if (from != to) graph->AddEdge(from, to);
   };
-  for (const auto& [key, accesses] : groups) {
+  for (const auto& [item, accesses] : groups) {
     std::optional<TxnId> last_writer;
     std::vector<TxnId> readers_since_write;
     for (const ItemAccess& access : accesses) {
@@ -77,14 +78,14 @@ SerializabilityResult CheckGraph(const DirectedGraph& graph) {
   return result;
 }
 
-/// Adds the multiversion serialization-graph edges of `site` to `graph`,
+/// Adds the multiversion serialization-graph edges of one site to `graph`,
 /// mapping transactions through `node_key`. Version order is the writers'
 /// serialization-key (timestamp) order.
-void AddMvsgEdges(const ScheduleRecorder& recorder, SiteId site,
+void AddMvsgEdges(const SiteSchedule& schedule,
                   const std::function<int64_t(TxnId)>& node_key,
                   DirectedGraph* graph) {
-  auto committed = [&recorder](TxnId txn) -> const TxnRecord* {
-    const TxnRecord* record = recorder.FindTxn(txn);
+  auto committed = [&schedule](TxnId txn) -> const TxnRecord* {
+    const TxnRecord* record = schedule.FindTxn(txn);
     return (record != nullptr && record->outcome == TxnOutcome::kCommitted)
                ? record
                : nullptr;
@@ -102,8 +103,8 @@ void AddMvsgEdges(const ScheduleRecorder& recorder, SiteId site,
     TxnId writer;
   };
   std::map<int64_t, std::vector<VersionInfo>> versions_by_item;
-  for (const RecordedOp& op : recorder.ops()) {
-    if (op.site != site || op.op.type != OpType::kWrite) continue;
+  for (const RecordedOp& op : schedule.ops()) {
+    if (op.op.type != OpType::kWrite) continue;
     const TxnRecord* record = committed(op.txn);
     if (record == nullptr) continue;
     MDBS_CHECK(record->serialization_key.has_value())
@@ -129,8 +130,8 @@ void AddMvsgEdges(const ScheduleRecorder& recorder, SiteId site,
   }
 
   // Read edges: reads-from plus reader-before-next-version.
-  for (const RecordedOp& op : recorder.ops()) {
-    if (op.site != site || op.op.type != OpType::kRead) continue;
+  for (const RecordedOp& op : schedule.ops()) {
+    if (op.op.type != OpType::kRead) continue;
     if (committed(op.txn) == nullptr) continue;
     auto item_it = versions_by_item.find(op.op.item.value());
     const std::vector<VersionInfo>* versions =
@@ -157,6 +158,24 @@ void AddMvsgEdges(const ScheduleRecorder& recorder, SiteId site,
   }
 }
 
+/// Graph of the committed transactions at one site, each its own node.
+DirectedGraph LocalNodes(const SiteSchedule& schedule) {
+  DirectedGraph graph;
+  for (const auto& [txn, record] : schedule.txns()) {
+    if (record.outcome == TxnOutcome::kCommitted) graph.AddNode(txn.value());
+  }
+  return graph;
+}
+
+int64_t LocalKey(TxnId txn) { return txn.value(); }
+
+/// Maps the transactions of `schedule` onto global-graph nodes.
+std::function<int64_t(TxnId)> GlobalKeyAt(const SiteSchedule& schedule) {
+  return [&schedule](TxnId txn) {
+    return GlobalNodeKey(*schedule.FindTxn(txn));
+  };
+}
+
 }  // namespace
 
 std::string SerializabilityResult::ToString() const {
@@ -175,21 +194,11 @@ std::string SerializabilityResult::ToString() const {
   return os.str();
 }
 
-int64_t GlobalNodeKey(const TxnRecord& record) {
-  if (record.global.valid()) return record.global.value() * 2;
-  return record.txn.value() * 2 + 1;
-}
-
 DirectedGraph BuildLocalConflictGraph(const ScheduleRecorder& recorder,
                                       SiteId site) {
-  DirectedGraph graph;
-  for (const TxnRecord* record : recorder.TxnsAtSite(site)) {
-    if (record->outcome == TxnOutcome::kCommitted) {
-      graph.AddNode(record->txn.value());
-    }
-  }
-  auto groups = GroupCommittedAccesses(recorder, site);
-  AddConflictEdges(groups, [](TxnId txn) { return txn.value(); }, &graph);
+  const SiteSchedule& schedule = recorder.site(site);
+  DirectedGraph graph = LocalNodes(schedule);
+  AddConflictEdges(GroupCommittedAccesses(schedule), LocalKey, &graph);
   return graph;
 }
 
@@ -198,20 +207,24 @@ SerializabilityResult CheckLocalSerializability(
   return CheckGraph(BuildLocalConflictGraph(recorder, site));
 }
 
-DirectedGraph BuildGlobalConflictGraph(const ScheduleRecorder& recorder) {
+DirectedGraph BuildGlobalConflictGraph(const ScheduleRecorder& recorder,
+                                       const std::vector<SiteId>& mv_sites) {
   DirectedGraph graph;
-  for (const auto& [txn, record] : recorder.txns()) {
-    if (record.outcome == TxnOutcome::kCommitted) {
-      graph.AddNode(GlobalNodeKey(record));
+  for (const auto& [site, schedule] : recorder.sites()) {
+    for (const auto& [txn, record] : schedule.txns()) {
+      if (record.outcome == TxnOutcome::kCommitted) {
+        graph.AddNode(GlobalNodeKey(record));
+      }
     }
   }
-  auto groups = GroupCommittedAccesses(recorder, std::nullopt);
-  AddConflictEdges(
-      groups,
-      [&recorder](TxnId txn) {
-        return GlobalNodeKey(*recorder.FindTxn(txn));
-      },
-      &graph);
+  for (const auto& [site, schedule] : recorder.sites()) {
+    if (std::find(mv_sites.begin(), mv_sites.end(), site) != mv_sites.end()) {
+      AddMvsgEdges(schedule, GlobalKeyAt(schedule), &graph);
+    } else {
+      AddConflictEdges(GroupCommittedAccesses(schedule),
+                       GlobalKeyAt(schedule), &graph);
+    }
+  }
   return graph;
 }
 
@@ -222,14 +235,9 @@ SerializabilityResult CheckGlobalSerializability(
 
 DirectedGraph BuildMultiversionSerializationGraph(
     const ScheduleRecorder& recorder, SiteId site) {
-  DirectedGraph graph;
-  for (const TxnRecord* record : recorder.TxnsAtSite(site)) {
-    if (record->outcome == TxnOutcome::kCommitted) {
-      graph.AddNode(record->txn.value());
-    }
-  }
-  AddMvsgEdges(recorder, site, [](TxnId txn) { return txn.value(); },
-               &graph);
+  const SiteSchedule& schedule = recorder.site(site);
+  DirectedGraph graph = LocalNodes(schedule);
+  AddMvsgEdges(schedule, LocalKey, &graph);
   return graph;
 }
 
@@ -241,38 +249,14 @@ SerializabilityResult CheckMultiversionSerializability(
 SerializabilityResult CheckGlobalSerializabilityMixed(
     const ScheduleRecorder& recorder,
     const std::vector<SiteId>& mv_sites) {
-  DirectedGraph graph;
-  for (const auto& [txn, record] : recorder.txns()) {
-    if (record.outcome == TxnOutcome::kCommitted) {
-      graph.AddNode(GlobalNodeKey(record));
-    }
-  }
-  auto node_key = [&recorder](TxnId txn) {
-    return GlobalNodeKey(*recorder.FindTxn(txn));
-  };
-  auto is_mv = [&mv_sites](SiteId site) {
-    for (SiteId mv : mv_sites) {
-      if (mv == site) return true;
-    }
-    return false;
-  };
-  // Conflict edges for single-version sites only.
-  auto groups = GroupCommittedAccesses(recorder, std::nullopt);
-  std::map<std::pair<int64_t, int64_t>, std::vector<ItemAccess>> sv_groups;
-  for (auto& [key, accesses] : groups) {
-    if (!is_mv(SiteId(key.first))) sv_groups[key] = std::move(accesses);
-  }
-  AddConflictEdges(sv_groups, node_key, &graph);
-  for (SiteId site : mv_sites) {
-    AddMvsgEdges(recorder, site, node_key, &graph);
-  }
-  return CheckGraph(graph);
+  return CheckGraph(BuildGlobalConflictGraph(recorder, mv_sites));
 }
 
 Status CheckStrictness(const ScheduleRecorder& recorder, SiteId site,
                        bool multiversion) {
-  auto finished_before = [&recorder](TxnId txn, int64_t seq) {
-    const TxnRecord* record = recorder.FindTxn(txn);
+  const SiteSchedule& schedule = recorder.site(site);
+  auto finished_before = [&schedule](TxnId txn, int64_t seq) {
+    const TxnRecord* record = schedule.FindTxn(txn);
     return record != nullptr && record->finish_seq >= 0 &&
            record->finish_seq < seq;
   };
@@ -285,8 +269,7 @@ Status CheckStrictness(const ScheduleRecorder& recorder, SiteId site,
   };
 
   std::unordered_map<int64_t, TxnId> last_writer;
-  for (const RecordedOp& op : recorder.ops()) {
-    if (op.site != site) continue;
+  for (const RecordedOp& op : schedule.ops()) {
     if (op.op.type == OpType::kRead) {
       if (multiversion) {
         // The version read must come from a committed-and-finished writer
@@ -319,20 +302,21 @@ Status CheckStrictness(const ScheduleRecorder& recorder, SiteId site,
 
 Status CheckSerializationKeyProperty(const ScheduleRecorder& recorder,
                                      SiteId site) {
+  const SiteSchedule& schedule = recorder.site(site);
   DirectedGraph graph = BuildLocalConflictGraph(recorder, site);
-  for (const TxnRecord* from : recorder.TxnsAtSite(site)) {
-    if (from->outcome != TxnOutcome::kCommitted ||
-        !from->serialization_key.has_value()) {
+  for (const auto& [txn, from] : schedule.txns()) {
+    if (from.outcome != TxnOutcome::kCommitted ||
+        !from.serialization_key.has_value()) {
       continue;
     }
-    for (int64_t to_key : graph.Successors(from->txn.value())) {
-      const TxnRecord* to = recorder.FindTxn(TxnId(to_key));
+    for (int64_t to_key : graph.Successors(txn.value())) {
+      const TxnRecord* to = schedule.FindTxn(TxnId(to_key));
       if (to == nullptr || !to->serialization_key.has_value()) continue;
-      if (*from->serialization_key >= *to->serialization_key) {
+      if (*from.serialization_key >= *to->serialization_key) {
         std::ostringstream os;
         os << "serialization-key property violated at " << ToString(site)
-           << ": " << ToString(from->txn) << " (key "
-           << *from->serialization_key << ") conflicts-before "
+           << ": " << ToString(txn) << " (key " << *from.serialization_key
+           << ") conflicts-before "
            << ToString(to->txn) << " (key " << *to->serialization_key << ")";
         return Status::Internal(os.str());
       }

@@ -38,9 +38,12 @@ SerializabilityResult CheckLocalSerializability(
     const ScheduleRecorder& recorder, SiteId site);
 
 /// Conflict graph of the committed projection of the global schedule S:
-/// union over sites of local conflict edges, with subtransactions mapped to
-/// their global transaction via GlobalNodeKey.
-DirectedGraph BuildGlobalConflictGraph(const ScheduleRecorder& recorder);
+/// union over sites of local conflict edges (MVSG edges at `mv_sites`),
+/// with subtransactions mapped to their global transaction via
+/// GlobalNodeKey.
+DirectedGraph BuildGlobalConflictGraph(
+    const ScheduleRecorder& recorder,
+    const std::vector<SiteId>& mv_sites = {});
 
 /// Checks global serializability — the property Theorems 1-2 reduce to
 /// ser(S) serializability and that the GTM schemes must guarantee.

@@ -2,45 +2,43 @@
 
 #include <set>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace mdbs::sched {
 
 ScheduleStats ComputeScheduleStats(const ScheduleRecorder& recorder) {
   ScheduleStats stats;
-  std::unordered_map<SiteId, std::unordered_set<int64_t>> items;
-  for (const RecordedOp& op : recorder.ops()) {
-    SiteScheduleStats& site = stats.per_site[op.site];
-    if (op.op.type == OpType::kRead) {
-      ++site.reads;
-    } else {
-      ++site.writes;
-    }
-    items[op.site].insert(op.op.item.value());
-    ++stats.total_ops;
-  }
   std::set<int64_t> committed_globals;
-  for (const auto& [txn, record] : recorder.txns()) {
-    SiteScheduleStats& site = stats.per_site[record.site];
-    if (record.outcome == TxnOutcome::kCommitted) {
-      ++site.committed_txns;
-      if (record.global.valid()) {
-        ++site.global_subtxns;
-        committed_globals.insert(record.global.value());
+  for (const auto& [id, schedule] : recorder.sites()) {
+    if (schedule.ops().empty() && schedule.txns().empty()) continue;
+    SiteScheduleStats& site = stats.per_site[id];
+    std::unordered_set<int64_t> items;
+    for (const RecordedOp& op : schedule.ops()) {
+      if (op.op.type == OpType::kRead) {
+        ++site.reads;
       } else {
-        ++stats.committed_local_txns;
+        ++site.writes;
       }
-    } else if (record.outcome == TxnOutcome::kAborted) {
-      ++site.aborted_txns;
+      items.insert(op.op.item.value());
+    }
+    site.distinct_items = static_cast<int64_t>(items.size());
+    stats.total_ops += static_cast<int64_t>(schedule.ops().size());
+    for (const auto& [txn, record] : schedule.txns()) {
+      if (record.outcome == TxnOutcome::kCommitted) {
+        ++site.committed_txns;
+        if (record.global.valid()) {
+          ++site.global_subtxns;
+          committed_globals.insert(record.global.value());
+        } else {
+          ++stats.committed_local_txns;
+        }
+      } else if (record.outcome == TxnOutcome::kAborted) {
+        ++site.aborted_txns;
+      }
     }
   }
   stats.committed_global_txns =
       static_cast<int64_t>(committed_globals.size());
-  for (auto& [site, site_stats] : stats.per_site) {
-    site_stats.distinct_items =
-        static_cast<int64_t>(items[site].size());
-  }
   return stats;
 }
 

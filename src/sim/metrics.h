@@ -73,8 +73,7 @@ class Summary {
  public:
   void Add(double value);
 
-  /// Combines another summary into this one (bucket-wise histogram add);
-  /// how per-thread shards are folded together at drain time.
+  /// Combines another summary into this one (bucket-wise histogram add).
   void Merge(const Summary& other);
 
   int64_t count() const { return count_; }

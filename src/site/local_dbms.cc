@@ -41,9 +41,8 @@ std::unique_ptr<lcc::ConcurrencyControl> MakeProtocol(
 }
 
 LocalDbms::LocalDbms(const SiteConfig& config, sim::TaskRunner* loop,
-                     sched::ScheduleRecorder* recorder,
                      const obs::EventSink& events)
-    : config_(config), loop_(loop), recorder_(recorder), events_(events) {
+    : config_(config), loop_(loop), events_(events) {
   protocol_ = MakeProtocol(config.protocol, this, events_, config_.id);
   MDBS_CHECK(protocol_ != nullptr);
   if (config_.durable) {
@@ -80,7 +79,6 @@ Status LocalDbms::Begin(TxnId txn, GlobalTxnId global) {
   }
   events_.Emit({.kind = obs::TraceEventKind::kSiteBegin, .txn = txn.value(),
                 .site = config_.id.value(), .a = global.value()});
-  if (recorder_ != nullptr) recorder_->RecordBegin(config_.id, txn, global);
   return Status::OK();
 }
 
@@ -138,7 +136,6 @@ void LocalDbms::ProcessOp(TxnId txn, const DataOp& op, OpCallback cb) {
 }
 
 int64_t LocalDbms::ApplyOp(TxnId txn, TxnState* state, const DataOp& op) {
-  (void)txn;
   if (op.type == OpType::kRead) {
     int64_t value;
     TxnId read_from;
@@ -158,12 +155,10 @@ int64_t LocalDbms::ApplyOp(TxnId txn, TxnState* state, const DataOp& op) {
     } else {
       value = store_.Get(op.item);
     }
-    if (recorder_ != nullptr) {
-      DataOp observed = op;
-      observed.value = value;
-      recorder_->RecordOp(config_.id, txn, observed, loop_->now(),
-                          read_from);
-    }
+    const DataOp observed{OpType::kRead, op.item, value};
+    events_.Emit({.kind = obs::TraceEventKind::kSiteRead, .txn = txn.value(),
+                  .site = config_.id.value(), .b = read_from.value(),
+                  .ticks = loop_->now(), .op = &observed});
     return value;
   }
   // Write.
@@ -181,9 +176,9 @@ int64_t LocalDbms::ApplyOp(TxnId txn, TxnState* state, const DataOp& op) {
       wal_->Append(rec);
       MaybeCheckpoint();
     }
-    if (recorder_ != nullptr) {
-      recorder_->RecordOp(config_.id, txn, op, loop_->now());
-    }
+    events_.Emit({.kind = obs::TraceEventKind::kSiteWrite, .txn = txn.value(),
+                  .site = config_.id.value(), .ticks = loop_->now(),
+                  .op = &op});
   } else {
     auto [buf_it, inserted] = state->write_buffer.try_emplace(op.item);
     buf_it->second = op.value;
@@ -257,11 +252,10 @@ void LocalDbms::ProcessCommit(TxnId txn, TxnCallback cb) {
       rec.clock = writer_ts;
       wal_->Append(rec);
     }
-    if (recorder_ != nullptr) {
-      recorder_->RecordOp(config_.id, txn,
-                          DataOp::Write(item, state.write_buffer.at(item)),
-                          loop_->now());
-    }
+    const DataOp installed = DataOp::Write(item, state.write_buffer.at(item));
+    events_.Emit({.kind = obs::TraceEventKind::kSiteWrite, .txn = txn.value(),
+                  .site = config_.id.value(), .ticks = loop_->now(),
+                  .op = &installed});
   }
   protocol_->OnFinish(txn, TxnOutcome::kCommitted);
   if (wal_ != nullptr) {
@@ -282,11 +276,8 @@ void LocalDbms::ProcessCommit(TxnId txn, TxnCallback cb) {
     wal_->Append(rec);
   }
   events_.Emit({.kind = obs::TraceEventKind::kSiteCommit, .txn = txn.value(),
-                .site = config_.id.value(), .a = state.global.value()});
-  if (recorder_ != nullptr) {
-    recorder_->RecordFinish(txn, TxnOutcome::kCommitted,
-                            protocol_->SerializationKey(txn));
-  }
+                .site = config_.id.value(), .a = state.global.value(),
+                .key = protocol_->SerializationKey(txn)});
   committed_txns_.insert(txn);
   if (KeepsImage()) new_committed_.push_back(txn.value());
   txns_.erase(txn);
@@ -340,9 +331,6 @@ void LocalDbms::DoAbort(TxnId txn, TxnState* state) {
   protocol_->OnFinish(txn, TxnOutcome::kAborted);
   events_.Emit({.kind = obs::TraceEventKind::kSiteAbort, .txn = txn.value(),
                 .site = config_.id.value(), .a = state->global.value()});
-  if (recorder_ != nullptr) {
-    recorder_->RecordFinish(txn, TxnOutcome::kAborted, std::nullopt);
-  }
   // Fail the blocked operation's caller, if any.
   if (state->pending_op.has_value()) {
     OpCallback cb = std::move(state->pending_cb);
@@ -396,9 +384,6 @@ void LocalDbms::Crash() {
     TxnState& state = it->second;
     events_.Emit({.kind = obs::TraceEventKind::kSiteAbort, .txn = txn.value(),
                   .site = config_.id.value(), .a = state.global.value()});
-    if (recorder_ != nullptr) {
-      recorder_->RecordFinish(txn, TxnOutcome::kAborted, std::nullopt);
-    }
     if (state.pending_op.has_value()) {
       OpCallback cb = std::move(state.pending_cb);
       state.pending_op.reset();

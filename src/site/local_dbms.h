@@ -13,7 +13,6 @@
 #include "common/types.h"
 #include "lcc/protocol.h"
 #include "obs/event_sink.h"
-#include "sched/schedule.h"
 #include "sim/task_runner.h"
 #include "storage/kv_store.h"
 #include "storage/log_device.h"
@@ -74,7 +73,7 @@ struct SiteDurabilityStats {
 /// control protocol, executing operations asynchronously on the simulation
 /// event loop. It does not distinguish local transactions from global
 /// subtransactions (paper §2.1) — `GlobalTxnId` is threaded through solely
-/// for the verification recorder.
+/// for the verification recorder, which reads it from kSiteBegin.
 ///
 /// Interface contract (one operation in flight per transaction):
 ///   Begin -> Submit* -> Commit | Abort
@@ -90,11 +89,12 @@ class LocalDbms : public lcc::ProtocolHost {
   /// `loop` is this site's strand: the simulation loop, or — in threaded
   /// mode — the site's own RealStrand. All state-touching work runs there;
   /// Submit/Commit/Abort only post to it and are safe from any thread.
-  /// Site lifecycle events (begin/commit/abort, blocked operations,
-  /// crashes, recovery) and the protocol's lock-wait / wound / validation
-  /// events go to `events`, which must outlive the site.
+  /// Site lifecycle events (begin/commit/abort, executed reads and writes,
+  /// blocked operations, crashes, recovery) and the protocol's lock-wait /
+  /// wound / validation events go to `events`, which must outlive the site.
+  /// The schedule recorder reads begins, finishes and data operations from
+  /// there.
   LocalDbms(const SiteConfig& config, sim::TaskRunner* loop,
-            sched::ScheduleRecorder* recorder,
             const obs::EventSink& events = obs::kNoEvents);
   ~LocalDbms() override = default;
 
@@ -235,7 +235,6 @@ class LocalDbms : public lcc::ProtocolHost {
 
   SiteConfig config_;
   sim::TaskRunner* loop_;
-  sched::ScheduleRecorder* recorder_;
   const obs::EventSink& events_;
   audit::Auditor* auditor_ = nullptr;
   storage::KvStore store_;

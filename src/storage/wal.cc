@@ -63,24 +63,6 @@ void Fields(Io& io, R& r) {
   }
 }
 
-const char* WalRecordTypeName(WalRecordType type) {
-  switch (type) {
-    case WalRecordType::kBegin:
-      return "begin";
-    case WalRecordType::kWrite:
-      return "write";
-    case WalRecordType::kClr:
-      return "clr";
-    case WalRecordType::kCommit:
-      return "commit";
-    case WalRecordType::kAbort:
-      return "abort";
-    case WalRecordType::kCheckpoint:
-      return "checkpoint";
-  }
-  return "?";
-}
-
 std::vector<uint8_t> EncodeWalRecord(const WalRecord& record) {
   return FrameFields(record);
 }

@@ -23,8 +23,6 @@ enum class WalRecordType : uint8_t {
   kCheckpoint = 6,  // fuzzy checkpoint image (store + active-txn undo)
 };
 
-const char* WalRecordTypeName(WalRecordType type);
-
 /// A fuzzy checkpoint: the store as of the checkpoint (which may contain
 /// uncommitted in-place writes), the undo entries needed to roll those back,
 /// and everything recovery needs to avoid reading the log's prefix again.

@@ -64,10 +64,11 @@ void ExpectZeroCommittedDataLoss(Mdbs* system) {
     // item -> (finish_seq of writer, op seq, value): lexicographic max wins.
     std::unordered_map<int64_t, std::tuple<int64_t, int64_t, int64_t>> last;
     std::unordered_set<int64_t> universe;
-    for (const sched::RecordedOp& op : system->recorder().ops()) {
-      if (op.site != site || op.op.type != OpType::kWrite) continue;
+    const sched::SiteSchedule& schedule = system->recorder().site(site);
+    for (const sched::RecordedOp& op : schedule.ops()) {
+      if (op.op.type != OpType::kWrite) continue;
       universe.insert(op.op.item.value());
-      const sched::TxnRecord* txn = system->recorder().FindTxn(op.txn);
+      const sched::TxnRecord* txn = schedule.FindTxn(op.txn);
       ASSERT_NE(txn, nullptr);
       if (txn->outcome != TxnOutcome::kCommitted) continue;
       std::tuple<int64_t, int64_t, int64_t> candidate{txn->finish_seq,

@@ -1,10 +1,18 @@
+#include <atomic>
+#include <chrono>
+#include <map>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "obs/event_sink.h"
 #include "sched/serializability.h"
 #include "sim/event_loop.h"
+#include "sim/real_strand.h"
 #include "site/local_dbms.h"
 
 namespace mdbs::site {
@@ -19,7 +27,7 @@ struct Harness {
     SiteConfig config;
     config.id = kSite;
     config.protocol = protocol;
-    dbms = std::make_unique<LocalDbms>(config, &loop, &recorder);
+    dbms = std::make_unique<LocalDbms>(config, &loop, events);
   }
 
   TxnId Begin() {
@@ -62,7 +70,8 @@ struct Harness {
   }
 
   sim::EventLoop loop;
-  sched::ScheduleRecorder recorder;
+  sched::ScheduleRecorder recorder{{kSite}};
+  const obs::EventSink events{nullptr, nullptr, &recorder};
   std::unique_ptr<LocalDbms> dbms;
   int64_t next_id_ = 1;
 };
@@ -227,12 +236,13 @@ TEST(LocalDbmsRecorderTest, OpsRecordedInExecutionOrder) {
   ASSERT_TRUE(h.Do(t1, DataOp::Write(kX, 1)).first.ok());
   ASSERT_TRUE(h.Do(t1, DataOp::Read(kY)).first.ok());
   ASSERT_TRUE(h.Commit(t1).ok());
-  const auto& ops = h.recorder.ops();
+  const sched::SiteSchedule& schedule = h.recorder.site(kSite);
+  const auto& ops = schedule.ops();
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].op.type, OpType::kWrite);
   EXPECT_EQ(ops[1].op.type, OpType::kRead);
   EXPECT_LT(ops[0].seq, ops[1].seq);
-  const sched::TxnRecord* record = h.recorder.FindTxn(t1);
+  const sched::TxnRecord* record = schedule.FindTxn(t1);
   ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->outcome, TxnOutcome::kCommitted);
   EXPECT_TRUE(record->serialization_key.has_value());
@@ -248,10 +258,159 @@ TEST(LocalDbmsRecorderTest, OccWritesRecordedAtCommit) {
   ASSERT_TRUE(h.Commit(t1).ok());
   // T2's write applied (and was recorded) first even though T1 buffered
   // its write earlier.
-  const auto& ops = h.recorder.ops();
+  const auto& ops = h.recorder.site(kSite).ops();
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].txn, t2);
   EXPECT_EQ(ops[1].txn, t1);
+}
+
+// Real threads: three sites, each on its own strand, record into their own
+// shards with no shared lock. Two clients per site contend on four items,
+// so operations block, abort and (OCC, MVTO) install deferred writes at
+// commit. Each site's shard must hold exactly the operations that site
+// executed, in the order it executed them: a read or an in-place write
+// when its callback reports success, a deferred write when its
+// transaction's commit does.
+struct ThreadedSite {
+  std::unique_ptr<sim::RealStrand> strand;
+  std::unique_ptr<LocalDbms> dbms;
+  bool deferred = false;
+  // Written only on the site's strand; read after it stopped.
+  std::vector<std::pair<TxnId, DataOp>> executed;
+  int64_t next_txn = 0;
+  int64_t begun = 0;
+  int64_t committed = 0;
+};
+
+struct ThreadedClient {
+  ThreadedSite* site;
+  std::atomic<int>* done;
+  Rng rng;
+  int remaining;
+
+  ThreadedClient(ThreadedSite* s, std::atomic<int>* d, uint64_t seed,
+                 int txns)
+      : site(s), done(d), rng(seed), remaining(txns) {}
+
+  TxnId txn;
+  std::vector<DataOp> ops;
+  size_t next = 0;
+  std::vector<DataItemId> write_order;
+  std::map<DataItemId, int64_t> writes;
+
+  void StartTxn() {
+    if (remaining-- <= 0) {
+      done->fetch_add(1);
+      return;
+    }
+    txn = TxnId(site->next_txn++);
+    ASSERT_TRUE(site->dbms->Begin(txn, GlobalTxnId()).ok());
+    ++site->begun;
+    ops.clear();
+    write_order.clear();
+    writes.clear();
+    const int n = static_cast<int>(rng.NextInRange(1, 4));
+    for (int i = 0; i < n; ++i) {
+      DataItemId item{static_cast<int64_t>(rng.NextBelow(4))};
+      ops.push_back(rng.NextBernoulli(0.5)
+                        ? DataOp::Read(item)
+                        : DataOp::Write(item, static_cast<int64_t>(
+                                                  rng.NextBelow(1000))));
+    }
+    next = 0;
+    Step();
+  }
+
+  void Step() {
+    if (next == ops.size()) {
+      site->dbms->Commit(txn, [this](const Status& status) {
+        if (status.ok()) {
+          ++site->committed;
+          for (DataItemId item : write_order) {
+            site->executed.emplace_back(txn,
+                                        DataOp::Write(item, writes.at(item)));
+          }
+        }
+        StartTxn();
+      });
+      return;
+    }
+    const DataOp op = ops[next];
+    site->dbms->Submit(txn, op, [this, op](const Status& status,
+                                           int64_t value) {
+      if (!status.ok()) {
+        StartTxn();
+        return;
+      }
+      if (op.type == OpType::kRead || !site->deferred) {
+        site->executed.emplace_back(txn, DataOp{op.type, op.item, value});
+      } else {
+        if (!writes.contains(op.item)) write_order.push_back(op.item);
+        writes[op.item] = op.value;
+      }
+      ++next;
+      Step();
+    });
+  }
+};
+
+TEST(LocalDbmsRecorderTest, ThreadedShardsHoldEachSitesExecutedOps) {
+  const std::vector<lcc::ProtocolKind> protocols = {
+      lcc::ProtocolKind::kTwoPhaseLocking, lcc::ProtocolKind::kOptimistic,
+      lcc::ProtocolKind::kMultiversionTO};
+  std::vector<SiteId> ids;
+  for (size_t i = 0; i < protocols.size(); ++i) {
+    ids.emplace_back(static_cast<int64_t>(i));
+  }
+  sched::ScheduleRecorder recorder(ids);
+  const obs::EventSink events(nullptr, nullptr, &recorder);
+  sim::RealTicker ticker;
+  std::vector<ThreadedSite> sites(protocols.size());
+  std::vector<std::unique_ptr<ThreadedClient>> clients;
+  std::atomic<int> done{0};
+  for (size_t i = 0; i < protocols.size(); ++i) {
+    SiteConfig config;
+    config.id = ids[i];
+    config.protocol = protocols[i];
+    sites[i].strand = std::make_unique<sim::RealStrand>(
+        &ticker, "site-" + std::to_string(i));
+    sites[i].dbms =
+        std::make_unique<LocalDbms>(config, sites[i].strand.get(), events);
+    sites[i].deferred = !sites[i].dbms->protocol().WritesInPlace();
+    for (int c = 0; c < 2; ++c) {
+      clients.push_back(std::make_unique<ThreadedClient>(
+          &sites[i], &done, 100 * i + c, 60));
+    }
+  }
+  for (const std::unique_ptr<ThreadedClient>& client : clients) {
+    ThreadedClient* raw = client.get();
+    raw->site->strand->Schedule(0, [raw] { raw->StartTxn(); });
+  }
+  while (done.load() < static_cast<int>(clients.size())) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (ThreadedSite& site : sites) site.strand->Stop();
+
+  for (size_t i = 0; i < sites.size(); ++i) {
+    const sched::SiteSchedule& schedule = recorder.site(ids[i]);
+    const std::vector<sched::RecordedOp>& recorded = schedule.ops();
+    const std::vector<std::pair<TxnId, DataOp>>& executed = sites[i].executed;
+    ASSERT_EQ(recorded.size(), executed.size()) << ToString(ids[i]);
+    for (size_t k = 0; k < recorded.size(); ++k) {
+      const auto& [txn, op] = executed[k];
+      EXPECT_EQ(recorded[k].txn, txn) << ToString(ids[i]) << " op " << k;
+      EXPECT_EQ(recorded[k].op.type, op.type) << ToString(ids[i]) << k;
+      EXPECT_EQ(recorded[k].op.item, op.item) << ToString(ids[i]) << k;
+      EXPECT_EQ(recorded[k].op.value, op.value) << ToString(ids[i]) << k;
+    }
+    EXPECT_EQ(static_cast<int64_t>(schedule.txns().size()), sites[i].begun);
+    int64_t committed = 0;
+    for (const auto& [txn, record] : schedule.txns()) {
+      if (record.outcome == TxnOutcome::kCommitted) ++committed;
+    }
+    EXPECT_EQ(committed, sites[i].committed) << ToString(ids[i]);
+    EXPECT_GT(committed, 0) << ToString(ids[i]);
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 // decomposition must partition each measured lifetime exactly (the balance
 // invariant), in both engines and across schemes; the timeline and
 // bottleneck must be deterministic per seed; durable-recovery stalls must
-// be attributed to the recovery phase; and the sharded site-exec summaries
-// must fold multi-threaded records losslessly.
+// be attributed to the recovery phase; and each site's site-exec summary,
+// written only by that site's strand, must count every record.
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,7 +17,9 @@
 #include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
+#include "obs/event_sink.h"
 #include "obs/metrics.h"
+#include "sim/real_strand.h"
 
 namespace mdbs {
 namespace {
@@ -88,31 +94,6 @@ DriverConfig ContendedWorkload() {
   config.global_workload.dav_max = 3;
   config.local_workload.items_per_site = 20;
   return config;
-}
-
-// --------------------------------------------------------------------------
-// ShardedSummary
-// --------------------------------------------------------------------------
-
-TEST(ShardedSummaryTest, ConcurrentRecordsFoldLosslessly) {
-  obs::ShardedSummary sharded;
-  const int kThreads = 8;
-  const int kPerThread = 10'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&sharded, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        sharded.Record(static_cast<double>(t * kPerThread + i));
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  sim::Summary merged = sharded.Drain();
-  const int64_t n = int64_t{kThreads} * kPerThread;
-  EXPECT_EQ(merged.count(), n);
-  EXPECT_DOUBLE_EQ(merged.sum(), static_cast<double>(n * (n - 1) / 2));
-  EXPECT_DOUBLE_EQ(merged.min(), 0.0);
-  EXPECT_DOUBLE_EQ(merged.max(), static_cast<double>(n - 1));
 }
 
 // --------------------------------------------------------------------------
@@ -235,6 +216,55 @@ TEST(MetricsThreadedTest, BalanceHoldsUnderRealThreads) {
   // Real threads make admission queueing (client strand -> GTM strand)
   // observable; it is part of the partition, never negative.
   EXPECT_GE(PhaseTicks(snapshot, TxnPhase::kAdmission), 0);
+}
+
+// Each site strand records its kSiteWork into the site's own summary with
+// no lock; under real threads every emit must land in its site's summary.
+TEST(MetricsThreadedTest, SiteExecCountsEverySiteWorkEmit) {
+  const std::vector<SiteId> ids = {SiteId(0), SiteId(1), SiteId(2)};
+  sim::RealTicker ticker;
+  obs::MetricsEngine engine(obs::MetricsConfig{},
+                            [&ticker] { return ticker.NowMicros(); }, ids);
+  const obs::EventSink events(nullptr, &engine);
+  const int kEmits = 2000;
+  std::vector<std::unique_ptr<sim::RealStrand>> strands;
+  std::atomic<size_t> done{0};
+  // Site i emits busy times 1..kEmits*(i+1) in steps of i+1, each from its
+  // own task on its own strand.
+  std::function<void(size_t, int)> emit = [&](size_t i, int n) {
+    if (n > kEmits) {
+      done.fetch_add(1);
+      return;
+    }
+    events.Emit({.kind = obs::TraceEventKind::kSiteWork,
+                 .site = ids[i].value(),
+                 .ticks = static_cast<sim::Time>(n * (i + 1))});
+    strands[i]->Schedule(0, [&emit, i, n] { emit(i, n + 1); });
+  };
+  for (size_t i = 0; i < ids.size(); ++i) {
+    strands.push_back(std::make_unique<sim::RealStrand>(
+        &ticker, "site-" + std::to_string(i)));
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    strands[i]->Schedule(0, [&emit, i] { emit(i, 1); });
+  }
+  while (done.load() < ids.size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (const auto& strand : strands) strand->Stop();
+
+  const MetricsSnapshot snapshot = engine.Snapshot();
+  ASSERT_EQ(snapshot.site_exec.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const auto& [site, summary] = snapshot.site_exec[i];
+    EXPECT_EQ(site, ids[i]);
+    EXPECT_EQ(summary.count(), kEmits) << ToString(site);
+    const double step = static_cast<double>(i + 1);
+    EXPECT_DOUBLE_EQ(summary.sum(), step * kEmits * (kEmits + 1) / 2)
+        << ToString(site);
+    EXPECT_DOUBLE_EQ(summary.min(), step) << ToString(site);
+    EXPECT_DOUBLE_EQ(summary.max(), step * kEmits) << ToString(site);
+  }
 }
 
 // --------------------------------------------------------------------------

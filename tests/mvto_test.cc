@@ -3,6 +3,7 @@
 #include "lcc/mvto.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
+#include "obs/event_sink.h"
 #include "sched/serializability.h"
 #include "sim/event_loop.h"
 #include "site/local_dbms.h"
@@ -165,8 +166,9 @@ TEST(MvtoSiteTest, OldReaderSurvivesYoungerCommittedWrite) {
   config.id = SiteId(0);
   config.protocol = ProtocolKind::kMultiversionTO;
   sim::EventLoop loop;
-  sched::ScheduleRecorder recorder;
-  site::LocalDbms dbms(config, &loop, &recorder);
+  sched::ScheduleRecorder recorder({SiteId(0)});
+  const obs::EventSink events(nullptr, nullptr, &recorder);
+  site::LocalDbms dbms(config, &loop, events);
   dbms.UnsafePoke(kX, 7);
 
   TxnId t1{1}, t2{2};
@@ -210,23 +212,24 @@ TEST(MvtoSiteTest, OldReaderSurvivesYoungerCommittedWrite) {
 // --------------------------------------------------------------------------
 
 TEST(MvsgCheckerTest, DetectsInconsistentReadsFrom) {
-  sched::ScheduleRecorder recorder;
   const SiteId kSite{0};
+  sched::ScheduleRecorder recorder({kSite});
+  sched::SiteSchedule& schedule = recorder.site(kSite);
   // T1 (ts 10) writes x; T2 (ts 20) writes x; T3 reads T1's version but
   // also reads T2's version of y written BEFORE T2... construct a cycle:
   // T3 reads x from T1 (so T3 -> T2 via next-version rule) and T2 -> T3
   // via reads-from on y.
-  recorder.RecordBegin(kSite, kT1, GlobalTxnId());
-  recorder.RecordBegin(kSite, kT2, GlobalTxnId());
-  recorder.RecordBegin(kSite, kT3, GlobalTxnId());
-  recorder.RecordOp(kSite, kT1, DataOp::Write(kX, 1), 0);
-  recorder.RecordOp(kSite, kT2, DataOp::Write(kX, 2), 1);
-  recorder.RecordOp(kSite, kT2, DataOp::Write(kY, 2), 2);
-  recorder.RecordOp(kSite, kT3, DataOp::Read(kX), 3, kT1);  // Old version.
-  recorder.RecordOp(kSite, kT3, DataOp::Read(kY), 4, kT2);  // New version.
-  recorder.RecordFinish(kT1, TxnOutcome::kCommitted, 10);
-  recorder.RecordFinish(kT2, TxnOutcome::kCommitted, 20);
-  recorder.RecordFinish(kT3, TxnOutcome::kCommitted, 15);
+  schedule.RecordBegin(kT1, GlobalTxnId());
+  schedule.RecordBegin(kT2, GlobalTxnId());
+  schedule.RecordBegin(kT3, GlobalTxnId());
+  schedule.RecordOp(kT1, DataOp::Write(kX, 1), 0);
+  schedule.RecordOp(kT2, DataOp::Write(kX, 2), 1);
+  schedule.RecordOp(kT2, DataOp::Write(kY, 2), 2);
+  schedule.RecordOp(kT3, DataOp::Read(kX), 3, kT1);  // Old version.
+  schedule.RecordOp(kT3, DataOp::Read(kY), 4, kT2);  // New version.
+  schedule.RecordFinish(kT1, TxnOutcome::kCommitted, 10);
+  schedule.RecordFinish(kT2, TxnOutcome::kCommitted, 20);
+  schedule.RecordFinish(kT3, TxnOutcome::kCommitted, 15);
   // MVSG: T1 -> T2 (version order), T3 -> T2 (read old x before T2's
   // version), T2 -> T3 (reads-from y): cycle T2 -> T3 -> T2.
   EXPECT_FALSE(sched::CheckMultiversionSerializability(recorder, kSite)
@@ -234,19 +237,20 @@ TEST(MvsgCheckerTest, DetectsInconsistentReadsFrom) {
 }
 
 TEST(MvsgCheckerTest, ConsistentSnapshotPasses) {
-  sched::ScheduleRecorder recorder;
   const SiteId kSite{0};
-  recorder.RecordBegin(kSite, kT1, GlobalTxnId());
-  recorder.RecordBegin(kSite, kT2, GlobalTxnId());
-  recorder.RecordBegin(kSite, kT3, GlobalTxnId());
-  recorder.RecordOp(kSite, kT1, DataOp::Write(kX, 1), 0);
-  recorder.RecordOp(kSite, kT2, DataOp::Write(kX, 2), 1);
-  recorder.RecordOp(kSite, kT2, DataOp::Write(kY, 2), 2);
-  recorder.RecordOp(kSite, kT3, DataOp::Read(kX), 3, kT1);
-  recorder.RecordOp(kSite, kT3, DataOp::Read(kY), 4, TxnId());  // Initial.
-  recorder.RecordFinish(kT1, TxnOutcome::kCommitted, 10);
-  recorder.RecordFinish(kT2, TxnOutcome::kCommitted, 20);
-  recorder.RecordFinish(kT3, TxnOutcome::kCommitted, 15);
+  sched::ScheduleRecorder recorder({kSite});
+  sched::SiteSchedule& schedule = recorder.site(kSite);
+  schedule.RecordBegin(kT1, GlobalTxnId());
+  schedule.RecordBegin(kT2, GlobalTxnId());
+  schedule.RecordBegin(kT3, GlobalTxnId());
+  schedule.RecordOp(kT1, DataOp::Write(kX, 1), 0);
+  schedule.RecordOp(kT2, DataOp::Write(kX, 2), 1);
+  schedule.RecordOp(kT2, DataOp::Write(kY, 2), 2);
+  schedule.RecordOp(kT3, DataOp::Read(kX), 3, kT1);
+  schedule.RecordOp(kT3, DataOp::Read(kY), 4, TxnId());  // Initial.
+  schedule.RecordFinish(kT1, TxnOutcome::kCommitted, 10);
+  schedule.RecordFinish(kT2, TxnOutcome::kCommitted, 20);
+  schedule.RecordFinish(kT3, TxnOutcome::kCommitted, 15);
   EXPECT_TRUE(sched::CheckMultiversionSerializability(recorder, kSite)
                   .serializable);
 }

@@ -142,8 +142,7 @@ TEST(WoundWaitSiteTest, WoundRollsBackVictimAndFailsItsNextOp) {
   config.id = SiteId(0);
   config.protocol = ProtocolKind::kTwoPhaseLockingWoundWait;
   sim::EventLoop loop;
-  sched::ScheduleRecorder recorder;
-  site::LocalDbms dbms(config, &loop, &recorder);
+  site::LocalDbms dbms(config, &loop);
   dbms.UnsafePoke(kX, 7);
 
   TxnId older{1}, younger{2};
@@ -179,7 +178,7 @@ TEST(WaitDieSiteTest, NoDeadlockUnderCrossLocking) {
   config.id = SiteId(0);
   config.protocol = ProtocolKind::kTwoPhaseLockingWaitDie;
   sim::EventLoop loop;
-  site::LocalDbms dbms(config, &loop, /*recorder=*/nullptr);
+  site::LocalDbms dbms(config, &loop);
 
   TxnId t1{1}, t2{2};
   ASSERT_TRUE(dbms.Begin(t1, GlobalTxnId()).ok());

@@ -1,3 +1,5 @@
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "sched/graph.h"
@@ -102,18 +104,25 @@ TEST(DirectedGraphTest, TopologicalOrderRespectsEdges) {
 
 struct RecorderFixture : public ::testing::Test {
   void Begin(TxnId txn, SiteId site, GlobalTxnId global = GlobalTxnId()) {
-    recorder.RecordBegin(site, txn, global);
+    site_of[txn] = site;
+    recorder.site(site).RecordBegin(txn, global);
   }
   void Op(TxnId txn, SiteId site, const DataOp& op) {
-    recorder.RecordOp(site, txn, op, /*time=*/0);
+    recorder.site(site).RecordOp(txn, op, /*time=*/0);
   }
   void Commit(TxnId txn, std::optional<int64_t> key = std::nullopt) {
-    recorder.RecordFinish(txn, TxnOutcome::kCommitted, key);
+    recorder.site(site_of.at(txn))
+        .RecordFinish(txn, TxnOutcome::kCommitted, key);
   }
   void Abort(TxnId txn) {
-    recorder.RecordFinish(txn, TxnOutcome::kAborted, std::nullopt);
+    recorder.site(site_of.at(txn))
+        .RecordFinish(txn, TxnOutcome::kAborted, std::nullopt);
   }
-  ScheduleRecorder recorder;
+  const TxnRecord& Record(TxnId txn) const {
+    return *recorder.site(site_of.at(txn)).FindTxn(txn);
+  }
+  ScheduleRecorder recorder{{kS0, kS1}};
+  std::map<TxnId, SiteId> site_of;
 };
 
 TEST_F(RecorderFixture, CountsOutcomes) {
@@ -124,14 +133,15 @@ TEST_F(RecorderFixture, CountsOutcomes) {
   Abort(kT2);
   EXPECT_EQ(recorder.CommittedCount(), 1);
   EXPECT_EQ(recorder.AbortedCount(), 1);
-  EXPECT_EQ(recorder.FindTxn(kT3)->outcome, TxnOutcome::kActive);
+  EXPECT_EQ(Record(kT3).outcome, TxnOutcome::kActive);
 }
 
 TEST_F(RecorderFixture, TxnsAtSiteFilters) {
   Begin(kT1, kS0);
   Begin(kT2, kS1);
-  EXPECT_EQ(recorder.TxnsAtSite(kS0).size(), 1u);
-  EXPECT_EQ(recorder.TxnsAtSite(kS1).size(), 1u);
+  EXPECT_EQ(recorder.site(kS0).txns().size(), 1u);
+  EXPECT_EQ(recorder.site(kS1).txns().size(), 1u);
+  EXPECT_EQ(recorder.site(kS1).FindTxn(kT1), nullptr);
 }
 
 // --------------------------------------------------------------------------
@@ -266,9 +276,9 @@ TEST_F(RecorderFixture, IndirectConflictThroughLocalTxn) {
   Commit(kL);
   Commit(kT2);
   DirectedGraph g = BuildGlobalConflictGraph(recorder);
-  int64_t g1 = GlobalNodeKey(*recorder.FindTxn(kT1));
-  int64_t g2 = GlobalNodeKey(*recorder.FindTxn(kT2));
-  int64_t local = GlobalNodeKey(*recorder.FindTxn(kL));
+  int64_t g1 = GlobalNodeKey(Record(kT1));
+  int64_t g2 = GlobalNodeKey(Record(kT2));
+  int64_t local = GlobalNodeKey(Record(kL));
   EXPECT_TRUE(g.HasEdge(g1, local));
   EXPECT_TRUE(g.HasEdge(local, g2));
   EXPECT_NE(g1 % 2, 1);  // Globals get even keys.

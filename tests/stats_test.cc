@@ -17,19 +17,21 @@ TEST(ScheduleStatsTest, EmptyRecorder) {
 }
 
 TEST(ScheduleStatsTest, AggregatesPerSite) {
-  ScheduleRecorder recorder;
+  ScheduleRecorder recorder({kS0, kS1});
+  SiteSchedule& at_s0 = recorder.site(kS0);
+  SiteSchedule& at_s1 = recorder.site(kS1);
   TxnId local{1}, sub_a{2}, sub_b{3};
   GlobalTxnId global{10};
-  recorder.RecordBegin(kS0, local, GlobalTxnId());
-  recorder.RecordBegin(kS0, sub_a, global);
-  recorder.RecordBegin(kS1, sub_b, global);
-  recorder.RecordOp(kS0, local, DataOp::Read(DataItemId(1)), 0);
-  recorder.RecordOp(kS0, local, DataOp::Write(DataItemId(1), 5), 1);
-  recorder.RecordOp(kS0, sub_a, DataOp::Write(DataItemId(2), 5), 2);
-  recorder.RecordOp(kS1, sub_b, DataOp::Read(DataItemId(3)), 3);
-  recorder.RecordFinish(local, TxnOutcome::kCommitted, std::nullopt);
-  recorder.RecordFinish(sub_a, TxnOutcome::kCommitted, std::nullopt);
-  recorder.RecordFinish(sub_b, TxnOutcome::kAborted, std::nullopt);
+  at_s0.RecordBegin(local, GlobalTxnId());
+  at_s0.RecordBegin(sub_a, global);
+  at_s1.RecordBegin(sub_b, global);
+  at_s0.RecordOp(local, DataOp::Read(DataItemId(1)), 0);
+  at_s0.RecordOp(local, DataOp::Write(DataItemId(1), 5), 1);
+  at_s0.RecordOp(sub_a, DataOp::Write(DataItemId(2), 5), 2);
+  at_s1.RecordOp(sub_b, DataOp::Read(DataItemId(3)), 3);
+  at_s0.RecordFinish(local, TxnOutcome::kCommitted, std::nullopt);
+  at_s0.RecordFinish(sub_a, TxnOutcome::kCommitted, std::nullopt);
+  at_s1.RecordFinish(sub_b, TxnOutcome::kAborted, std::nullopt);
 
   ScheduleStats stats = ComputeScheduleStats(recorder);
   EXPECT_EQ(stats.total_ops, 4);
@@ -47,41 +49,45 @@ TEST(ScheduleStatsTest, AggregatesPerSite) {
 }
 
 TEST(ScheduleStatsTest, ToStringListsSites) {
-  ScheduleRecorder recorder;
+  ScheduleRecorder recorder({kS0});
+  SiteSchedule& schedule = recorder.site(kS0);
   TxnId txn{1};
-  recorder.RecordBegin(kS0, txn, GlobalTxnId());
-  recorder.RecordOp(kS0, txn, DataOp::Read(DataItemId(1)), 0);
-  recorder.RecordFinish(txn, TxnOutcome::kCommitted, std::nullopt);
+  schedule.RecordBegin(txn, GlobalTxnId());
+  schedule.RecordOp(txn, DataOp::Read(DataItemId(1)), 0);
+  schedule.RecordFinish(txn, TxnOutcome::kCommitted, std::nullopt);
   std::string text = ComputeScheduleStats(recorder).ToString();
   EXPECT_NE(text.find("s0"), std::string::npos);
   EXPECT_NE(text.find("r=1"), std::string::npos);
 }
 
 TEST(ScheduleDumpTest, TruncatesAndFormats) {
-  ScheduleRecorder recorder;
+  ScheduleRecorder recorder({kS0});
+  SiteSchedule& schedule = recorder.site(kS0);
   TxnId txn{1};
-  recorder.RecordBegin(kS0, txn, GlobalTxnId());
+  schedule.RecordBegin(txn, GlobalTxnId());
   for (int i = 0; i < 10; ++i) {
-    recorder.RecordOp(kS0, txn, DataOp::Read(DataItemId(i)), i);
+    schedule.RecordOp(txn, DataOp::Read(DataItemId(i)), i);
   }
   std::string dump = recorder.Dump(/*limit=*/3);
+  EXPECT_NE(dump.find("s0: 10 ops"), std::string::npos);
   EXPECT_NE(dump.find("#0"), std::string::npos);
   EXPECT_NE(dump.find("7 more"), std::string::npos);
   EXPECT_EQ(dump.find("#5"), std::string::npos);
 }
 
 TEST(ScheduleDumpTest, FinishSeqOrdersAgainstOps) {
-  ScheduleRecorder recorder;
+  ScheduleRecorder recorder({kS0});
+  SiteSchedule& schedule = recorder.site(kS0);
   TxnId t1{1}, t2{2};
-  recorder.RecordBegin(kS0, t1, GlobalTxnId());
-  recorder.RecordBegin(kS0, t2, GlobalTxnId());
-  recorder.RecordOp(kS0, t1, DataOp::Write(DataItemId(1), 5), 0);
-  recorder.RecordFinish(t1, TxnOutcome::kCommitted, std::nullopt);
-  recorder.RecordOp(kS0, t2, DataOp::Read(DataItemId(1)), 1);
-  const TxnRecord* r1 = recorder.FindTxn(t1);
+  schedule.RecordBegin(t1, GlobalTxnId());
+  schedule.RecordBegin(t2, GlobalTxnId());
+  schedule.RecordOp(t1, DataOp::Write(DataItemId(1), 5), 0);
+  schedule.RecordFinish(t1, TxnOutcome::kCommitted, std::nullopt);
+  schedule.RecordOp(t2, DataOp::Read(DataItemId(1)), 1);
+  const TxnRecord* r1 = schedule.FindTxn(t1);
   ASSERT_NE(r1, nullptr);
-  EXPECT_GT(r1->finish_seq, recorder.ops()[0].seq);
-  EXPECT_LT(r1->finish_seq, recorder.ops()[1].seq);
+  EXPECT_GT(r1->finish_seq, schedule.ops()[0].seq);
+  EXPECT_LT(r1->finish_seq, schedule.ops()[1].seq);
 }
 
 }  // namespace

@@ -946,8 +946,7 @@ TEST(WalRecoveryTest, SiteRestartFromTruncatedImageServesCommittedPrefix) {
     config.wal_device = std::make_shared<MemLogDevice>(
         std::vector<uint8_t>(image.begin(), image.begin() + cut));
     sim::EventLoop loop;
-    sched::ScheduleRecorder recorder;
-    site::LocalDbms dbms(config, &loop, &recorder);
+    site::LocalDbms dbms(config, &loop);
 
     std::unordered_map<int64_t, int64_t> expected = CommittedProjection(
         {scan.records.begin(), scan.records.begin() + i + 1});
@@ -985,8 +984,7 @@ TEST(WalRecoveryTest, DurableCrashLosesOnlyVolatileState) {
   config.protocol = ProtocolKind::kTwoPhaseLocking;
   config.durable = true;
   sim::EventLoop loop;
-  sched::ScheduleRecorder recorder;
-  site::LocalDbms dbms(config, &loop, &recorder);
+  site::LocalDbms dbms(config, &loop);
 
   auto run_op = [&](TxnId txn, const DataOp& op) {
     Status status = Status::Internal("pending");

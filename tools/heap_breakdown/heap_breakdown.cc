@@ -9,7 +9,7 @@
 //   heap         bytes allocated and still live when the pass ends
 //   gtm_log      memory the GTM WAL's in-memory device holds
 //   site_logs    the same, summed over the site WALs
-//   recorder     the schedule recorder, measured by recording its
+//   recorder     the schedule recorder, measured by recording each site's
 //                operations and transactions again into a fresh recorder
 //   cc_tables    the local protocols' state, measured by replaying each
 //                site's recorded transactions, one at a time, into a fresh
@@ -73,6 +73,7 @@ using mdbs::TxnId;
 using mdbs::lcc::AccessDecision;
 using mdbs::sched::RecordedOp;
 using mdbs::sched::ScheduleRecorder;
+using mdbs::sched::SiteSchedule;
 
 int64_t DeviceBytes(mdbs::storage::LogDevice* device) {
   auto* mem = dynamic_cast<mdbs::storage::MemLogDevice*>(device);
@@ -103,18 +104,21 @@ struct Breakdown {
   int64_t replay_stalls = 0;
 };
 
-int64_t RecorderBytes(const ScheduleRecorder& recorded,
+int64_t RecorderBytes(const mdbs::Mdbs& system,
                       std::unique_ptr<ScheduleRecorder>* copy) {
   return Held([&] {
-    *copy = std::make_unique<ScheduleRecorder>();
-    for (const auto& [txn, record] : recorded.txns()) {
-      (*copy)->RecordBegin(record.site, txn, record.global);
-    }
-    for (const RecordedOp& op : recorded.ops()) {
-      (*copy)->RecordOp(op.site, op.txn, op.op, op.time, op.read_from);
-    }
-    for (const auto& [txn, record] : recorded.txns()) {
-      (*copy)->RecordFinish(txn, record.outcome, record.serialization_key);
+    *copy = std::make_unique<ScheduleRecorder>(system.site_ids());
+    for (const auto& [site, recorded] : system.recorder().sites()) {
+      SiteSchedule& schedule = (*copy)->site(site);
+      for (const auto& [txn, record] : recorded.txns()) {
+        schedule.RecordBegin(txn, record.global);
+      }
+      for (const RecordedOp& op : recorded.ops()) {
+        schedule.RecordOp(op.txn, op.op, op.time, op.read_from);
+      }
+      for (const auto& [txn, record] : recorded.txns()) {
+        schedule.RecordFinish(txn, record.outcome, record.serialization_key);
+      }
     }
   });
 }
@@ -122,20 +126,20 @@ int64_t RecorderBytes(const ScheduleRecorder& recorded,
 int64_t ProtocolBytes(
     mdbs::Mdbs& system, int64_t* stalls,
     std::vector<std::unique_ptr<mdbs::lcc::ConcurrencyControl>>* kept) {
-  const ScheduleRecorder& recorded = system.recorder();
-  // Each transaction's operations, transactions in order of first op.
-  std::map<int64_t, std::vector<const RecordedOp*>> ops_of;
-  for (const RecordedOp& op : recorded.ops()) {
-    ops_of[op.txn.value()].push_back(&op);
-  }
-  std::vector<std::pair<int64_t, int64_t>> order;  // (first seq, txn)
-  for (const auto& [txn, ops] : ops_of) {
-    order.emplace_back(ops.front()->seq, txn);
-  }
-  std::sort(order.begin(), order.end());
   static NoHost host;
   int64_t bytes = 0;
   for (mdbs::SiteId site : system.site_ids()) {
+    const SiteSchedule& recorded = system.recorder().site(site);
+    // Each transaction's operations, transactions in order of first op.
+    std::map<int64_t, std::vector<const RecordedOp*>> ops_of;
+    for (const RecordedOp& op : recorded.ops()) {
+      ops_of[op.txn.value()].push_back(&op);
+    }
+    std::vector<std::pair<int64_t, int64_t>> order;  // (first seq, txn)
+    for (const auto& [txn, ops] : ops_of) {
+      order.emplace_back(ops.front()->seq, txn);
+    }
+    std::sort(order.begin(), order.end());
     bytes += Held([&] {
       kept->push_back(mdbs::site::MakeProtocol(
           system.site(site).protocol().kind(), &host, mdbs::obs::kNoEvents,
@@ -143,7 +147,7 @@ int64_t ProtocolBytes(
       mdbs::lcc::ConcurrencyControl& cc = *kept->back();
       for (const auto& [seq, id] : order) {
         const mdbs::sched::TxnRecord* record = recorded.FindTxn(TxnId(id));
-        if (record == nullptr || record->site != site) continue;
+        if (record == nullptr) continue;
         const TxnId txn(id);
         cc.OnBegin(txn);
         bool proceeded = true;
@@ -203,7 +207,7 @@ int main(int argc, char** argv) {
       out.site_logs += DeviceBytes(system.site(site).wal_device());
     }
   }
-  out.recorder = RecorderBytes(system.recorder(), &recorder_copy);
+  out.recorder = RecorderBytes(system, &recorder_copy);
   out.cc_tables = ProtocolBytes(system, &out.replay_stalls, &protocols);
   std::printf(
       "{\"workload\": \"%s\", \"seed\": %llu, \"max_rss_mb\": %.2f, "
