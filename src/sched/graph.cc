@@ -29,71 +29,6 @@ size_t UndirectedMultigraph::AddEdge(int64_t u, int64_t v, int64_t label) {
 
 std::vector<int64_t> UndirectedMultigraph::Nodes() const { return nodes_; }
 
-std::vector<std::vector<size_t>>
-UndirectedMultigraph::BiconnectedComponents() const {
-  // Iterative Hopcroft–Tarjan: DFS keeping discovery/low values and a stack
-  // of tree/back edges; when a child cannot reach above its parent, the
-  // edges accumulated since it was entered form one biconnected component.
-  std::vector<std::vector<size_t>> components;
-  std::unordered_map<int64_t, int> disc;
-  std::unordered_map<int64_t, int> low;
-  std::vector<size_t> edge_stack;
-  int timer = 0;
-
-  struct Frame {
-    int64_t node;
-    int64_t parent_edge;  // edge index used to enter, -1 at roots
-    size_t next_incident = 0;
-  };
-
-  for (int64_t root : nodes_) {
-    if (disc.contains(root)) continue;
-    std::vector<Frame> stack;
-    stack.push_back(Frame{root, -1});
-    disc[root] = low[root] = timer++;
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      const std::vector<size_t>& incident = incidence_.at(frame.node);
-      if (frame.next_incident < incident.size()) {
-        size_t edge_index = incident[frame.next_incident++];
-        if (static_cast<int64_t>(edge_index) == frame.parent_edge) continue;
-        const LabeledEdge& edge = edges_[edge_index];
-        int64_t other = edge.u == frame.node ? edge.v : edge.u;
-        if (!disc.contains(other)) {
-          edge_stack.push_back(edge_index);
-          disc[other] = low[other] = timer++;
-          stack.push_back(Frame{other, static_cast<int64_t>(edge_index)});
-        } else if (disc[other] < disc[frame.node]) {
-          // Back edge (each undirected edge is considered once, from the
-          // endpoint discovered later).
-          edge_stack.push_back(edge_index);
-          low[frame.node] = std::min(low[frame.node], disc[other]);
-        }
-        continue;
-      }
-      // frame.node is finished; propagate low and maybe cut a component.
-      int64_t child = frame.node;
-      int64_t entry_edge = frame.parent_edge;
-      stack.pop_back();
-      if (stack.empty()) continue;
-      Frame& parent = stack.back();
-      low[parent.node] = std::min(low[parent.node], low[child]);
-      if (low[child] >= disc[parent.node]) {
-        // Pop the component delimited by the tree edge into `child`.
-        std::vector<size_t> component;
-        while (!edge_stack.empty()) {
-          size_t edge_index = edge_stack.back();
-          edge_stack.pop_back();
-          component.push_back(edge_index);
-          if (static_cast<int64_t>(edge_index) == entry_edge) break;
-        }
-        components.push_back(std::move(component));
-      }
-    }
-  }
-  return components;
-}
-
 std::optional<std::vector<size_t>> UndirectedMultigraph::FindCycleThrough(
     size_t e1, size_t e2) const {
   if (e1 == e2 || e1 >= edges_.size() || e2 >= edges_.size()) {

@@ -18,10 +18,10 @@ struct LabeledEdge {
   int64_t label = 0;
 };
 
-/// Small undirected multigraph over int64 node keys with labeled edges,
-/// biconnected-component decomposition and constrained cycle search; the
-/// static conflict-robustness analyzer (src/analysis) builds its
-/// cross-site interference graph on it. Self-loops are not supported.
+/// Small undirected multigraph over int64 node keys with labeled edges and
+/// a constrained cycle search; the static conflict-robustness analyzer
+/// (src/analysis) builds its cross-site interference graph on it.
+/// Self-loops are not supported.
 class UndirectedMultigraph {
  public:
   void AddNode(int64_t node);
@@ -33,11 +33,6 @@ class UndirectedMultigraph {
   size_t EdgeCount() const { return edges_.size(); }
   const std::vector<LabeledEdge>& edges() const { return edges_; }
   std::vector<int64_t> Nodes() const;
-
-  /// Partitions the edges into biconnected components (edge-index groups).
-  /// Every simple cycle lies entirely within one component; a bridge forms
-  /// a singleton component of its own.
-  std::vector<std::vector<size_t>> BiconnectedComponents() const;
 
   /// A vertex-simple cycle through both edges, as an ordered edge-index
   /// sequence (consecutive edges share an endpoint, last wraps to first),
