@@ -27,6 +27,25 @@
 // --mib is, and it reuses the chunks it frees, so its total is lower
 // still.
 //
+// Then the layer costs of a checkpoint frame, in this process:
+//
+//   crc32              ns per byte of storage::Crc32 over spans of 64 B,
+//                      4 KiB and 256 KiB, through the slice-by-8 tables
+//                      (Crc32Tables) and through the carry-less-multiply
+//                      kernel Crc32 takes where the CPU has PCLMULQDQ (no
+//                      row where it has not);
+//   checkpoint_append  microseconds per storage::WalWriter::Append of a
+//                      250 KiB checkpoint image (8,000 items and 8,000
+//                      committed transactions, a durable site's shape):
+//                      field encoding, CRC, the device copy and the
+//                      discard below the frame.
+//
+// Each repetition gives one figure per cell (the median append, or the
+// total time over the bytes); the table and JSON give the median, min and
+// max over --reps repetitions. Expected shape: the kernel runs at memory
+// speed, several times the tables' ns per byte from 4 KiB up; at 64 B the
+// fixed cost of the reduction narrows the gap.
+//
 //   bench_storage [--mib=200] [--reps=5] [--json=PATH]
 
 #include <algorithm>
@@ -40,8 +59,12 @@
 #include <unistd.h>
 #include <vector>
 
+#include <benchmark/benchmark.h>
+
 #include "bench_json.h"
+#include "storage/framing.h"
 #include "storage/log_device.h"
+#include "storage/wal.h"
 
 namespace {
 
@@ -189,6 +212,53 @@ Spread SpreadOf(std::vector<double> values) {
   return {median, values.front(), values.back()};
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Nanoseconds per byte of `crc` over `span`-byte spans, 32 MiB in all.
+template <typename Crc>
+double CrcNsPerByte(Crc crc, const std::vector<uint8_t>& buffer,
+                    size_t span) {
+  const size_t calls = std::max<size_t>(1, (size_t{32} << 20) / span);
+  auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < calls; ++i) {
+    // Vary the alignment; keep every call.
+    benchmark::DoNotOptimize(crc(buffer.data() + (i % 8), span));
+  }
+  const double seconds = SecondsSince(start);
+  return seconds * 1e9 / static_cast<double>(calls * span);
+}
+
+/// A 250 KiB checkpoint image: 8,000 items and 8,000 committed
+/// transactions.
+mdbs::storage::WalRecord CheckpointRecord() {
+  mdbs::storage::WalRecord rec;
+  rec.type = mdbs::storage::WalRecordType::kCheckpoint;
+  rec.checkpoint.clock = 1;
+  for (int64_t i = 0; i < 8'000; ++i) {
+    rec.checkpoint.items.push_back({i, i * 7 + 1, 100'000 + i});
+    rec.checkpoint.committed.push_back(100'000 + 2 * i);
+  }
+  return rec;
+}
+
+/// The median microseconds of 50 checkpoint appends.
+double CheckpointAppendUs(const mdbs::storage::WalRecord& rec) {
+  MemLogDevice device;
+  mdbs::storage::WalWriter writer(&device);
+  std::vector<double> us;
+  for (int i = 0; i < 50; ++i) {
+    auto start = std::chrono::steady_clock::now();
+    writer.Append(rec);
+    us.push_back(SecondsSince(start) * 1e6);
+  }
+  std::sort(us.begin(), us.end());
+  return us[us.size() / 2];
+}
+
 int64_t IntFlag(int argc, char** argv, const std::string& name,
                 int64_t fallback) {
   std::string prefix = "--" + name + "=";
@@ -259,6 +329,59 @@ int main(int argc, char** argv) {
         .Set("worst_ms_min", w.min)
         .Set("worst_ms_max", w.max);
   }
+
+  std::printf("\nCRC-32, ns per byte (med [min-max]):\n");
+  std::vector<uint8_t> buffer((256 << 10) + 8);
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  struct CrcPath {
+    const char* name;
+    uint32_t (*crc)(const void*, size_t);
+  };
+  std::vector<CrcPath> paths = {{"tables", mdbs::storage::Crc32Tables}};
+  if (mdbs::storage::Crc32UsesCarrylessMultiply()) {
+    paths.push_back({"carryless", mdbs::storage::Crc32});
+  } else {
+    std::printf("  (no carry-less kernel on this CPU: tables only)\n");
+  }
+  for (const CrcPath& path : paths) {
+    for (size_t span : {size_t{64}, size_t{4} << 10, size_t{256} << 10}) {
+      std::vector<double> ns;
+      for (int r = 0; r < reps; ++r) {
+        ns.push_back(CrcNsPerByte(path.crc, buffer, span));
+      }
+      Spread n = SpreadOf(ns);
+      std::printf("  %-10s %7zu B  %7.4f [%7.4f-%7.4f]  %6.2f GB/s\n",
+                  path.name, span, n.median, n.min, n.max, 1 / n.median);
+      results.AddRow()
+          .Set("layer", "crc32")
+          .Set("path", path.name)
+          .Set("span_bytes", static_cast<double>(span))
+          .Set("reps", static_cast<double>(reps))
+          .Set("ns_per_byte_median", n.median)
+          .Set("ns_per_byte_min", n.min)
+          .Set("ns_per_byte_max", n.max);
+    }
+  }
+
+  const mdbs::storage::WalRecord checkpoint = CheckpointRecord();
+  const double frame_bytes =
+      static_cast<double>(mdbs::storage::EncodeWalRecord(checkpoint).size());
+  std::vector<double> append_us;
+  for (int r = 0; r < reps; ++r) {
+    append_us.push_back(CheckpointAppendUs(checkpoint));
+  }
+  Spread a = SpreadOf(append_us);
+  std::printf("\ncheckpoint append, %.0f B frame: %.1f [%.1f-%.1f] us\n",
+              frame_bytes, a.median, a.min, a.max);
+  results.AddRow()
+      .Set("layer", "checkpoint_append")
+      .Set("frame_bytes", frame_bytes)
+      .Set("reps", static_cast<double>(reps))
+      .Set("us_median", a.median)
+      .Set("us_min", a.min)
+      .Set("us_max", a.max);
   results.WriteFromArgs(argc, argv);
   return 0;
 }
