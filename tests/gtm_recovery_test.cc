@@ -427,8 +427,9 @@ std::string Hex(uint64_t digest) {
   return text;
 }
 
-MdbsConfig DigestConfig(uint64_t seed) {
-  MdbsConfig config = MdbsConfig::Mixed(kProtocols, SchemeKind::kScheme3);
+MdbsConfig DigestConfig(uint64_t seed,
+                        SchemeKind scheme = SchemeKind::kScheme3) {
+  MdbsConfig config = MdbsConfig::Mixed(kProtocols, scheme);
   config.seed = seed;
   config.gtm.durable = true;
   config.gtm.checkpoint_interval = 64;
@@ -447,16 +448,32 @@ DriverConfig DigestWorkload() {
   return driver;
 }
 
+class GtmLogDigestTest : public ::testing::TestWithParam<SchemeKind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, GtmLogDigestTest,
+    ::testing::Values(SchemeKind::kScheme0, SchemeKind::kScheme1,
+                      SchemeKind::kScheme2, SchemeKind::kScheme3),
+    [](const auto& info) {
+      return std::string(gtm::SchemeKindName(info.param));
+    });
+
 // Cold recovery appends to the log it replayed: an attempt_fail and an
 // abort_cleanup per undecided attempt, then the records and checkpoints of
 // the resumed run. Two restarts of this run must leave exactly the bytes
-// they left when the digest was recorded. The GTM discards its log below
-// every checkpoint, so the digest is taken over the history the device
-// recorded: the appended byte stream.
-TEST(GtmLogDigestTest, ColdRecoveriesWriteTheRecordedBytes) {
-  const uint64_t kRecordedDigest = 0xa3932c169b1fda97ull;
+// they left when the digest was recorded. Each scheme's checkpoints carry
+// its own DS, so the run is pinned once per scheme. The GTM discards its
+// log below every checkpoint, so the digest is taken over the history the
+// device recorded: the appended byte stream.
+TEST_P(GtmLogDigestTest, ColdRecoveriesWriteTheRecordedBytes) {
+  const std::map<SchemeKind, uint64_t> kRecordedDigests = {
+      {SchemeKind::kScheme0, 0x258ef2497659f112ull},
+      {SchemeKind::kScheme1, 0x6482efe57949e6d2ull},
+      {SchemeKind::kScheme2, 0xb51b7be7ed3a7a28ull},
+      {SchemeKind::kScheme3, 0xa3932c169b1fda97ull}};
+  const uint64_t kRecordedDigest = kRecordedDigests.at(GetParam());
   auto device = std::make_shared<HistoryLogDevice>();
-  MdbsConfig config = DigestConfig(13);
+  MdbsConfig config = DigestConfig(13, GetParam());
   config.gtm.wal_device = device;
   fault::FaultPlan plan;
   plan.gtm_crashes.push_back(fault::GtmCrashEvent{4000, 2500});
