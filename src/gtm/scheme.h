@@ -1,14 +1,17 @@
 #ifndef MDBS_GTM_SCHEME_H_
 #define MDBS_GTM_SCHEME_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/status.h"
 #include "gtm/queue_op.h"
 #include "obs/event_sink.h"
+#include "storage/framing.h"
 
 namespace mdbs::gtm {
 
@@ -114,13 +117,16 @@ class Scheme {
   /// that cannot be snapshotted.
   virtual bool SupportsSnapshot() const { return false; }
 
-  /// Serializes the scheme's DS into `out`, deterministically (sorted
-  /// iteration orders), using the little-endian storage primitives. The
-  /// encoding doubles as the recovery tests' structural fingerprint.
-  virtual void EncodeState(std::vector<uint8_t>* out) const { (void)out; }
+  /// Replaces `out` with the scheme's DS: an image struct, built in sorted
+  /// (deterministic) order and written through its one field list
+  /// (storage/framing.h), which DecodeState reads back. The encoding
+  /// doubles as the recovery tests' structural fingerprint.
+  virtual void EncodeState(std::vector<uint8_t>* out) const { out->clear(); }
 
   /// Rebuilds DS from an EncodeState image. Returns false on a malformed
-  /// image (recovery must fail loudly, never silently diverge).
+  /// image (recovery must fail loudly, never silently diverge): one the
+  /// field list does not read to its last byte, one of the other mode, or
+  /// one naming a key twice. DS is unspecified after a false return.
   virtual bool DecodeState(const uint8_t* data, size_t size) {
     (void)data;
     return size == 0;
@@ -146,6 +152,49 @@ class Scheme {
  private:
   int64_t steps_ = 0;
 };
+
+/// The entries of an unordered id-keyed map in key order: the (key, value)
+/// rows of a deterministic scheme image. A field list writes a row as the
+/// key, then the value: a container value as a count and its elements.
+template <typename Map>
+auto SortedRows(const Map& map) {
+  std::vector<std::pair<typename Map::key_type, typename Map::mapped_type>>
+      rows(map.begin(), map.end());
+  std::sort(rows.begin(), rows.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return rows;
+}
+
+/// Replaces `map` with `rows`; false when a key repeats.
+template <typename Rows, typename Map>
+bool RestoreRows(const Rows& rows, Map* map) {
+  *map = Map(rows.begin(), rows.end());
+  return map->size() == rows.size();
+}
+
+/// The transactions of a TSG or TSGD (tsg.h, tsgd.h) with their sites, by
+/// id: the whole graph, as far as its derived maps rebuild from it.
+using TxnRows = std::vector<std::pair<GlobalTxnId, std::vector<SiteId>>>;
+template <typename Graph>
+TxnRows SortedTxnRows(const Graph& graph) {
+  TxnRows rows;
+  for (GlobalTxnId txn : graph.Txns()) {
+    rows.emplace_back(txn, graph.SitesOf(txn));
+  }
+  return rows;
+}
+
+/// Replaces `graph` with the transactions of `rows`; false when one
+/// repeats.
+template <typename Graph>
+bool RestoreTxnRows(const TxnRows& rows, Graph* graph) {
+  *graph = Graph();
+  for (const auto& [txn, sites] : rows) {
+    if (graph->HasTxn(txn)) return false;
+    graph->InsertTxn(txn, sites);
+  }
+  return true;
+}
 
 /// Base with the common defaults: init/ack/validate are unconditional and
 /// validation is a no-op, as in all of the paper's conservative schemes.

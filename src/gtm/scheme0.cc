@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "storage/framing.h"
 
 namespace mdbs::gtm {
 
@@ -86,36 +85,29 @@ size_t Scheme0::QueueLength(SiteId site) const {
   return it == queues_.end() ? 0 : it->second.size();
 }
 
+namespace {
+
+/// Scheme 0's DS as a checkpoint writes it: each site's FIFO queue, by
+/// site.
+struct Scheme0Image {
+  std::vector<std::pair<SiteId, std::deque<GlobalTxnId>>> queues;
+};
+
+template <typename Io, storage::FieldsOf<Scheme0Image> R>
+void Fields(Io& io, R& image) {
+  io.Vec(image.queues);
+}
+
+}  // namespace
 
 void Scheme0::EncodeState(std::vector<uint8_t>* out) const {
-  std::vector<SiteId> sites;
-  sites.reserve(queues_.size());
-  for (const auto& [site, queue] : queues_) sites.push_back(site);
-  std::sort(sites.begin(), sites.end());
-  storage::PutU32(out, static_cast<uint32_t>(sites.size()));
-  for (SiteId site : sites) {
-    const std::deque<GlobalTxnId>& queue = queues_.at(site);
-    storage::PutI64(out, site.value());
-    storage::PutU32(out, static_cast<uint32_t>(queue.size()));
-    for (GlobalTxnId txn : queue) storage::PutI64(out, txn.value());
-  }
+  *out = storage::EncodeFields(Scheme0Image{SortedRows(queues_)});
 }
 
 bool Scheme0::DecodeState(const uint8_t* data, size_t size) {
-  queues_.clear();
-  storage::Cursor c(data, size);
-  uint32_t n_sites = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_sites && c.ok(); ++i) {
-    SiteId site(c.I64());
-    uint32_t n = c.U32();
-    if (!c.ok()) return false;
-    std::deque<GlobalTxnId>& queue = queues_[site];
-    for (uint32_t j = 0; j < n && c.ok(); ++j) {
-      queue.push_back(GlobalTxnId(c.I64()));
-    }
-  }
-  return c.ok() && c.exhausted();
+  Scheme0Image image;
+  return storage::DecodeFields(data, size, &image) &&
+         RestoreRows(image.queues, &queues_);
 }
 
 }  // namespace mdbs::gtm

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "storage/framing.h"
 
 namespace mdbs::gtm {
 
@@ -188,85 +187,33 @@ bool Scheme1::IsMarked(GlobalTxnId txn, SiteId site) const {
   return false;
 }
 
+/// The mode byte, the TSG (txn -> sites is the whole graph; the derived
+/// maps rebuild) and each site's queues and executing slot, by site. Marks
+/// are frozen into the insert entries: re-deriving them against a
+/// compacted history would be unsound, so they are snapshotted verbatim.
+struct Scheme1::Image {
+  uint8_t mark_all = 0;
+  TxnRows tsg;
+  std::vector<std::pair<SiteId, SiteState>> sites;
+
+  template <typename Io, storage::FieldsOf<Image> R>
+  friend void Fields(Io& io, R& image) {
+    io.U8(image.mark_all);
+    io.Vec(image.tsg);
+    io.Vec(image.sites);
+  }
+};
 
 void Scheme1::EncodeState(std::vector<uint8_t>* out) const {
-  storage::PutU8(out, mark_all_ ? 1 : 0);
-  // The TSG: txn -> sites is the whole graph (derived maps rebuild).
-  std::vector<GlobalTxnId> txns = tsg_.Txns();
-  storage::PutU32(out, static_cast<uint32_t>(txns.size()));
-  for (GlobalTxnId txn : txns) {
-    storage::PutI64(out, txn.value());
-    const std::vector<SiteId>& txn_sites = tsg_.SitesOf(txn);
-    storage::PutU32(out, static_cast<uint32_t>(txn_sites.size()));
-    for (SiteId site : txn_sites) storage::PutI64(out, site.value());
-  }
-  // Per-site insert/delete queues and the executing slot. Marks are frozen
-  // into the insert entries — re-deriving them against a compacted history
-  // would be unsound, so they are snapshotted verbatim.
-  std::vector<SiteId> site_ids;
-  site_ids.reserve(sites_.size());
-  for (const auto& [site, state] : sites_) site_ids.push_back(site);
-  std::sort(site_ids.begin(), site_ids.end());
-  storage::PutU32(out, static_cast<uint32_t>(site_ids.size()));
-  for (SiteId site : site_ids) {
-    const SiteState& state = sites_.at(site);
-    storage::PutI64(out, site.value());
-    storage::PutU32(out, static_cast<uint32_t>(state.insert_queue.size()));
-    for (const InsertEntry& entry : state.insert_queue) {
-      storage::PutI64(out, entry.txn.value());
-      storage::PutU8(out, entry.marked ? 1 : 0);
-    }
-    storage::PutU32(out, static_cast<uint32_t>(state.delete_queue.size()));
-    for (GlobalTxnId txn : state.delete_queue) {
-      storage::PutI64(out, txn.value());
-    }
-    storage::PutU8(out, state.executing.has_value() ? 1 : 0);
-    if (state.executing.has_value()) {
-      storage::PutI64(out, state.executing->value());
-    }
-  }
+  *out = storage::EncodeFields(
+      Image{mark_all_, SortedTxnRows(tsg_), SortedRows(sites_)});
 }
 
 bool Scheme1::DecodeState(const uint8_t* data, size_t size) {
-  storage::Cursor c(data, size);
-  if (c.U8() != (mark_all_ ? 1 : 0)) return false;
-  tsg_ = TransactionSiteGraph();
-  sites_.clear();
-  uint32_t n_txns = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_txns && c.ok(); ++i) {
-    GlobalTxnId txn(c.I64());
-    uint32_t n_sites = c.U32();
-    if (!c.ok()) return false;
-    std::vector<SiteId> txn_sites;
-    txn_sites.reserve(n_sites);
-    for (uint32_t j = 0; j < n_sites && c.ok(); ++j) {
-      txn_sites.push_back(SiteId(c.I64()));
-    }
-    if (!c.ok()) return false;
-    tsg_.InsertTxn(txn, txn_sites);
-  }
-  uint32_t n_site_states = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_site_states && c.ok(); ++i) {
-    SiteId site(c.I64());
-    SiteState& state = sites_[site];
-    uint32_t n_insert = c.U32();
-    if (!c.ok()) return false;
-    for (uint32_t j = 0; j < n_insert && c.ok(); ++j) {
-      InsertEntry entry;
-      entry.txn = GlobalTxnId(c.I64());
-      entry.marked = c.U8() != 0;
-      state.insert_queue.push_back(entry);
-    }
-    uint32_t n_delete = c.U32();
-    if (!c.ok()) return false;
-    for (uint32_t j = 0; j < n_delete && c.ok(); ++j) {
-      state.delete_queue.push_back(GlobalTxnId(c.I64()));
-    }
-    if (c.U8() != 0) state.executing = GlobalTxnId(c.I64());
-  }
-  return c.ok() && c.exhausted();
+  Image image;
+  return storage::DecodeFields(data, size, &image) &&
+         image.mark_all == mark_all_ && RestoreTxnRows(image.tsg, &tsg_) &&
+         RestoreRows(image.sites, &sites_);
 }
 
 }  // namespace mdbs::gtm

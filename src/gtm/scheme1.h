@@ -54,16 +54,32 @@ class Scheme1 : public ConservativeSchemeBase {
   bool IsMarked(GlobalTxnId txn, SiteId site) const;
 
  private:
+  // The field lists (storage/framing.h) are those of the checkpoint image.
   struct InsertEntry {
     GlobalTxnId txn;
     bool marked = false;
+
+    template <typename Io, storage::FieldsOf<InsertEntry> R>
+    friend void Fields(Io& io, R& entry) {
+      storage::Field(io, entry.txn);
+      io.Bool(entry.marked);
+    }
   };
   struct SiteState {
     std::deque<InsertEntry> insert_queue;
     std::deque<GlobalTxnId> delete_queue;
     /// Ser operation executed but not yet acked, if any.
     std::optional<GlobalTxnId> executing;
+
+    template <typename Io, storage::FieldsOf<SiteState> R>
+    friend void Fields(Io& io, R& state) {
+      io.Vec(state.insert_queue);
+      io.Vec(state.delete_queue);
+      io.Optional(state.executing);
+    }
   };
+  /// DS as a checkpoint writes it (scheme1.cc).
+  struct Image;
 
   SiteState& StateOf(SiteId site) { return sites_[site]; }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "storage/framing.h"
 
 namespace mdbs::gtm {
 
@@ -155,78 +154,46 @@ void Scheme2::EmitDepDrop(GlobalTxnId txn, const char* why) {
                  .a = incoming, .detail = why});
 }
 
+namespace {
+
+/// Scheme 2's DS as a checkpoint writes it: the TSGD (each transaction's
+/// sites, then every dependency; the derived maps rebuild) and the
+/// executed and acked (txn, site) markers.
+struct Scheme2Image {
+  TxnRows tsgd;
+  std::vector<Dependency> dependencies;
+  std::set<std::pair<int64_t, int64_t>> executed;
+  std::set<std::pair<int64_t, int64_t>> acked;
+};
+
+template <typename Io, storage::FieldsOf<Scheme2Image> R>
+void Fields(Io& io, R& image) {
+  io.Vec(image.tsgd);
+  io.Vec(image.dependencies);
+  io.Vec(image.executed);
+  io.Vec(image.acked);
+}
+
+}  // namespace
 
 void Scheme2::EncodeState(std::vector<uint8_t>* out) const {
-  std::vector<GlobalTxnId> txns = tsgd_.Txns();
-  storage::PutU32(out, static_cast<uint32_t>(txns.size()));
-  for (GlobalTxnId txn : txns) {
-    storage::PutI64(out, txn.value());
-    const std::vector<SiteId>& txn_sites = tsgd_.SitesOf(txn);
-    storage::PutU32(out, static_cast<uint32_t>(txn_sites.size()));
-    for (SiteId site : txn_sites) storage::PutI64(out, site.value());
-  }
-  std::vector<Dependency> deps = tsgd_.AllDependencies();
-  storage::PutU32(out, static_cast<uint32_t>(deps.size()));
-  for (const Dependency& dep : deps) {
-    storage::PutI64(out, dep.site.value());
-    storage::PutI64(out, dep.from.value());
-    storage::PutI64(out, dep.to.value());
-  }
-  storage::PutU32(out, static_cast<uint32_t>(executed_.size()));
-  for (const auto& [txn, site] : executed_) {
-    storage::PutI64(out, txn);
-    storage::PutI64(out, site);
-  }
-  storage::PutU32(out, static_cast<uint32_t>(acked_.size()));
-  for (const auto& [txn, site] : acked_) {
-    storage::PutI64(out, txn);
-    storage::PutI64(out, site);
-  }
+  *out = storage::EncodeFields(Scheme2Image{
+      SortedTxnRows(tsgd_), tsgd_.AllDependencies(), executed_, acked_});
 }
 
 bool Scheme2::DecodeState(const uint8_t* data, size_t size) {
-  storage::Cursor c(data, size);
-  tsgd_ = Tsgd();
-  executed_.clear();
-  acked_.clear();
-  uint32_t n_txns = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_txns && c.ok(); ++i) {
-    GlobalTxnId txn(c.I64());
-    uint32_t n_sites = c.U32();
-    if (!c.ok()) return false;
-    std::vector<SiteId> txn_sites;
-    txn_sites.reserve(n_sites);
-    for (uint32_t j = 0; j < n_sites && c.ok(); ++j) {
-      txn_sites.push_back(SiteId(c.I64()));
-    }
-    if (!c.ok()) return false;
-    tsgd_.InsertTxn(txn, txn_sites);
+  Scheme2Image image;
+  if (!storage::DecodeFields(data, size, &image) ||
+      !RestoreTxnRows(image.tsgd, &tsgd_)) {
+    return false;
   }
-  uint32_t n_deps = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_deps && c.ok(); ++i) {
-    SiteId site(c.I64());
-    GlobalTxnId from(c.I64());
-    GlobalTxnId to(c.I64());
-    if (!c.ok()) return false;
-    tsgd_.AddDependency(site, from, to);
+  for (const Dependency& dep : image.dependencies) {
+    if (dep.from == dep.to) return false;
+    tsgd_.AddDependency(dep.site, dep.from, dep.to);
   }
-  uint32_t n_executed = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_executed && c.ok(); ++i) {
-    int64_t txn = c.I64();
-    int64_t site = c.I64();
-    executed_.insert({txn, site});
-  }
-  uint32_t n_acked = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_acked && c.ok(); ++i) {
-    int64_t txn = c.I64();
-    int64_t site = c.I64();
-    acked_.insert({txn, site});
-  }
-  return c.ok() && c.exhausted();
+  executed_ = std::move(image.executed);
+  acked_ = std::move(image.acked);
+  return true;
 }
 
 }  // namespace mdbs::gtm

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "storage/framing.h"
 
 namespace mdbs::gtm {
 
@@ -209,133 +208,51 @@ const std::set<GlobalTxnId>& Scheme3::SerBef(GlobalTxnId txn) const {
   return it == ser_bef_.end() ? empty : it->second;
 }
 
-
 namespace {
 
-/// Sorted keys of an unordered map — the deterministic iteration order the
-/// snapshot encoding needs.
-template <typename Map>
-std::vector<typename Map::key_type> SortedKeys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
+/// Scheme 3's DS as a checkpoint writes it: the mode byte, each map by key,
+/// then the acked (txn, site) pairs.
+struct Scheme3Image {
+  uint8_t pin_acks = 0;
+  std::vector<std::pair<GlobalTxnId, std::set<GlobalTxnId>>> ser_bef;
+  std::vector<std::pair<GlobalTxnId, std::vector<SiteId>>> sites;
+  std::vector<std::pair<SiteId, GlobalTxnId>> last;
+  std::vector<std::pair<SiteId, std::vector<GlobalTxnId>>> released_live;
+  std::vector<std::pair<SiteId, std::set<GlobalTxnId>>> pending;
+  std::set<std::pair<int64_t, int64_t>> acked;
+};
+
+template <typename Io, storage::FieldsOf<Scheme3Image> R>
+void Fields(Io& io, R& image) {
+  io.U8(image.pin_acks);
+  io.Vec(image.ser_bef);
+  io.Vec(image.sites);
+  io.Vec(image.last);
+  io.Vec(image.released_live);
+  io.Vec(image.pending);
+  io.Vec(image.acked);
 }
 
 }  // namespace
 
 void Scheme3::EncodeState(std::vector<uint8_t>* out) const {
-  storage::PutU8(out, pin_acks_ ? 1 : 0);
-  storage::PutU32(out, static_cast<uint32_t>(ser_bef_.size()));
-  for (GlobalTxnId txn : SortedKeys(ser_bef_)) {
-    const std::set<GlobalTxnId>& sb = ser_bef_.at(txn);
-    storage::PutI64(out, txn.value());
-    storage::PutU32(out, static_cast<uint32_t>(sb.size()));
-    for (GlobalTxnId other : sb) storage::PutI64(out, other.value());
-  }
-  storage::PutU32(out, static_cast<uint32_t>(sites_.size()));
-  for (GlobalTxnId txn : SortedKeys(sites_)) {
-    const std::vector<SiteId>& txn_sites = sites_.at(txn);
-    storage::PutI64(out, txn.value());
-    storage::PutU32(out, static_cast<uint32_t>(txn_sites.size()));
-    for (SiteId site : txn_sites) storage::PutI64(out, site.value());
-  }
-  storage::PutU32(out, static_cast<uint32_t>(last_.size()));
-  for (SiteId site : SortedKeys(last_)) {
-    storage::PutI64(out, site.value());
-    storage::PutI64(out, last_.at(site).value());
-  }
-  storage::PutU32(out, static_cast<uint32_t>(released_live_.size()));
-  for (SiteId site : SortedKeys(released_live_)) {
-    const std::vector<GlobalTxnId>& history = released_live_.at(site);
-    storage::PutI64(out, site.value());
-    storage::PutU32(out, static_cast<uint32_t>(history.size()));
-    for (GlobalTxnId txn : history) storage::PutI64(out, txn.value());
-  }
-  storage::PutU32(out, static_cast<uint32_t>(pending_.size()));
-  for (SiteId site : SortedKeys(pending_)) {
-    const std::set<GlobalTxnId>& set = pending_.at(site);
-    storage::PutI64(out, site.value());
-    storage::PutU32(out, static_cast<uint32_t>(set.size()));
-    for (GlobalTxnId txn : set) storage::PutI64(out, txn.value());
-  }
-  storage::PutU32(out, static_cast<uint32_t>(acked_.size()));
-  for (const auto& [txn, site] : acked_) {
-    storage::PutI64(out, txn);
-    storage::PutI64(out, site);
-  }
+  *out = storage::EncodeFields(Scheme3Image{
+      pin_acks_, SortedRows(ser_bef_), SortedRows(sites_), SortedRows(last_),
+      SortedRows(released_live_), SortedRows(pending_), acked_});
 }
 
 bool Scheme3::DecodeState(const uint8_t* data, size_t size) {
-  storage::Cursor c(data, size);
-  if (c.U8() != (pin_acks_ ? 1 : 0)) return false;
-  ser_bef_.clear();
-  sites_.clear();
-  last_.clear();
-  released_live_.clear();
-  pending_.clear();
-  acked_.clear();
-  uint32_t n_ser_bef = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_ser_bef && c.ok(); ++i) {
-    GlobalTxnId txn(c.I64());
-    uint32_t n = c.U32();
-    if (!c.ok()) return false;
-    std::set<GlobalTxnId>& sb = ser_bef_[txn];
-    for (uint32_t j = 0; j < n && c.ok(); ++j) {
-      sb.insert(GlobalTxnId(c.I64()));
-    }
+  Scheme3Image image;
+  if (!storage::DecodeFields(data, size, &image) ||
+      image.pin_acks != pin_acks_) {
+    return false;
   }
-  uint32_t n_sites = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_sites && c.ok(); ++i) {
-    GlobalTxnId txn(c.I64());
-    uint32_t n = c.U32();
-    if (!c.ok()) return false;
-    std::vector<SiteId>& txn_sites = sites_[txn];
-    txn_sites.reserve(n);
-    for (uint32_t j = 0; j < n && c.ok(); ++j) {
-      txn_sites.push_back(SiteId(c.I64()));
-    }
-  }
-  uint32_t n_last = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_last && c.ok(); ++i) {
-    SiteId site(c.I64());
-    last_.insert({site, GlobalTxnId(c.I64())});
-  }
-  uint32_t n_released = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_released && c.ok(); ++i) {
-    SiteId site(c.I64());
-    uint32_t n = c.U32();
-    if (!c.ok()) return false;
-    std::vector<GlobalTxnId>& history = released_live_[site];
-    history.reserve(n);
-    for (uint32_t j = 0; j < n && c.ok(); ++j) {
-      history.push_back(GlobalTxnId(c.I64()));
-    }
-  }
-  uint32_t n_pending = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_pending && c.ok(); ++i) {
-    SiteId site(c.I64());
-    uint32_t n = c.U32();
-    if (!c.ok()) return false;
-    std::set<GlobalTxnId>& set = pending_[site];
-    for (uint32_t j = 0; j < n && c.ok(); ++j) {
-      set.insert(GlobalTxnId(c.I64()));
-    }
-  }
-  uint32_t n_acked = c.U32();
-  if (!c.ok()) return false;
-  for (uint32_t i = 0; i < n_acked && c.ok(); ++i) {
-    int64_t txn = c.I64();
-    int64_t site = c.I64();
-    acked_.insert({txn, site});
-  }
-  return c.ok() && c.exhausted();
+  acked_ = std::move(image.acked);
+  return RestoreRows(image.ser_bef, &ser_bef_) &&
+         RestoreRows(image.sites, &sites_) &&
+         RestoreRows(image.last, &last_) &&
+         RestoreRows(image.released_live, &released_live_) &&
+         RestoreRows(image.pending, &pending_);
 }
 
 }  // namespace mdbs::gtm

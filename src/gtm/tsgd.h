@@ -10,6 +10,7 @@
 
 #include "common/ids.h"
 #include "common/status.h"
+#include "storage/framing.h"
 
 namespace mdbs::gtm {
 
@@ -22,6 +23,13 @@ struct Dependency {
 
   friend bool operator==(const Dependency& a, const Dependency& b) {
     return a.site == b.site && a.from == b.from && a.to == b.to;
+  }
+  /// As Scheme 2's checkpoint image writes it.
+  template <typename Io, storage::FieldsOf<Dependency> R>
+  friend void Fields(Io& io, R& dep) {
+    storage::Field(io, dep.site);
+    storage::Field(io, dep.from);
+    storage::Field(io, dep.to);
   }
 };
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -63,7 +64,9 @@ void PutI64(std::vector<uint8_t>* out, int64_t v);
 ///   Bool(b)               one byte, 0 or 1;
 ///   Enum(e, first, last)  one byte; the reader refuses one outside
 ///                         [first, last];
-///   Vec(v)                a u32 count, then each element (Field below).
+///   Vec(v)                a u32 count, then each element (Field below)
+///                         of a vector, deque or set;
+///   Optional(o)           Bool(present), then the value if present.
 template <typename R, typename Record>
 concept FieldsOf = std::same_as<std::remove_const_t<R>, Record>;
 
@@ -90,9 +93,9 @@ constexpr bool IsFixedWidthTable() {
   }
 }
 
-/// One element of a Vec: an integer, an id, a pair or array of those, or a
-/// record with a field list of its own (found by argument-dependent
-/// lookup).
+/// One element of a Vec: an integer, an id, a pair or array of those, a
+/// container of those (a nested Vec), or a record with a field list of its
+/// own (found by argument-dependent lookup).
 template <typename Io, typename T>
 void Field(Io& io, T& v) {
   using U = std::remove_const_t<T>;
@@ -107,6 +110,8 @@ void Field(Io& io, T& v) {
     Field(io, v.second);
   } else if constexpr (requires { std::tuple_size<U>::value; }) {
     for (auto& element : v) Field(io, element);
+  } else if constexpr (requires { typename U::value_type; v.size(); }) {
+    io.Vec(v);
   } else {
     Fields(io, v);
   }
@@ -121,15 +126,22 @@ class FieldWriter {
   void Enum(E v, E /*first*/, E /*last*/) {
     out().U8(static_cast<uint8_t>(v));
   }
-  template <typename T>
-  void Vec(const std::vector<T>& v) {
+  template <typename C>
+  void Vec(const C& v) {
+    using T = typename C::value_type;
     out().U32(static_cast<uint32_t>(v.size()));
-    if constexpr (std::is_same_v<T, uint8_t> || IsFixedWidthTable<T>()) {
+    if constexpr (std::is_same_v<C, std::vector<T>> &&
+                  (std::is_same_v<T, uint8_t> || IsFixedWidthTable<T>())) {
       out().Bytes(reinterpret_cast<const uint8_t*>(v.data()),
                   v.size() * sizeof(T));
     } else {
       for (const T& element : v) Field(out(), element);
     }
+  }
+  template <typename T>
+  void Optional(const std::optional<T>& v) {
+    Bool(v.has_value());
+    if (v.has_value()) Field(out(), *v);
   }
 
  private:
@@ -214,17 +226,19 @@ class Cursor {
   /// Every element takes at least one byte, so a count past the bytes left
   /// is refused before it sizes the vector; a fixed-width table's count is
   /// refused unless all its rows are there.
-  template <typename T>
-  void Vec(std::vector<T>& v) {
+  template <typename C>
+  void Vec(C& v) {
+    using T = typename C::value_type;
     const uint32_t count = U32();
     if (count > size_ - pos_) {
       ok_ = false;
       return;
     }
-    if constexpr (std::is_same_v<T, uint8_t>) {
+    if constexpr (std::is_same_v<C, std::vector<uint8_t>>) {
       v.assign(data_ + pos_, data_ + pos_ + count);
       pos_ += count;
-    } else if constexpr (IsFixedWidthTable<T>()) {
+    } else if constexpr (std::is_same_v<C, std::vector<T>> &&
+                         IsFixedWidthTable<T>()) {
       if (count > (size_ - pos_) / sizeof(T)) {
         ok_ = false;
         return;
@@ -232,13 +246,27 @@ class Cursor {
       v.resize(count);
       if (count > 0) std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
       pos_ += count * sizeof(T);
-    } else {
+    } else if constexpr (requires { v.resize(count); }) {
       v.resize(count);
       for (T& element : v) {
         if (!ok_) return;
         Field(*this, element);
       }
+    } else {
+      v.clear();
+      for (uint32_t i = 0; i < count && ok_; ++i) {
+        T element{};
+        Field(*this, element);
+        v.insert(v.end(), std::move(element));
+      }
     }
+  }
+  template <typename T>
+  void Optional(std::optional<T>& v) {
+    bool present = false;
+    Bool(present);
+    v.reset();
+    if (present) Field(*this, v.emplace());
   }
 
   bool ok() const { return ok_; }
