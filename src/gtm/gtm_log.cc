@@ -116,42 +116,6 @@ bool DecodeGtmLogPayload(const uint8_t* data, size_t size,
   return storage::DecodeFields(data, size, record);
 }
 
-const char* GtmLogRecordTypeName(GtmLogRecordType type) {
-  switch (type) {
-    case GtmLogRecordType::kSubmit:
-      return "submit";
-    case GtmLogRecordType::kAttemptStart:
-      return "attempt_start";
-    case GtmLogRecordType::kBeginSite:
-      return "begin_site";
-    case GtmLogRecordType::kRead:
-      return "read";
-    case GtmLogRecordType::kEnqueue:
-      return "enqueue";
-    case GtmLogRecordType::kAbortCleanup:
-      return "abort_cleanup";
-    case GtmLogRecordType::kAttemptFail:
-      return "attempt_fail";
-    case GtmLogRecordType::kCommitStart:
-      return "commit_start";
-    case GtmLogRecordType::kCommitSite:
-      return "commit_site";
-    case GtmLogRecordType::kFinish:
-      return "finish";
-    case GtmLogRecordType::kPark:
-      return "park";
-    case GtmLogRecordType::kUnpark:
-      return "unpark";
-    case GtmLogRecordType::kSiteDown:
-      return "site_down";
-    case GtmLogRecordType::kSiteUp:
-      return "site_up";
-    case GtmLogRecordType::kCheckpoint:
-      return "checkpoint";
-  }
-  return "unknown";
-}
-
 std::vector<uint8_t> EncodeGtmLogRecord(const GtmLogRecord& record) {
   return storage::FrameFields(record);
 }

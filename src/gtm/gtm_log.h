@@ -48,8 +48,6 @@ enum class GtmLogRecordType : uint8_t {
   kCheckpoint = 15,   // full snapshot; replay restarts here
 };
 
-const char* GtmLogRecordTypeName(GtmLogRecordType type);
-
 /// Outcome byte of a kFinish record.
 enum class GtmFinishOutcome : uint8_t {
   kCommitted = 0,

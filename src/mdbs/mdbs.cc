@@ -465,8 +465,7 @@ Status Mdbs::CheckGloballySerializable() const {
 }
 
 sched::SerializabilityResult Mdbs::GlobalSerializabilityResult() const {
-  return sched::CheckGlobalSerializabilityMixed(recorder_,
-                                                MultiversionSites());
+  return sched::CheckGlobalSerializability(recorder_, MultiversionSites());
 }
 
 lcc::ProtocolKind Mdbs::ProtocolAt(SiteId site) const {

@@ -229,8 +229,8 @@ DirectedGraph BuildGlobalConflictGraph(const ScheduleRecorder& recorder,
 }
 
 SerializabilityResult CheckGlobalSerializability(
-    const ScheduleRecorder& recorder) {
-  return CheckGraph(BuildGlobalConflictGraph(recorder));
+    const ScheduleRecorder& recorder, const std::vector<SiteId>& mv_sites) {
+  return CheckGraph(BuildGlobalConflictGraph(recorder, mv_sites));
 }
 
 DirectedGraph BuildMultiversionSerializationGraph(
@@ -244,12 +244,6 @@ DirectedGraph BuildMultiversionSerializationGraph(
 SerializabilityResult CheckMultiversionSerializability(
     const ScheduleRecorder& recorder, SiteId site) {
   return CheckGraph(BuildMultiversionSerializationGraph(recorder, site));
-}
-
-SerializabilityResult CheckGlobalSerializabilityMixed(
-    const ScheduleRecorder& recorder,
-    const std::vector<SiteId>& mv_sites) {
-  return CheckGraph(BuildGlobalConflictGraph(recorder, mv_sites));
 }
 
 Status CheckStrictness(const ScheduleRecorder& recorder, SiteId site,

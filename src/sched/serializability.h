@@ -46,9 +46,13 @@ DirectedGraph BuildGlobalConflictGraph(
     const std::vector<SiteId>& mv_sites = {});
 
 /// Checks global serializability — the property Theorems 1-2 reduce to
-/// ser(S) serializability and that the GTM schemes must guarantee.
+/// ser(S) serializability and that the GTM schemes must guarantee — over a
+/// mix of single-version and multiversion sites: CSR conflict edges at
+/// regular sites, MVSG edges at `mv_sites`, all mapped onto global
+/// transaction nodes.
 SerializabilityResult CheckGlobalSerializability(
-    const ScheduleRecorder& recorder);
+    const ScheduleRecorder& recorder,
+    const std::vector<SiteId>& mv_sites = {});
 
 /// Verifies the serialization-function property at `site`: for every local
 /// conflict edge Ti -> Tj between committed transactions that both have a
@@ -68,13 +72,6 @@ DirectedGraph BuildMultiversionSerializationGraph(
 
 SerializabilityResult CheckMultiversionSerializability(
     const ScheduleRecorder& recorder, SiteId site);
-
-/// Global serializability for a mix of single-version and multiversion
-/// sites: CSR conflict edges at regular sites, MVSG edges at `mv_sites`,
-/// all mapped onto global transaction nodes.
-SerializabilityResult CheckGlobalSerializabilityMixed(
-    const ScheduleRecorder& recorder,
-    const std::vector<SiteId>& mv_sites);
 
 /// Verifies strictness (no dirty reads, no overwriting of uncommitted
 /// data) of the recorded schedule at `site`: every operation on an item

@@ -55,15 +55,6 @@ void LogLinearHistogram::Record(int64_t value) {
   ++total_;
 }
 
-void LogLinearHistogram::Merge(const LogLinearHistogram& other) {
-  if (other.total_ == 0) return;
-  if (buckets_.empty()) buckets_.resize(kBucketCount, 0);
-  for (size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  total_ += other.total_;
-}
-
 double LogLinearHistogram::ValueAtRank(double pos) const {
   if (total_ == 0) return 0.0;
   if (pos < 0) pos = 0;
@@ -98,20 +89,6 @@ void Summary::Add(double value) {
   ++count_;
   sum_ += value;
   hist_.Record(static_cast<int64_t>(std::floor(value)));
-}
-
-void Summary::Merge(const Summary& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  hist_.Merge(other.hist_);
 }
 
 double Summary::Quantile(double q) const {

@@ -13,9 +13,7 @@ namespace mdbs::sim {
 /// kSubBucketCount linear sub-buckets, so values below kSubBucketCount*2
 /// are counted exactly and larger values with relative error at most
 /// 1/kSubBucketCount (~1.6%). Record() is allocation-free after the first
-/// call and touches exactly one bucket; Merge() is a bucket-wise add, which
-/// is what lets per-thread shards be combined at drain time without any
-/// hot-path synchronization.
+/// call and touches exactly one bucket.
 class LogLinearHistogram {
  public:
   static constexpr int kSubBucketBits = 6;
@@ -28,9 +26,6 @@ class LogLinearHistogram {
   /// Counts `value` (negatives clamp to 0). Allocation-free once the bucket
   /// array exists.
   void Record(int64_t value);
-
-  /// Bucket-wise add of another histogram.
-  void Merge(const LogLinearHistogram& other);
 
   int64_t total() const { return total_; }
   bool empty() const { return total_ == 0; }
@@ -72,9 +67,6 @@ class LogLinearHistogram {
 class Summary {
  public:
   void Add(double value);
-
-  /// Combines another summary into this one (bucket-wise histogram add).
-  void Merge(const Summary& other);
 
   int64_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : sum_ / count_; }

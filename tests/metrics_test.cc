@@ -50,30 +50,22 @@ TEST(LogLinearHistogramTest, BucketGeometryRoundTrips) {
   }
 }
 
-TEST(LogLinearHistogramTest, MergeEqualsBulkRecordAgainstOracle) {
-  // Two disjoint streams recorded separately then merged must match one
-  // histogram fed both streams, and both must track the sorted oracle.
-  LogLinearHistogram a;
-  LogLinearHistogram b;
-  LogLinearHistogram all;
+TEST(LogLinearHistogramTest, ValueAtRankTracksTheSortedOracle) {
+  LogLinearHistogram histogram;
   std::vector<int64_t> values;
   for (int i = 0; i < 20'000; ++i) {
     // Deterministic long-tailed series spanning the exact and log regions.
     int64_t v = (i % 97) + ((i * i) % 1009) * ((i % 13 == 0) ? 517 : 1);
     values.push_back(v);
-    (i % 2 == 0 ? a : b).Record(v);
-    all.Record(v);
+    histogram.Record(v);
   }
-  a.Merge(b);
-  EXPECT_EQ(a.total(), all.total());
-  EXPECT_EQ(a.total(), static_cast<int64_t>(values.size()));
+  EXPECT_EQ(histogram.total(), static_cast<int64_t>(values.size()));
   for (double q : {0.5, 0.95, 0.99, 0.999}) {
     double pos = q * static_cast<double>(values.size() - 1);
-    EXPECT_DOUBLE_EQ(a.ValueAtRank(pos), all.ValueAtRank(pos)) << q;
     double oracle = OracleQuantile(values, q);
     // Resolution bound: one bucket of relative error (1/64), plus one more
     // for cross-bucket interpolation at rank boundaries.
-    EXPECT_NEAR(a.ValueAtRank(pos), oracle,
+    EXPECT_NEAR(histogram.ValueAtRank(pos), oracle,
                 2.0 * oracle / LogLinearHistogram::kSubBucketCount + 1.0)
         << q;
   }
@@ -134,26 +126,6 @@ TEST(SummaryTest, FullSeriesCountedWithBoundedQuantileError) {
                 2.0 * oracle / LogLinearHistogram::kSubBucketCount + 1.0)
         << q;
   }
-}
-
-TEST(SummaryTest, MergeMatchesSingleStream) {
-  Summary parts[4];
-  Summary whole;
-  for (int i = 0; i < 50'000; ++i) {
-    double v = static_cast<double>(i % 9973);
-    parts[i % 4].Add(v);
-    whole.Add(v);
-  }
-  Summary merged;
-  for (const Summary& part : parts) merged.Merge(part);
-  EXPECT_EQ(merged.count(), whole.count());
-  EXPECT_DOUBLE_EQ(merged.sum(), whole.sum());
-  EXPECT_DOUBLE_EQ(merged.min(), whole.min());
-  EXPECT_DOUBLE_EQ(merged.max(), whole.max());
-  for (double q : {0.5, 0.99, 0.999}) {
-    EXPECT_DOUBLE_EQ(merged.Quantile(q), whole.Quantile(q)) << q;
-  }
-  EXPECT_EQ(merged.ToString(), whole.ToString());
 }
 
 TEST(SummaryTest, DeterministicAcrossInsertionOrder) {
