@@ -25,24 +25,6 @@ const char* GtmAttemptFailReasonName(GtmAttemptFailReason reason) {
   return "?";
 }
 
-void CountAttemptAbort(GtmAttemptFailReason reason, Gtm1Stats* stats) {
-  ++stats->aborted_attempts;
-  switch (reason) {
-    case GtmAttemptFailReason::kScheme:
-      ++stats->scheme_aborts;
-      break;
-    case GtmAttemptFailReason::kTimeout:
-      ++stats->timeouts;
-      break;
-    case GtmAttemptFailReason::kSiteDown:
-      ++stats->site_down_aborts;
-      break;
-    case GtmAttemptFailReason::kSite:
-    case GtmAttemptFailReason::kGtmCrash:
-      break;
-  }
-}
-
 Gtm1::Gtm1(const Gtm1Config& config, sim::TaskRunner* loop,
            SiteGateway* gateway, uint64_t seed, const obs::EventSink& events)
     : config_(config),
@@ -57,8 +39,6 @@ Gtm1::~Gtm1() = default;
 
 Gtm2::Callbacks Gtm1::Gtm2Callbacks() {
   Gtm2::Callbacks callbacks;
-  // The deferred callbacks capture the crash epoch so a pre-crash pump
-  // cannot drive post-recovery state.
   callbacks.release_ser = [this](GlobalTxnId txn, SiteId site) {
     OnSerReleased(txn, site);
   };
@@ -67,19 +47,13 @@ Gtm2::Callbacks Gtm1::Gtm2Callbacks() {
   };
   callbacks.validate_passed = [this](GlobalTxnId txn) {
     // Defer: validate_passed fires inside the GTM2 pump.
-    int64_t epoch = epoch_;
-    loop_->Schedule(0, [this, txn, epoch]() {
-      if (epoch != epoch_) return;
-      OnValidatePassed(txn);
-    });
+    loop_->Schedule(0, Guarded([this, txn]() { OnValidatePassed(txn); }));
   };
   callbacks.abort_txn = [this](GlobalTxnId txn) {
-    int64_t epoch = epoch_;
-    loop_->Schedule(0, [this, txn, epoch]() {
-      if (epoch != epoch_) return;
+    loop_->Schedule(0, Guarded([this, txn]() {
       FailAttempt(txn, Status::TransactionAborted("GTM scheme abort"),
                   GtmAttemptFailReason::kScheme);
-    });
+    }));
   };
   return callbacks;
 }
@@ -90,6 +64,7 @@ std::unique_ptr<Scheme> Gtm1::MakeFreshScheme() const {
 }
 
 void Gtm1::Log(const GtmLogRecord& record) {
+  CountRecord(record, &stats_);
   if (journal_) journal_(record);
 }
 
@@ -169,7 +144,6 @@ SiteGateway::OpCallback Gtm1::WrapRoundTrip(GlobalTxnId attempt_id, TxnId sub,
 
 void Gtm1::Submit(GlobalTxnSpec spec, ResultCallback cb) {
   MDBS_CHECK(!spec.ops.empty()) << "empty global transaction";
-  ++stats_.submitted;
   ++in_flight_;
   auto job = std::make_unique<Job>();
   job->id = next_job_id_++;
@@ -231,7 +205,6 @@ std::vector<Gtm1::Step> Gtm1::BuildSteps(const GlobalTxnSpec& spec) const {
 
 void Gtm1::StartAttempt(Job* job) {
   ++job->attempts;
-  ++stats_.attempts;
   auto attempt = std::make_unique<Attempt>();
   attempt->id = GlobalTxnId(next_attempt_id_++);
   attempt->job = job;
@@ -252,9 +225,7 @@ void Gtm1::StartAttempt(Job* job) {
   }
 
   if (config_.attempt_timeout > 0) {
-    int64_t epoch = epoch_;
-    loop_->Schedule(config_.attempt_timeout, [this, attempt_id, epoch]() {
-      if (epoch != epoch_) return;
+    loop_->Schedule(config_.attempt_timeout, Guarded([this, attempt_id]() {
       Attempt* timed_out = FindAttempt(attempt_id);
       if (timed_out == nullptr || timed_out->failed ||
           timed_out->committing) {
@@ -265,7 +236,7 @@ void Gtm1::StartAttempt(Job* job) {
       FailAttempt(attempt_id,
                   Status::TransactionAborted("attempt timed out"),
                   GtmAttemptFailReason::kTimeout);
-    });
+    }));
   }
 
   EnqueueGtm2(QueueOp::Init(attempt_id, std::move(sites)));
@@ -323,14 +294,12 @@ void Gtm1::OnSerReleased(GlobalTxnId attempt_id, SiteId site) {
 
 void Gtm1::OnAckForwarded(GlobalTxnId attempt_id, SiteId) {
   // Deferred: forward_ack fires inside the GTM2 pump.
-  int64_t epoch = epoch_;
-  loop_->Schedule(0, [this, attempt_id, epoch]() {
-    if (epoch != epoch_) return;
+  loop_->Schedule(0, Guarded([this, attempt_id]() {
     Attempt* attempt = FindAttempt(attempt_id);
     if (attempt == nullptr || attempt->failed) return;
     ++attempt->next_step;
     AdvanceStep(attempt_id);
-  });
+  }));
 }
 
 void Gtm1::PerformStep(Attempt* attempt, const Step& step,
@@ -426,33 +395,22 @@ void Gtm1::CommitNextSite(GlobalTxnId attempt_id, size_t index) {
   if (index == attempt->begun_sites.size()) {
     // Fully committed.
     EnqueueGtm2(QueueOp::Fin(attempt_id));
-    Job* job = attempt->job;
-    ++stats_.committed;
-    Log({.type = GtmLogRecordType::kFinish, .job = job->id,
-         .index = job->attempts,
-         .code = static_cast<uint8_t>(GtmFinishOutcome::kCommitted)});
-    events_.Emit({.kind = obs::TraceEventKind::kTxnCommit,
-                  .txn = attempt_id.value(), .a = job->id, .b = job->attempts,
-                  .job = job->id});
     GlobalTxnResult result;
-    result.status = Status::OK();
     result.reads = std::move(attempt->reads);
-    attempts_.erase(attempt_id);
-    FinishJob(job, std::move(result));
+    EndJob(attempt->job, attempt_id, GtmFinishOutcome::kCommitted,
+           std::move(result));
     return;
   }
   SiteId site = attempt->begun_sites[index];
   TxnId sub_id = attempt->sub_ids.at(site);
   EmitStep(*attempt->job, obs::Step::kCommit);
-  // The epoch guard matters here more than anywhere: after a crash the
+  // The guard matters here more than anywhere: after a crash the
   // recovered GTM re-drives this very attempt id from its logged commit
   // index, and a stale pre-crash ack racing the re-driven fan-out would
   // advance the cursor twice.
-  int64_t epoch = epoch_;
   gateway_->Commit(
       site, sub_id,
-      [this, attempt_id, index, sub_id, epoch](const Status& status) {
-        if (epoch != epoch_) return;
+      Guarded([this, attempt_id, index, sub_id](const Status& status) {
         Attempt* committing = FindAttempt(attempt_id);
         if (committing == nullptr || committing->failed) return;
         events_.Emit({.kind = obs::TraceEventKind::kRoundTripEnd,
@@ -474,78 +432,54 @@ void Gtm1::CommitNextSite(GlobalTxnId attempt_id, size_t index) {
         // Some subtransactions already committed: atomic commitment is out
         // of the paper's scope, so report a partial commit and do not retry
         // (a retry would double-apply the committed sites' effects).
-        ++stats_.partial_commits;
-        Job* job = committing->job;
-        events_.Emit({.kind = obs::TraceEventKind::kTxnFail,
-                      .txn = attempt_id.value(), .a = job->id,
-                      .b = job->attempts, .detail = "partial_commit",
-                      .job = job->id});
-        // Abort the rest.
-        for (size_t i = index + 1; i < committing->begun_sites.size(); ++i) {
-          SiteId rest = committing->begun_sites[i];
-          gateway_->Abort(rest, committing->sub_ids.at(rest),
-                          [](const Status&) {});
-        }
-        AbortCleanupGtm2(attempt_id);
-        Log({.type = GtmLogRecordType::kFinish, .job = job->id,
-             .index = job->attempts,
-             .code = static_cast<uint8_t>(GtmFinishOutcome::kPartial)});
         GlobalTxnResult result;
         result.status =
             Status::TransactionAborted("partial commit: " + status.message());
         result.retry_safe = false;
-        attempts_.erase(attempt_id);
-        ++stats_.failed;
-        FinishJob(job, std::move(result));
-      });
+        EndJob(committing->job, attempt_id, GtmFinishOutcome::kPartial,
+               std::move(result));
+      }));
 }
 
 void Gtm1::FailAttempt(GlobalTxnId attempt_id, const Status& status,
                        GtmAttemptFailReason reason) {
   Attempt* attempt = FindAttempt(attempt_id);
   if (attempt == nullptr || attempt->failed) return;
-  attempt->failed = true;
-  CountAttemptAbort(reason, &stats_);
-  events_.Emit({.kind = obs::TraceEventKind::kAttemptAbort,
-                .txn = attempt_id.value(), .a = attempt->job->id,
-                .b = attempt->job->attempts,
-                .detail = GtmAttemptFailReasonName(reason),
-                .job = attempt->job->id});
-  Log({.type = GtmLogRecordType::kAttemptFail,
-       .attempt = attempt_id.value(), .code = static_cast<uint8_t>(reason)});
-
-  // Abort every begun subtransaction (idempotent at the sites).
-  for (SiteId site : attempt->begun_sites) {
-    gateway_->Abort(site, attempt->sub_ids.at(site), [](const Status&) {});
-  }
-  AbortCleanupGtm2(attempt_id);
-
   Job* job = attempt->job;
-  attempts_.erase(attempt_id);
+  RetireAttempt(attempt, reason);
   if (job->attempts >= config_.max_attempts) {
-    ++stats_.failed;
-    Log({.type = GtmLogRecordType::kFinish, .job = job->id,
-         .index = job->attempts,
-         .code = static_cast<uint8_t>(GtmFinishOutcome::kGaveUp)});
-    events_.Emit({.kind = obs::TraceEventKind::kTxnFail,
-                  .txn = attempt_id.value(), .a = job->id, .b = job->attempts,
-                  .detail = "gave_up", .job = job->id});
     GlobalTxnResult result;
     result.status = Status::TransactionAborted(
         "gave up after " + std::to_string(job->attempts) +
         " attempts; last: " + status.ToString());
-    FinishJob(job, std::move(result));
+    EndJob(job, attempt_id, GtmFinishOutcome::kGaveUp, std::move(result));
     return;
   }
   // Randomized backoff, then a fresh attempt (or a park, if a site the job
   // needs was quarantined in the meantime).
-  int64_t job_id = job->id;
-  EmitStep(*job, obs::Step::kBackoff);
-  int64_t epoch = epoch_;
-  loop_->Schedule(RetryDelay(*job), [this, job_id, epoch]() {
-    if (epoch != epoch_) return;
-    RetryJob(job_id);
-  });
+  ScheduleRetry(*job, RetryDelay(*job));
+}
+
+void Gtm1::RetireAttempt(Attempt* attempt, GtmAttemptFailReason reason) {
+  attempt->failed = true;
+  const GlobalTxnId id = attempt->id;
+  const Job& job = *attempt->job;
+  events_.Emit({.kind = obs::TraceEventKind::kAttemptAbort,
+                .txn = id.value(), .a = job.id, .b = job.attempts,
+                .detail = GtmAttemptFailReasonName(reason), .job = job.id});
+  Log({.type = GtmLogRecordType::kAttemptFail, .attempt = id.value(),
+       .code = static_cast<uint8_t>(reason)});
+  // Abort every begun subtransaction (idempotent at the sites).
+  for (SiteId site : attempt->begun_sites) {
+    gateway_->Abort(site, attempt->sub_ids.at(site), [](const Status&) {});
+  }
+  AbortCleanupGtm2(id);
+  attempts_.erase(id);
+}
+
+void Gtm1::ScheduleRetry(const Job& job, sim::Time delay) {
+  EmitStep(job, obs::Step::kBackoff);
+  loop_->Schedule(delay, Guarded([this, id = job.id]() { RetryJob(id); }));
 }
 
 sim::Time Gtm1::RetryDelay(const Job& job) {
@@ -575,7 +509,6 @@ void Gtm1::RetryJob(int64_t job_id) {
 void Gtm1::ParkJob(Job* job) {
   job->parked = true;
   ++job->park_epoch;
-  ++stats_.parked;
   Log({.type = GtmLogRecordType::kPark, .job = job->id});
   events_.Emit({.kind = obs::TraceEventKind::kTxnParked, .txn = job->id,
                 .a = job->attempts, .job = job->id});
@@ -584,31 +517,19 @@ void Gtm1::ParkJob(Job* job) {
 
 void Gtm1::ArmParkTimeout(Job* job) {
   if (config_.quarantine_park_timeout <= 0) return;
-  int64_t job_id = job->id;
-  int64_t park_epoch = job->park_epoch;
-  int64_t epoch = epoch_;
-  loop_->Schedule(config_.quarantine_park_timeout,
-                  [this, job_id, park_epoch, epoch]() {
-    if (epoch != epoch_) return;
+  auto expire = [this, job_id = job->id, park_epoch = job->park_epoch]() {
     Job* parked = FindJob(job_id);
     if (parked == nullptr || !parked->parked ||
         parked->park_epoch != park_epoch) {
       return;
     }
-    ++stats_.park_timeouts;
-    ++stats_.failed;
-    Log({.type = GtmLogRecordType::kFinish, .job = parked->id,
-         .index = parked->attempts,
-         .code = static_cast<uint8_t>(GtmFinishOutcome::kParkTimeout)});
-    events_.Emit({.kind = obs::TraceEventKind::kTxnFail,
-                  .txn = parked->current_attempt.value(), .a = parked->id,
-                  .b = parked->attempts, .detail = "park_timeout",
-                  .job = parked->id});
     GlobalTxnResult result;
     result.status = Status::TransactionAborted(
         "parked waiting for site recovery beyond the park timeout");
-    FinishJob(parked, std::move(result));
-  });
+    EndJob(parked, parked->current_attempt, GtmFinishOutcome::kParkTimeout,
+           std::move(result));
+  };
+  loop_->Schedule(config_.quarantine_park_timeout, Guarded(std::move(expire)));
 }
 
 void Gtm1::OnSiteDown(SiteId site) {
@@ -642,22 +563,13 @@ void Gtm1::OnSiteUp(SiteId site) {
 void Gtm1::UnparkJob(Job* job) {
   job->parked = false;
   ++job->park_epoch;  // Invalidate the park timeout.
-  ++stats_.unparked;
   Log({.type = GtmLogRecordType::kUnpark, .job = job->id});
   events_.Emit({.kind = obs::TraceEventKind::kTxnUnparked, .txn = job->id,
                 .a = job->attempts});
-  EmitStep(*job, obs::Step::kBackoff);
   // Jittered resume so a herd of parked transactions doesn't stampede the
   // recovering site; RetryJob re-checks quarantine at fire time.
-  int64_t job_id = job->id;
-  sim::Time delay =
-      1 + static_cast<sim::Time>(rng_.NextBelow(
-              static_cast<uint64_t>(config_.retry_backoff) + 1));
-  int64_t epoch = epoch_;
-  loop_->Schedule(delay, [this, job_id, epoch]() {
-    if (epoch != epoch_) return;
-    RetryJob(job_id);
-  });
+  const uint64_t jitter = static_cast<uint64_t>(config_.retry_backoff) + 1;
+  ScheduleRetry(*job, 1 + static_cast<sim::Time>(rng_.NextBelow(jitter)));
 }
 
 bool Gtm1::IsQuarantined(SiteId site) const {
@@ -680,7 +592,32 @@ bool Gtm1::TouchesQuarantine(const Job& job) const {
   return false;
 }
 
-void Gtm1::FinishJob(Job* job, GlobalTxnResult result) {
+void Gtm1::EndJob(Job* job, GlobalTxnId attempt_id, GtmFinishOutcome outcome,
+                  GlobalTxnResult result) {
+  // The kTxnFail detail of each failed outcome, by its byte.
+  static constexpr const char* kFailDetail[] = {
+      nullptr, "gave_up", "partial_commit", "park_timeout"};
+  obs::TraceEventKind kind = obs::TraceEventKind::kTxnFail;
+  if (outcome == GtmFinishOutcome::kCommitted) {
+    kind = obs::TraceEventKind::kTxnCommit;
+  }
+  events_.Emit({.kind = kind, .txn = attempt_id.value(), .a = job->id,
+                .b = job->attempts,
+                .detail = kFailDetail[static_cast<size_t>(outcome)],
+                .job = job->id});
+  if (outcome == GtmFinishOutcome::kPartial) {
+    // Sites [0, commit_next] committed or refused; abort the rest.
+    const Attempt& attempt = *FindAttempt(attempt_id);
+    for (size_t i = attempt.commit_next + 1; i < attempt.begun_sites.size();
+         ++i) {
+      SiteId rest = attempt.begun_sites[i];
+      gateway_->Abort(rest, attempt.sub_ids.at(rest), [](const Status&) {});
+    }
+    AbortCleanupGtm2(attempt_id);
+  }
+  Log({.type = GtmLogRecordType::kFinish, .job = job->id,
+       .index = job->attempts, .code = static_cast<uint8_t>(outcome)});
+  attempts_.erase(attempt_id);
   result.attempts = job->attempts;
   result.submit_time = job->submit_time;
   result.finish_time = loop_->now();
@@ -770,42 +707,30 @@ int64_t Gtm1::Install(const GtmLogAnalysis& analysis,
   for (const auto& [attempt_id, image] : analysis.attempts) {
     Job* job = FindJob(image.job);
     MDBS_CHECK(job != nullptr);
+    auto owned = std::make_unique<Attempt>();
+    Attempt* attempt = owned.get();
+    attempt->id = GlobalTxnId(attempt_id);
+    attempt->job = job;
+    attempt->committing = image.committing;
+    attempt->commit_next = static_cast<size_t>(image.commit_index);
+    for (const auto& [site, sub] : image.subs) {
+      attempt->begun_sites.emplace_back(site);
+      attempt->sub_ids.emplace(SiteId(site), TxnId(sub));
+    }
+    for (const auto& read : image.reads) {
+      attempt->reads[{SiteId(read[0]), DataItemId(read[1])}] = read[2];
+    }
+    attempts_.emplace(attempt->id, std::move(owned));
     if (image.committing) {
       // Validation passed before the crash: the global commit is decided.
-      // Rebuild the attempt at its logged commit cursor; Resume()
-      // forward-rolls the fan-out (site Commit is idempotent).
-      auto attempt = std::make_unique<Attempt>();
-      attempt->id = GlobalTxnId(attempt_id);
-      attempt->job = job;
-      attempt->committing = true;
-      attempt->commit_next = static_cast<size_t>(image.commit_index);
-      for (const auto& [site, sub] : image.subs) {
-        attempt->begun_sites.emplace_back(site);
-        attempt->sub_ids.emplace(SiteId(site), TxnId(sub));
-      }
-      for (const auto& read : image.reads) {
-        attempt->reads[{SiteId(read[0]), DataItemId(read[1])}] = read[2];
-      }
+      // Resume() forward-rolls the fan-out from the logged commit cursor
+      // (site Commit is idempotent).
       job->current_attempt = attempt->id;
-      attempts_.emplace(attempt->id, std::move(attempt));
     } else {
-      // In flight but undecided at the crash: abort the begun
-      // sub-transactions (idempotent at the sites) and retry fresh — the
-      // safe default for an attempt whose site-side fate is unknown.
-      const GtmAttemptFailReason reason = GtmAttemptFailReason::kGtmCrash;
-      CountAttemptAbort(reason, &stats_);
+      // In flight but undecided at the crash: abort it and retry fresh —
+      // the safe default for an attempt whose site-side fate is unknown.
+      RetireAttempt(attempt, GtmAttemptFailReason::kGtmCrash);
       ++aborted;
-      for (const auto& [site, sub] : image.subs) {
-        gateway_->Abort(SiteId(site), TxnId(sub), [](const Status&) {});
-      }
-      events_.Emit({.kind = obs::TraceEventKind::kAttemptAbort,
-                    .txn = attempt_id, .a = job->id, .b = job->attempts,
-                    .detail = GtmAttemptFailReasonName(reason),
-                    .job = job->id});
-      Log({.type = GtmLogRecordType::kAttemptFail, .attempt = attempt_id,
-           .code = static_cast<uint8_t>(reason)});
-      AbortCleanupGtm2(GlobalTxnId(attempt_id));
-      job->current_attempt = GlobalTxnId();
     }
   }
   return aborted;
@@ -842,13 +767,7 @@ int64_t Gtm1::Resume() {
       continue;
     }
     // Backoff / freshly-aborted jobs retry on the normal schedule.
-    EmitStep(*job, obs::Step::kBackoff);
-    int64_t id = job->id;
-    int64_t epoch = epoch_;
-    loop_->Schedule(RetryDelay(*job), [this, id, epoch]() {
-      if (epoch != epoch_) return;
-      RetryJob(id);
-    });
+    ScheduleRetry(*job, RetryDelay(*job));
   }
   return resumed_commits;
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -24,6 +25,7 @@ namespace mdbs::gtm {
 struct GtmLogRecord;
 struct GtmLogAnalysis;
 struct GtmCheckpoint;
+enum class GtmFinishOutcome : uint8_t;
 
 /// The "servers" of the paper (Figure 1): GTM1's asynchronous gateway to the
 /// local DBMSs, one logical server per transaction per site. The MDBS
@@ -101,8 +103,8 @@ struct Gtm1Config {
 
 /// Why an attempt was aborted: the kAttemptAbort trace detail and the
 /// reason byte of its kAttemptFail log record. The caller that aborts
-/// knows it; CountAttemptAbort turns it into counters, live and at replay
-/// alike.
+/// knows it; CountRecord (gtm_log.h) counts it from that record, live and
+/// at replay alike.
 enum class GtmAttemptFailReason : uint8_t {
   kSite = 0,      // a site answered with an error or an abort
   kScheme = 1,    // non-conservative scheme demanded the abort
@@ -148,10 +150,6 @@ struct Gtm1Stats {
   int64_t fast_path_attempts = 0;  // Attempts run under the certified fast
                                    // path (no ser delays, no tickets).
 };
-
-/// Counts one aborted attempt: aborted_attempts plus the counter of its
-/// reason.
-void CountAttemptAbort(GtmAttemptFailReason reason, Gtm1Stats* stats);
 
 /// GTM1 (paper §2.3 / Figure 1): drives global transactions. For every
 /// transaction it determines the ser_k operations from the sites' protocol
@@ -328,7 +326,14 @@ class Gtm1 {
   void CommitNextSite(GlobalTxnId attempt_id, size_t index);
   void FailAttempt(GlobalTxnId attempt_id, const Status& status,
                    GtmAttemptFailReason reason);
-  void FinishJob(Job* job, GlobalTxnResult result);
+  /// Every attempt's abort: traces and logs it, aborts its begun
+  /// subtransactions, purges it from GTM2 and drops it.
+  void RetireAttempt(Attempt* attempt, GtmAttemptFailReason reason);
+  /// Every job's end: traces and logs `outcome` (a partial commit also
+  /// aborts the sites `attempt` has not committed and purges it from
+  /// GTM2), drops the attempt and answers the client.
+  void EndJob(Job* job, GlobalTxnId attempt, GtmFinishOutcome outcome,
+              GlobalTxnResult result);
   Attempt* FindAttempt(GlobalTxnId attempt_id);
   Job* FindJob(int64_t job_id);
   /// True when any of the job's sites is quarantined.
@@ -336,6 +341,8 @@ class Gtm1 {
   /// Retries a job after its backoff: parks it if a site it needs is
   /// quarantined, otherwise starts a fresh attempt.
   void RetryJob(int64_t job_id);
+  /// Enters the backoff phase and calls RetryJob `delay` later.
+  void ScheduleRetry(const Job& job, sim::Time delay);
   void ParkJob(Job* job);
   /// Lifts a park: the job retries after a short jittered delay, charged
   /// to the backoff phase.
@@ -351,7 +358,8 @@ class Gtm1 {
   /// Emits kStep: GTM1 sends `job` on to `step`.
   void EmitStep(const Job& job, obs::Step step);
 
-  /// Hands `record` to the journal, if one is set.
+  /// Counts `record` into stats_ (CountRecord) and hands it to the
+  /// journal, if one is set.
   void Log(const GtmLogRecord& record);
   /// The ONLY paths to gtm2_->Enqueue / AbortCleanup: journal the
   /// mutation, apply it (the pump runs to quiescence inside), then fire
@@ -361,6 +369,15 @@ class Gtm1 {
   void AbortCleanupGtm2(GlobalTxnId txn);
   /// Arms (or re-arms, after recovery) the park timeout of a parked job.
   void ArmParkTimeout(Job* job);
+
+  /// Wraps `fn` for a timer or a site reply: it does nothing once Crash()
+  /// has passed, so the lost incarnation cannot drive recovered state.
+  template <typename Fn>
+  auto Guarded(Fn fn) {
+    return [this, epoch = epoch_, fn = std::move(fn)](auto&&... args) {
+      if (epoch == epoch_) fn(std::forward<decltype(args)>(args)...);
+    };
+  }
 
   Gtm1Config config_;
   sim::TaskRunner* loop_;
@@ -378,9 +395,7 @@ class Gtm1 {
   std::function<void()> activity_hook_;
   Gtm1Stats stats_;
   Journal journal_;
-  /// Bumped at every Crash(); scheduled lambdas and gateway callbacks
-  /// capture it and drop themselves when stale, so pre-crash timers and
-  /// acks cannot drive post-recovery state.
+  /// Bumped at every Crash(); see Guarded().
   int64_t epoch_ = 0;
   std::function<void()> gtm2_observer_;
 };

@@ -168,10 +168,17 @@ class GtmLogWriter {
   storage::FrameWriter frames_;
 };
 
+/// Folds `record` into the counters it changes — the one counting rule:
+/// Gtm1 applies it to every record it logs and GtmLogReplayer to every
+/// record it replays, so a catch-up installs what the run counted. A
+/// checkpoint counts nothing (it carries the counters); no record carries
+/// fast_path_attempts.
+void CountRecord(const GtmLogRecord& record, Gtm1Stats* stats);
+
 /// GTM1 state derived from a (possibly truncated) GTM log: the latest
 /// checkpoint, fast-forwarded through the suffix. Pure function of the
-/// record sequence — the crash-point fuzz battery runs it over every
-/// prefix. GTM2's state is not part of it: ReplayIntoGtm2 rebuilds that.
+/// record sequence. GTM2's state is not part of it: ReplayIntoGtm2
+/// rebuilds that.
 struct GtmLogAnalysis {
   int64_t next_txn_id = 0;
   int64_t next_attempt_id = 0;
@@ -191,22 +198,20 @@ struct GtmLogAnalysis {
   size_t checkpoint_index = kNoCheckpoint;
 };
 
-Status AnalyzeGtmLog(const std::vector<GtmLogRecord>& records,
-                     GtmLogAnalysis* out);
-
-/// Incremental form of AnalyzeGtmLog: feed records one at a time and read
-/// the running analysis at any point. A GTM catch-up (GtmReplica) applies
-/// records through this and ReplayIntoGtm2 as they arrive, so a warm
-/// standby's promotion only has to apply the unshipped tail;
-/// AnalyzeGtmLog itself is a loop over Apply.
+/// Builds a GtmLogAnalysis record by record: feed records one at a time
+/// and read the running analysis at any point. A GTM catch-up
+/// (GtmReplica) applies records through this and ReplayIntoGtm2 as they
+/// arrive, so a warm standby's promotion only has to apply the unshipped
+/// tail.
 class GtmLogReplayer {
  public:
   GtmLogReplayer() = default;
 
   /// Applies the record at log position applied() to the running analysis.
   /// Structurally impossible sequences (references to unknown jobs or
-  /// attempts) are corruption — a non-OK status, exactly as AnalyzeGtmLog
-  /// reports them.
+  /// attempts, a submit or attempt_start that repeats a live id, a
+  /// checkpoint that repeats an id or holds an attempt of a job it lacks)
+  /// are corruption: a non-OK status naming the record.
   Status Apply(const GtmLogRecord& record);
 
   const GtmLogAnalysis& analysis() const { return analysis_; }

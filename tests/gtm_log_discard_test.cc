@@ -31,6 +31,7 @@
 #include "gtm/gtm2.h"
 #include "gtm/gtm_log.h"
 #include "gtm_install_capture.h"
+#include "gtm_log_analysis.h"
 #include "history_log_device.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"

@@ -33,6 +33,7 @@
 #include "gtm/gtm1.h"
 #include "gtm/gtm2.h"
 #include "gtm/gtm_log.h"
+#include "gtm_log_analysis.h"
 #include "history_log_device.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"

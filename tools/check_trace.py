@@ -56,6 +56,13 @@ gtm_standby.promotions, gtm_standby.fencing_epoch and
 gtm_standby.lag_records, and a report can only claim promotions in a run
 marked gtm_standby.
 
+The GTM's two outbound channels must agree: when the report's trace
+section dropped nothing, each GTM1 lifecycle event count (events.submit,
+events.attempt_start, events.attempt_abort, events.txn_commit,
+events.txn_fail, events.txn_parked, events.txn_unparked) must equal the
+gtm1.* counter the GTM keeps for the same transition (submitted, attempts,
+aborted_attempts, committed, failed, parked, unparked).
+
 The metrics-engine sub-schema (always-on unless --metrics=0): the report's
 "metrics" section must carry zero balance violations, per-phase ticks that
 sum EXACTLY to the total measured lifetime, the full nine-phase taxonomy,
@@ -498,6 +505,32 @@ def check_failover(path, doc, trace_stats):
 TXN_PHASES = ("admission", "scheme", "ser_wait", "ticket", "network",
               "site_exec", "backoff", "parked", "recovery")
 
+# Each GTM1 lifecycle event kind and the gtm1.* counter of the same
+# transition.
+GTM1_EVENT_COUNTERS = {
+    "submit": "submitted",
+    "attempt_start": "attempts",
+    "attempt_abort": "aborted_attempts",
+    "txn_commit": "committed",
+    "txn_fail": "failed",
+    "txn_parked": "parked",
+    "txn_unparked": "unparked",
+}
+
+
+def check_gtm_channels(path, doc):
+    """The event stream and the GTM's counters count each transition once."""
+    counters = doc["counters"]
+    if doc.get("trace", {}).get("dropped") != 0:
+        return
+    for kind, counter in GTM1_EVENT_COUNTERS.items():
+        events = counters.get(f"events.{kind}", 0)
+        gtm1 = counters.get(f"gtm1.{counter}", 0)
+        if events != gtm1:
+            fail(f"{path}: events.{kind}={events} but gtm1.{counter}={gtm1}")
+    print(f"check_trace: {path}: GTM1 events agree with gtm1.* counters")
+
+
 TIMELINE_COUNTERS = ("submitted", "committed", "failed", "attempt_aborts",
                      "max_queue_depth", "max_wait_depth", "max_parked",
                      "site_down_events")
@@ -653,6 +686,7 @@ def check_metrics(path, trace_stats=None):
     check_recovery(path, doc, trace_stats)
     check_gtm_recovery(path, doc, trace_stats)
     check_failover(path, doc, trace_stats)
+    check_gtm_channels(path, doc)
     check_metrics_engine(path, doc)
     print(f"check_trace: {path}: {len(doc['counters'])} counters, "
           f"{len(doc['summaries'])} summaries OK")
