@@ -444,9 +444,7 @@ int main(int argc, char** argv) {
                  "timeout (try --timeout=10000)\n",
                  static_cast<long long>(Options::kDefaultTimeout));
   }
-  bool want_trace =
-      !options.trace_out.empty() || !options.metrics_out.empty();
-  config.trace.enabled = want_trace;
+  config.trace.enabled = !options.trace_out.empty();
   if (options.trace_buffer > 0) {
     config.trace.buffer_capacity = static_cast<size_t>(options.trace_buffer);
   }
@@ -542,37 +540,34 @@ int main(int argc, char** argv) {
   mdbs::DriverReport report = RunDriver(&system, driver, options.seed);
   std::printf("%s", report.ToString().c_str());
 
-  std::vector<mdbs::obs::TraceEvent> events;
   if (system.trace_sink() != nullptr) {
-    events = system.trace_sink()->Drain();
+    std::vector<mdbs::obs::TraceEvent> events = system.trace_sink()->Drain();
     if (system.trace_sink()->dropped() > 0) {
       std::fprintf(
           stderr,
           "WARNING: trace buffer overflow — %lld events DROPPED "
-          "(%lld recorded); trace-derived series are incomplete, raise "
+          "(%lld recorded); the trace file is incomplete, raise "
           "--trace_buffer\n",
           static_cast<long long>(system.trace_sink()->dropped()),
           static_cast<long long>(system.trace_sink()->recorded()));
     }
-    if (!options.trace_out.empty()) {
-      mdbs::obs::ChromeTraceOptions trace_options;
-      for (size_t i = 0; i < options.sites.size(); ++i) {
-        std::string name = "s";
-        name.append(std::to_string(i)).append(" (");
-        name.append(mdbs::lcc::ProtocolKindName(options.sites[i])).append(")");
-        trace_options.site_names.emplace_back(static_cast<int64_t>(i),
-                                              std::move(name));
-      }
-      mdbs::Status written = mdbs::obs::WriteChromeTraceFile(
-          options.trace_out, events, trace_options);
-      std::printf("trace: %zu events -> %s (%s)\n", events.size(),
-                  options.trace_out.c_str(), written.ToString().c_str());
+    mdbs::obs::ChromeTraceOptions trace_options;
+    for (size_t i = 0; i < options.sites.size(); ++i) {
+      std::string name = "s";
+      name.append(std::to_string(i)).append(" (");
+      name.append(mdbs::lcc::ProtocolKindName(options.sites[i])).append(")");
+      trace_options.site_names.emplace_back(static_cast<int64_t>(i),
+                                            std::move(name));
     }
+    mdbs::Status written = mdbs::obs::WriteChromeTraceFile(
+        options.trace_out, events, trace_options);
+    std::printf("trace: %zu events -> %s (%s)\n", events.size(),
+                options.trace_out.c_str(), written.ToString().c_str());
   }
 
-  // The metrics engine is independent of the trace sink: the snapshot,
-  // breakdown table and JSON "metrics" section exist even when tracing is
-  // compiled out or disabled.
+  // The run report reads no trace: every number in it comes from the
+  // driver's stats counters or the metrics engine's snapshot, so the
+  // breakdown table and the JSON report need no --trace_out.
   std::optional<mdbs::obs::MetricsSnapshot> snapshot;
   if (system.metrics() != nullptr) snapshot = system.metrics()->Snapshot();
   if (options.phase_breakdown) {
@@ -587,7 +582,6 @@ int main(int argc, char** argv) {
   if (!options.metrics_out.empty()) {
     mdbs::sim::MetricsRegistry registry;
     report.AddToRegistry(&registry);
-    if (!events.empty()) mdbs::obs::AggregateTrace(events, &registry);
     if (snapshot.has_value()) {
       mdbs::obs::AddSnapshotToRegistry(*snapshot, &registry);
     }

@@ -260,6 +260,11 @@ Status GtmLogReplayer::Apply(const GtmLogRecord& r) {
       if (!out->attempts.emplace(r.attempt, std::move(image)).second) {
         return Refuse("attempt_start", "live attempt", r.attempt);
       }
+      // A job starts an attempt only after retiring its last one; a second
+      // live attempt would outlive the job's finish.
+      if (out->attempts.count(job->current_attempt) != 0) {
+        return Refuse("attempt_start", "job with live attempt", r.job);
+      }
       job->attempts = r.index;
       job->current_attempt = r.attempt;
       job->parked = false;

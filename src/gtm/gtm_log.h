@@ -209,7 +209,8 @@ class GtmLogReplayer {
 
   /// Applies the record at log position applied() to the running analysis.
   /// Structurally impossible sequences (references to unknown jobs or
-  /// attempts, a submit or attempt_start that repeats a live id, a
+  /// attempts, a submit or attempt_start that repeats a live id, an
+  /// attempt_start for a job whose current attempt is still live, a
   /// checkpoint that repeats an id or holds an attempt of a job it lacks)
   /// are corruption: a non-OK status naming the record.
   Status Apply(const GtmLogRecord& record);

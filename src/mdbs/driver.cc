@@ -28,9 +28,11 @@ struct RunState {
   sim::Summary response;
   sim::Summary attempts;
   bool stop_issuing = false;
-  /// Clients still issuing or finishing work; the last to finish fulfils
-  /// `all_done`, which the threaded engine waits on before its sweep.
+  /// Clients still issuing or finishing work; the last to finish stamps
+  /// `finished_at` and fulfils `all_done`, which the threaded engine waits
+  /// on before its sweep.
   int clients_running = 0;
+  sim::Time finished_at = 0;
   std::promise<void> all_done;
 
   bool TargetReached() const {
@@ -38,8 +40,13 @@ struct RunState {
            config.target_global_commits;
   }
 
+  /// The run ends when its last client does, in both engines: timers the
+  /// finished clients left behind (stale attempt timeouts) run later but
+  /// do no work the report counts.
   void ClientDone() {
-    if (--clients_running == 0) all_done.set_value();
+    if (--clients_running > 0) return;
+    finished_at = runner->now();
+    all_done.set_value();
   }
 };
 
@@ -429,10 +436,13 @@ DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,
       std::max(config.local_clients_per_site, 0) *
           static_cast<int>(mdbs->site_ids().size());
   std::future<void> all_done = state->all_done.get_future();
-  if (state->clients_running == 0) state->all_done.set_value();
   Rng root(seed);
 
   sim::Time start_time = mdbs->NowTicks();
+  if (state->clients_running == 0) {
+    state->finished_at = start_time;
+    state->all_done.set_value();
+  }
   for (int i = 0; i < config.global_clients; ++i) {
     auto rng = std::make_shared<Rng>(root.Fork());
     state->runner->Schedule(static_cast<sim::Time>(i), [state, rng]() {
@@ -451,19 +461,16 @@ DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,
     }
   }
 
-  sim::Time end_time = 0;
   if (mdbs->threaded()) {
     if (mdbs->events().Wants(obs::TraceEventKind::kStrandBacklog)) {
       state->runner->Schedule(0, [state]() { SampleBacklogs(state); });
     }
     all_done.wait();
-    end_time = mdbs->NowTicks();
     // Drain in-flight tails (fire-and-forget aborts, last acknowledgements)
     // and stop the strands; from here on the stack is single-threaded.
     mdbs->FinishThreadedRun();
   } else {
     mdbs->RunUntilIdle();
-    end_time = mdbs->NowTicks();
   }
 
   // End-of-run oracle: the recorded schedules must satisfy the paper's
@@ -482,7 +489,7 @@ DriverReport RunDriver(Mdbs* mdbs, const DriverConfig& config,
   report.global_retry_unsafe = state->global_retry_unsafe;
   report.txns_failed_permanently = state->txns_failed_permanently;
   report.faults = mdbs->fault_stats();
-  report.duration = end_time - start_time;
+  report.duration = state->finished_at - start_time;
   if (report.duration > 0) {
     // Ticks are real microseconds in the threaded engine, so "per Mtick"
     // is per second there.

@@ -103,7 +103,7 @@ struct DriverReport {
   /// Contributes the report's counters and latency summaries to `registry`
   /// under "driver." / "gtm1." / "gtm2." names, plus "sim.worker." in
   /// threaded runs, so the JSON run report (src/obs/report) carries
-  /// driver-level results next to the trace-derived phase metrics.
+  /// driver-level results next to the metrics engine's phase metrics.
   void AddToRegistry(sim::MetricsRegistry* registry) const;
 };
 

@@ -183,6 +183,7 @@ constexpr uint8_t SubscribersOf(TraceEventKind kind) {
     case TraceEventKind::kTxnParked:
     case TraceEventKind::kWaitEnter:
     case TraceEventKind::kWaitExit:
+    case TraceEventKind::kWaitAbandon:
     case TraceEventKind::kQueueDepth:
     case TraceEventKind::kGtmCrash:
     case TraceEventKind::kSiteDown:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iomanip>
 #include <sstream>
 
@@ -191,23 +192,16 @@ void MetricsEngine::On(const Event& event) {
       Transition(event.job, PhaseOf(event.step));
       return;
     case TraceEventKind::kWaitEnter:
-    case TraceEventKind::kWaitExit: {
-      // Only the critical path counts: a ser or validate operation, and
-      // only while its transaction is not in a site round trip.
-      if (event.step != Step::kGtm2) return;
-      auto it = attempt_job_.find(GlobalTxnId(event.txn));
-      if (it == attempt_job_.end()) return;
-      const bool enter = event.kind == TraceEventKind::kWaitEnter;
-      TxnState* state = Find(it->second);
-      if (state == nullptr ||
-          state->phase != (enter ? TxnPhase::kScheme : TxnPhase::kSerWait)) {
-        return;
-      }
-      ClosePhase(state, Now());
-      state->phase = enter ? TxnPhase::kSerWait : TxnPhase::kScheme;
+    case TraceEventKind::kWaitExit:
+      RecordWaitDwell(event);
+      ChargeSerWait(event);
       return;
-    }
+    case TraceEventKind::kWaitAbandon:
+      RecordWaitDwell(event);
+      return;
     case TraceEventKind::kQueueDepth: {
+      queue_depth_.Add(static_cast<double>(event.a));
+      wait_depth_.Add(static_cast<double>(event.b));
       WindowAcc& window = Window(Now());
       window.point.max_queue_depth =
           std::max(window.point.max_queue_depth, event.a);
@@ -257,9 +251,10 @@ void MetricsEngine::On(const Event& event) {
     case TraceEventKind::kRecoveryBegin: {
       // Any strand: the site replays its WAL during [now, now + ticks);
       // parks overlapping that window count as kRecovery, not kParked.
-      if (event.ticks <= 0) return;
       sim::Time now = Now();
       std::lock_guard<std::mutex> lock(recovery_mu_);
+      recovery_time_.Add(static_cast<double>(event.ticks));
+      if (event.ticks <= 0) return;
       recovery_windows_[SiteId(event.site)].emplace_back(now,
                                                          now + event.ticks);
       return;
@@ -267,6 +262,43 @@ void MetricsEngine::On(const Event& event) {
     default:
       return;
   }
+}
+
+void MetricsEngine::RecordWaitDwell(const Event& event) {
+  const char* op = event.detail != nullptr ? event.detail : "?";
+  size_t kind = 0;
+  while (kind < wait_dwell_.size() &&
+         std::strcmp(wait_dwell_[kind].op, op) != 0) {
+    ++kind;
+  }
+  if (kind == wait_dwell_.size()) wait_dwell_.emplace_back().op = op;
+  const auto key = std::make_tuple(event.txn, event.site, kind);
+  if (event.kind == TraceEventKind::kWaitEnter) {
+    wait_since_[key] = Now();
+    return;
+  }
+  auto it = wait_since_.find(key);
+  if (it == wait_since_.end()) return;
+  WaitDwell& dwell = wait_dwell_[kind];
+  (event.kind == TraceEventKind::kWaitExit ? dwell.exited : dwell.abandoned)
+      .Add(static_cast<double>(Now() - it->second));
+  wait_since_.erase(it);
+}
+
+void MetricsEngine::ChargeSerWait(const Event& event) {
+  // Only the critical path counts: a ser or validate operation, and only
+  // while its transaction is not in a site round trip.
+  if (event.step != Step::kGtm2) return;
+  auto it = attempt_job_.find(GlobalTxnId(event.txn));
+  if (it == attempt_job_.end()) return;
+  const bool enter = event.kind == TraceEventKind::kWaitEnter;
+  TxnState* state = Find(it->second);
+  if (state == nullptr ||
+      state->phase != (enter ? TxnPhase::kScheme : TxnPhase::kSerWait)) {
+    return;
+  }
+  ClosePhase(state, Now());
+  state->phase = enter ? TxnPhase::kSerWait : TxnPhase::kScheme;
 }
 
 void MetricsEngine::TxnSubmitted(int64_t job,
@@ -385,32 +417,36 @@ MetricsSnapshot MetricsEngine::Snapshot() const {
         static_cast<double>(phase_ticks_[best]) / static_cast<double>(total);
   }
   snapshot.bottleneck = static_cast<TxnPhase>(best);
+  snapshot.wait_dwell = wait_dwell_;
+  snapshot.queue_depth = queue_depth_;
+  snapshot.wait_depth = wait_depth_;
+  std::lock_guard<std::mutex> lock(recovery_mu_);
+  snapshot.recovery_time = recovery_time_;
   return snapshot;
 }
 
 void AddSnapshotToRegistry(const MetricsSnapshot& snapshot,
                            sim::MetricsRegistry* registry) {
   if (!snapshot.enabled) return;
+  auto put = [registry](const std::string& name, const sim::Summary& s) {
+    if (s.count() > 0) registry->Put(name, s);
+  };
   registry->Put("txn.lifetime", snapshot.lifetime);
   for (int i = 0; i < kTxnPhaseCount; ++i) {
     registry->Put(
         std::string("txn.phase.") + TxnPhaseName(static_cast<TxnPhase>(i)),
         snapshot.phases[i]);
-    registry->Increment(
-        std::string("metrics.phase_ticks.") +
-            TxnPhaseName(static_cast<TxnPhase>(i)),
-        snapshot.phase_ticks[i]);
   }
   for (const auto& [site, summary] : snapshot.site_exec) {
-    if (summary.count() > 0) {
-      registry->Put("site.exec." + ToString(site), summary);
-    }
+    put("site.exec." + ToString(site), summary);
   }
-  registry->Increment("metrics.finished", snapshot.finished);
-  registry->Increment("metrics.committed", snapshot.committed);
-  registry->Increment("metrics.lifetime_ticks", snapshot.lifetime_ticks);
-  registry->Increment("metrics.balance_violations",
-                      snapshot.balance_violations);
+  for (const WaitDwell& dwell : snapshot.wait_dwell) {
+    put(std::string("wait.dwell.") + dwell.op, dwell.exited);
+    put(std::string("wait.dwell.abandoned.") + dwell.op, dwell.abandoned);
+  }
+  put("gtm2.queue_depth", snapshot.queue_depth);
+  put("gtm2.wait_depth", snapshot.wait_depth);
+  put("recovery.time", snapshot.recovery_time);
 }
 
 }  // namespace mdbs::obs

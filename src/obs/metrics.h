@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -79,6 +80,15 @@ struct TimelinePoint {
   double p99_latency = 0;
 };
 
+/// How long the operations of one kind sat in GTM2's WAIT: those whose cond
+/// came true, and those an abort purged from WAIT.
+struct WaitDwell {
+  /// The operation kind's name (a string literal).
+  const char* op = nullptr;
+  sim::Summary exited;
+  sim::Summary abandoned;
+};
+
 /// Immutable result of MetricsEngine::Snapshot(), taken once the run is
 /// quiescent. Feeds the JSON run report and bench output.
 struct MetricsSnapshot {
@@ -107,6 +117,13 @@ struct MetricsSnapshot {
   /// Phase with the largest total across all transactions.
   TxnPhase bottleneck = TxnPhase::kSiteExec;
   double bottleneck_share = 0;
+  /// WAIT dwell per operation kind, in the order the kinds first waited.
+  std::vector<WaitDwell> wait_dwell;
+  /// |QUEUE| and |WAIT| sampled at every GTM2 enqueue.
+  sim::Summary queue_depth;
+  sim::Summary wait_depth;
+  /// Modeled WAL replay time of each durable site recovery.
+  sim::Summary recovery_time;
 
   /// Human-readable per-phase table (mdbsim --phase_breakdown).
   std::string BreakdownTable() const;
@@ -175,6 +192,12 @@ class MetricsEngine {
   /// get here; their interval stays on the current phase until the attempt
   /// times out.
   void EndRoundTrip(int64_t job, TxnId sub);
+  /// Times one operation's stay in WAIT, keyed by (attempt, site, kind) as
+  /// the WAIT events carry them; a re-enter restarts the stay.
+  void RecordWaitDwell(const Event& event);
+  /// Moves the transaction of a critical-path ser/validate wait into or out
+  /// of kSerWait.
+  void ChargeSerWait(const Event& event);
   /// Final outcome; closes the open phase (splitting any park overlap with
   /// durable recovery windows into kRecovery), checks the balance
   /// invariant, folds the decomposition into the run summaries, and drops
@@ -208,6 +231,10 @@ class MetricsEngine {
   int64_t max_balance_error_ = 0;
   int64_t parked_now_ = 0;
   std::map<int64_t, WindowAcc> timeline_;
+  std::map<std::tuple<int64_t, int64_t, size_t>, sim::Time> wait_since_;
+  std::vector<WaitDwell> wait_dwell_;
+  sim::Summary queue_depth_;
+  sim::Summary wait_depth_;
 
   // Site-strand state: the maps are built in the constructor and read-only
   // afterwards, and each site's summary is written only by that site's
@@ -216,14 +243,16 @@ class MetricsEngine {
   std::unordered_map<SiteId, size_t> site_index_;
   std::vector<sim::Summary> site_exec_;
 
-  // Rare cross-strand state (durable recovery windows).
+  // Rare cross-strand state (durable recovery windows and times).
   mutable std::mutex recovery_mu_;
   std::unordered_map<SiteId, std::vector<std::pair<sim::Time, sim::Time>>>
       recovery_windows_;
+  sim::Summary recovery_time_;
 };
 
-/// Installs the snapshot's summaries and counters into a run-report
-/// registry under the txn.lifetime / txn.phase.* / site.exec.* names.
+/// Installs the snapshot's summaries into a run-report registry under the
+/// txn.lifetime / txn.phase.* / site.exec.* / wait.dwell[.abandoned].<op> /
+/// gtm2.{queue,wait}_depth / recovery.time names; empty ones are left out.
 void AddSnapshotToRegistry(const MetricsSnapshot& snapshot,
                            sim::MetricsRegistry* registry);
 

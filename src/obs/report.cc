@@ -4,79 +4,10 @@
 #include <cmath>
 #include <fstream>
 #include <map>
-#include <unordered_map>
 
 #include "obs/json.h"
 
 namespace mdbs::obs {
-namespace {
-
-std::string WaitKey(const TraceEvent& e) {
-  return std::to_string(e.txn) + ":" + std::to_string(e.site) + ":" +
-         (e.detail != nullptr ? e.detail : "?");
-}
-
-}  // namespace
-
-void AggregateTrace(const std::vector<TraceEvent>& events,
-                    sim::MetricsRegistry* registry) {
-  std::unordered_map<std::string, sim::Time> wait_since;
-  std::unordered_map<int64_t, sim::Time> recovery_since;  // site -> time
-
-  for (const TraceEvent& e : events) {
-    registry->Increment(std::string("events.") + TraceEventKindName(e.kind));
-    switch (e.kind) {
-      case TraceEventKind::kWaitEnter:
-        wait_since[WaitKey(e)] = e.time;
-        break;
-      case TraceEventKind::kWaitExit:
-      case TraceEventKind::kWaitAbandon: {
-        auto it = wait_since.find(WaitKey(e));
-        if (it != wait_since.end()) {
-          const char* op = e.detail != nullptr ? e.detail : "?";
-          std::string name =
-              e.kind == TraceEventKind::kWaitExit
-                  ? std::string("wait.dwell.") + op
-                  : std::string("wait.dwell.abandoned.") + op;
-          registry->Observe(name, static_cast<double>(e.time - it->second));
-          wait_since.erase(it);
-        }
-        break;
-      }
-      case TraceEventKind::kRecoveryBegin:
-        recovery_since[e.site] = e.time;
-        break;
-      case TraceEventKind::kRecover: {
-        // Durable recovery: RECOVERY-span duration (the modeled replay
-        // time) plus the replayed volume carried on the recover instant.
-        auto it = recovery_since.find(e.site);
-        if (it != recovery_since.end()) {
-          registry->Observe("recovery.time",
-                            static_cast<double>(e.time - it->second));
-          registry->Observe("recovery.replay_records",
-                            static_cast<double>(e.a));
-          registry->Observe("recovery.replay_bytes",
-                            static_cast<double>(e.b));
-          recovery_since.erase(it);
-        }
-        break;
-      }
-      case TraceEventKind::kQueueDepth:
-        registry->Observe("gtm2.queue_depth", static_cast<double>(e.a));
-        registry->Observe("gtm2.wait_depth", static_cast<double>(e.b));
-        break;
-      case TraceEventKind::kStrandBacklog:
-        registry->Observe(e.site >= 0
-                              ? "strand.backlog.s" + std::to_string(e.site)
-                              : std::string("strand.backlog.gtm"),
-                          static_cast<double>(e.a));
-        break;
-      default:
-        break;
-    }
-  }
-}
-
 namespace {
 
 /// Power-of-two histogram from the summary's log-linear buckets: bucket k
@@ -134,7 +65,6 @@ void WriteMetricsSection(JsonWriter& w, const MetricsSnapshot& m) {
   for (int64_t t : m.phase_ticks) total_phase_ticks += t;
   w.Key("phases").BeginObject();
   for (int i = 0; i < kTxnPhaseCount; ++i) {
-    const sim::Summary& s = m.phases[static_cast<size_t>(i)];
     w.Key(TxnPhaseName(static_cast<TxnPhase>(i))).BeginObject();
     w.Key("ticks").Int(m.phase_ticks[static_cast<size_t>(i)]);
     w.Key("share").Double(
@@ -142,15 +72,6 @@ void WriteMetricsSection(JsonWriter& w, const MetricsSnapshot& m) {
             ? 0.0
             : static_cast<double>(m.phase_ticks[static_cast<size_t>(i)]) /
                   static_cast<double>(total_phase_ticks));
-    w.Key("count").Int(s.count());
-    w.Key("mean").Double(s.mean());
-    w.Key("max").Double(s.max());
-    w.Key("quantiles").BeginObject();
-    w.Key("p50").Double(s.Quantile(0.5));
-    w.Key("p95").Double(s.Quantile(0.95));
-    w.Key("p99").Double(s.Quantile(0.99));
-    w.Key("p999").Double(s.Quantile(0.999));
-    w.EndObject();
     w.EndObject();
   }
   w.EndObject();

@@ -8,31 +8,18 @@
 
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/metrics.h"
 
 namespace mdbs::obs {
-
-/// Derives run-level series from a drained (time, seq)-sorted trace into
-/// `registry`:
-///   - `events.<kind>` counters, one per TraceEventKind seen;
-///   - `wait.dwell.<op-kind>` — how long operations sat in GTM2's WAIT,
-///     split by the operation kind whose cond failed (plus
-///     `wait.dwell.abandoned.<op-kind>` for waits cut short by an abort);
-///   - `gtm2.queue_depth` / `gtm2.wait_depth` sampled at every enqueue;
-///   - `strand.backlog.gtm` / `strand.backlog.s<k>` in threaded runs.
-/// Composes with counters already in the registry (e.g. driver stats).
-void AggregateTrace(const std::vector<TraceEvent>& events,
-                    sim::MetricsRegistry* registry);
 
 /// Ordered (key, value) pairs describing the run (scheme, engine, seed...).
 using ReportInfo = std::vector<std::pair<std::string, std::string>>;
 
 /// Optional run-report sections beyond the registry.
 struct ReportExtras {
-  /// Metrics-engine snapshot -> "metrics" section: per-phase breakdown with
-  /// exact tick totals, the balance invariant, the windowed timeline and the
-  /// bottleneck verdict. Null omits the section.
+  /// Metrics-engine snapshot -> "metrics" section: exact per-phase tick
+  /// totals and shares, the balance invariant, the windowed timeline and
+  /// the bottleneck verdict. Null omits the section.
   const MetricsSnapshot* metrics = nullptr;
   /// Trace-sink integrity -> "trace" section (recorded vs dropped events,
   /// so a silently-truncated trace is visible in the report). Negative

@@ -113,9 +113,9 @@ TEST(DeterminismTest, FaultPlanReplaysByteForByte) {
 }
 
 // Durability must not cost determinism: the same seeded run with durable
-// sites, a crash plan, and tracing enabled must reproduce the full JSON
-// report — counters, latency summaries, and the recovery events the crash
-// plan generates — byte for byte.
+// sites and a crash plan must reproduce the full JSON report — counters,
+// latency summaries, and the recovery times the crash plan generates —
+// byte for byte.
 TEST(DeterminismTest, DurableRecoveryReplaysTheJsonReportByteForByte) {
   auto run = []() {
     MdbsConfig config = SystemConfig(11);
@@ -126,7 +126,6 @@ TEST(DeterminismTest, DurableRecoveryReplaysTheJsonReportByteForByte) {
     config.health.probe_interval = 300;
     config.health.suspect_after = 600;
     config.health.down_after = 1200;
-    config.trace.enabled = true;
     for (site::SiteConfig& site : config.sites) {
       site.durable = true;
       site.checkpoint_interval = 48;
@@ -141,12 +140,12 @@ TEST(DeterminismTest, DurableRecoveryReplaysTheJsonReportByteForByte) {
 
     sim::MetricsRegistry registry;
     report.AddToRegistry(&registry);
-    obs::AggregateTrace(system.trace_sink()->Drain(), &registry);
+    obs::AddSnapshotToRegistry(system.metrics()->Snapshot(), &registry);
     std::ostringstream json;
     obs::WriteJsonReport(json, {{"test", "durable-determinism"}}, registry);
     std::string text = json.str();
-    EXPECT_NE(text.find("recover"), std::string::npos)
-        << "no recovery events made it into the report";
+    EXPECT_NE(text.find("recovery.time"), std::string::npos)
+        << "no recovery time made it into the report";
     return text;
   };
   EXPECT_EQ(run(), run());
@@ -248,12 +247,12 @@ TEST(DriverDigestTest, SimulatorReportsKeepTheirRecordedBytes) {
   DriverConfig no_locals = Workload();
   no_locals.local_clients_per_site = 0;
   const std::vector<Case> cases = {
-      {"plain", SystemConfig(7), Workload(), 13, 0x433afe55877097cdull},
+      {"plain", SystemConfig(7), Workload(), 13, 0x1f9801a637b8d965ull},
       {"fault-plan-retries", FaultPlanConfig(), retries, 17,
-       0x0c078e2d0f0b40b4ull},
-      {"templates", SystemConfig(5), templates, 11, 0xd8b298e3091af8efull},
+       0xd41c98e7ee9a339full},
+      {"templates", SystemConfig(5), templates, 11, 0x5441f745d3538025ull},
       {"no-local-clients", SystemConfig(3), no_locals, 29,
-       0xd250fe32a40228f3ull},
+       0x427764a4a700ecffull},
   };
   for (const Case& c : cases) {
     Mdbs system(c.system);
@@ -266,16 +265,22 @@ TEST(DriverDigestTest, SimulatorReportsKeepTheirRecordedBytes) {
 }
 
 TEST(DriverDigestTest, SimulatorJsonReportKeepsItsRecordedBytes) {
-  const uint64_t kRecordedDigest = 0xfc4a31ac6eb9ac67ull;
-  MdbsConfig config = FaultPlanConfig();
-  config.trace.enabled = true;
+  const uint64_t kRecordedDigest = 0x46d04c36ac2f45d1ull;
   DriverConfig workload = Workload();
   workload.retry.max_resubmissions = 2;
-  Mdbs system(config);
+  Mdbs system(FaultPlanConfig());
   DriverReport report = RunDriver(&system, workload, 17);
   sim::MetricsRegistry registry;
   report.AddToRegistry(&registry);
-  obs::AggregateTrace(system.trace_sink()->Drain(), &registry);
+  // The driver's counters beside the engine's WAIT dwell and GTM2 depth
+  // series; ObsDigestTest pins the rest of the snapshot.
+  sim::MetricsRegistry snapshot;
+  obs::AddSnapshotToRegistry(system.metrics()->Snapshot(), &snapshot);
+  for (const auto& [name, summary] : snapshot.summaries()) {
+    if (name.starts_with("wait.dwell.") || name.starts_with("gtm2.")) {
+      registry.Put(name, summary);
+    }
+  }
   std::ostringstream json;
   obs::WriteJsonReport(json, {{"test", "driver-digest"}}, registry);
   EXPECT_EQ(Fnv1a64(json.str()), kRecordedDigest)
@@ -349,26 +354,26 @@ TEST(ObsDigestTest, TraceAndMetricsKeepTheirRecordedBytes) {
   const std::vector<Case> cases = {
       {"scheme1-edges", scheme1, Workload(), 11,
        {TraceEventKind::kEdgeMark, TraceEventKind::kEdgeUnmark},
-       0x992c788c5e367984ull, 0x07685ddcfd44fed3ull},
+       0x992c788c5e367984ull, 0x7efeb77f3e85fcd1ull},
       {"scheme2-deps", scheme2, Workload(), 12,
        {TraceEventKind::kDepAdd, TraceEventKind::kDepDrop},
-       0xcfb09e50394bc991ull, 0xa7cd7a4993e79a08ull},
+       0xcfb09e50394bc991ull, 0xe610810ebd4f7925ull},
       {"woundwait-occ", contention, hot, 13,
        {TraceEventKind::kWound, TraceEventKind::kValidationFail},
-       0xeefbc469bd9a83b7ull, 0x97423f014402caa5ull},
+       0xeefbc469bd9a83b7ull, 0xbe0942ce801e4a2full},
       {"fault-plan", FaultPlanConfig(), retries, 17,
        {TraceEventKind::kNetFault, TraceEventKind::kTxnParked,
         TraceEventKind::kSiteDown},
-       0x72d96463f1efac64ull, 0xb4817c2aee9740d1ull},
+       0x72d96463f1efac64ull, 0xf54d2bfb1576e028ull},
       {"durable-site-crash", durable, retries, 23,
        {TraceEventKind::kRecoveryBegin, TraceEventKind::kRecover},
-       0x2287adf56bb3b59cull, 0xe6ffa30c3ee90b9full},
+       0x2287adf56bb3b59cull, 0xe238967d0689c578ull},
       {"gtm-crash", gtm_crash, Workload(), 19,
        {TraceEventKind::kGtmCrash, TraceEventKind::kGtmRecover},
-       0x49f863cf43763586ull, 0xf4ef1073b4ee41a1ull},
+       0x49f863cf43763586ull, 0xd6fe3906fa5c1d2cull},
       {"gtm-failover", failover, retries, 117,
        {TraceEventKind::kGtmPromoteBegin, TraceEventKind::kGtmPromote},
-       0xe8bf72264358b1f4ull, 0x1235a3679e9ed243ull},
+       0xe8bf72264358b1f4ull, 0xd5aeeb8522b01e71ull},
   };
   for (Case c : cases) {
     c.system.trace.enabled = true;

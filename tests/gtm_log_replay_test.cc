@@ -143,6 +143,10 @@ TEST(GtmLogReplayerTest, RefusesARepeatedLiveId) {
   // Another job's repeat must not take over the live attempt's subs.
   ExpectRefused({submit1, submit2, Start(1, 5), Begin(5, 3), Start(2, 5)},
                 "attempt_start for live attempt 5");
+  // A second attempt while the first is live would orphan the first: the
+  // job's finish retires only its current attempt.
+  ExpectRefused({submit1, Start(1, 5), Start(1, 6), OfJob(Type::kFinish, 1)},
+                "attempt_start for job with live attempt 1");
 }
 
 GtmCheckpoint::JobImage JobOf(int64_t id) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.h"
 #include "mdbs/driver.h"
 #include "mdbs/mdbs.h"
 #include "obs/event_sink.h"
@@ -115,6 +116,8 @@ static_assert(obs::SubscribersOf(TraceEventKind::kStep) == obs::kToMetrics);
 static_assert(obs::SubscribersOf(TraceEventKind::kEdgeMark) == obs::kToTrace);
 static_assert(obs::SubscribersOf(TraceEventKind::kSubmit) ==
               (obs::kToTrace | obs::kToMetrics));
+static_assert(obs::SubscribersOf(TraceEventKind::kWaitAbandon) ==
+              (obs::kToTrace | obs::kToMetrics));
 
 int64_t Phase(const obs::MetricsSnapshot& snapshot, obs::TxnPhase phase) {
   return snapshot.phase_ticks[static_cast<size_t>(phase)];
@@ -211,6 +214,69 @@ TEST(EventSinkTest, EngineChargesEachStepToItsPhase) {
   EXPECT_EQ(Phase(snapshot, obs::TxnPhase::kTicket), 25);
   EXPECT_EQ(Phase(snapshot, obs::TxnPhase::kSerWait), 20);
   EXPECT_EQ(Phase(snapshot, obs::TxnPhase::kSiteExec), 4);
+}
+
+// The engine owns the WAIT dwell, GTM2 depth and recovery-time series of
+// the run report. A wait is keyed by (attempt, site, op kind): a re-enter
+// restarts it, a GTM crash leaves it open, and an exit or abandon with no
+// open wait records nothing.
+TEST(EventSinkTest, EngineTimesWaitDwellDepthsAndRecovery) {
+  sim::Time now = 0;
+  obs::MetricsEngine metrics(obs::MetricsConfig{}, [&now]() { return now; },
+                             {SiteId(0), SiteId(1)});
+  const obs::EventSink events(nullptr, &metrics);
+  auto wait = [&](sim::Time at, TraceEventKind kind, int64_t txn,
+                  int64_t site, const char* op) {
+    now = at;
+    events.Emit({.kind = kind, .txn = txn, .site = site, .detail = op});
+  };
+  wait(0, TraceEventKind::kWaitEnter, 5, 0, "ser");
+  wait(10, TraceEventKind::kWaitExit, 5, 0, "ser");     // ser 10
+  wait(10, TraceEventKind::kWaitEnter, 5, 1, "ser");
+  wait(15, TraceEventKind::kWaitEnter, 5, 1, "ser");    // restarts at 15
+  wait(40, TraceEventKind::kWaitExit, 5, 1, "ser");     // ser 25
+  wait(40, TraceEventKind::kWaitEnter, 6, -1, "fin");
+  wait(41, TraceEventKind::kWaitEnter, 6, 0, "ser");
+  now = 50;
+  events.Emit({.kind = TraceEventKind::kGtmCrash});
+  wait(70, TraceEventKind::kWaitExit, 6, -1, "fin");    // fin 30
+  wait(90, TraceEventKind::kWaitAbandon, 6, 0, "ser");  // abandoned ser 49
+  wait(95, TraceEventKind::kWaitExit, 6, 0, "ser");     // already closed
+  wait(96, TraceEventKind::kWaitExit, 7, 0, "validate");
+  events.Emit({.kind = TraceEventKind::kQueueDepth, .a = 3, .b = 1});
+  events.Emit({.kind = TraceEventKind::kQueueDepth, .a = 1, .b = 2});
+  events.Emit({.kind = TraceEventKind::kRecoveryBegin, .site = 1,
+               .ticks = 76});
+  events.Emit({.kind = TraceEventKind::kRecoveryBegin, .site = 0,
+               .ticks = 0});
+
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.queue_depth.count(), 2);
+  EXPECT_EQ(snapshot.queue_depth.max(), 3.0);
+  EXPECT_EQ(snapshot.wait_depth.max(), 2.0);
+  EXPECT_EQ(snapshot.recovery_time.count(), 2);
+  EXPECT_EQ(snapshot.recovery_time.sum(), 76.0);
+
+  sim::MetricsRegistry registry;
+  obs::AddSnapshotToRegistry(snapshot, &registry);
+  auto summary = [&registry](const char* name) {
+    const sim::Summary* found = registry.GetSummary(name);
+    return found != nullptr ? *found : sim::Summary();
+  };
+  EXPECT_EQ(summary("wait.dwell.ser").count(), 2);
+  EXPECT_EQ(summary("wait.dwell.ser").min(), 10.0);
+  EXPECT_EQ(summary("wait.dwell.ser").max(), 25.0);
+  EXPECT_EQ(summary("wait.dwell.abandoned.ser").count(), 1);
+  EXPECT_EQ(summary("wait.dwell.abandoned.ser").max(), 49.0);
+  EXPECT_EQ(summary("wait.dwell.fin").count(), 1);
+  EXPECT_EQ(summary("wait.dwell.fin").max(), 30.0);
+  // Kinds with no finished wait are left out of the report.
+  EXPECT_EQ(registry.GetSummary("wait.dwell.abandoned.fin"), nullptr);
+  EXPECT_EQ(registry.GetSummary("wait.dwell.validate"), nullptr);
+  EXPECT_EQ(summary("gtm2.queue_depth").count(), 2);
+  EXPECT_EQ(summary("recovery.time").max(), 76.0);
+  // The snapshot's totals live in the report's "metrics" section only.
+  EXPECT_TRUE(registry.counters().empty());
 }
 
 // --------------------------------------------------------------------------
@@ -318,7 +384,7 @@ TEST(ChromeTraceExportTest, EmitsBalancedJsonWithTracks) {
 
 TEST(JsonReportTest, EmitsBalancedJsonWithSummaries) {
   sim::MetricsRegistry registry;
-  registry.Increment("events.submit", 12);
+  registry.Increment("driver.global_committed", 12);
   for (int i = 1; i <= 100; ++i) {
     registry.Observe("txn.lifetime", i * 10.0);
   }
@@ -330,7 +396,7 @@ TEST(JsonReportTest, EmitsBalancedJsonWithSummaries) {
   EXPECT_TRUE(JsonNestingBalanced(text)) << text;
   EXPECT_NE(text.find("\"info\""), std::string::npos);
   EXPECT_NE(text.find("\"Scheme3\""), std::string::npos);
-  EXPECT_NE(text.find("\"events.submit\":12"), std::string::npos);
+  EXPECT_NE(text.find("\"driver.global_committed\":12"), std::string::npos);
   EXPECT_NE(text.find("\"quantiles\""), std::string::npos);
   EXPECT_NE(text.find("\"histogram\""), std::string::npos);
 }
@@ -473,37 +539,49 @@ TEST(LifecycleSchemaTest, ThreadedEngine) {
 }
 
 // --------------------------------------------------------------------------
-// AggregateTrace
+// Run report without a trace
 // --------------------------------------------------------------------------
 
-TEST(AggregateTraceTest, DerivesCountersAndPhaseLatencies) {
-  MdbsConfig config = MdbsConfig::Uniform(
-      2, lcc::ProtocolKind::kTwoPhaseLocking, gtm::SchemeKind::kScheme1);
-  config.trace.enabled = true;
+// The run report reads no trace: with tracing off, a durable run with site
+// crashes still reports WAIT dwell, GTM2 depths and recovery time, all from
+// the metrics engine, beside the driver's counters.
+TEST(MetricsReportTest, UntracedRunReportsDwellDepthsAndRecovery) {
+  MdbsConfig config = MdbsConfig::Mixed(
+      {lcc::ProtocolKind::kTwoPhaseLocking,
+       lcc::ProtocolKind::kTimestampOrdering,
+       lcc::ProtocolKind::kSerializationGraph},
+      gtm::SchemeKind::kScheme2);
+  config.fault_plan = fault::FaultPlan::CrashSweep(
+      /*num_sites=*/3, /*first_at=*/2000, /*gap=*/3000, /*duration=*/1500);
+  for (site::SiteConfig& site : config.sites) {
+    site.durable = true;
+    site.checkpoint_interval = 16;
+    site.recovery_time_per_record = 1;
+  }
+  ASSERT_FALSE(config.trace.enabled);
   Mdbs mdbs(config);
-  DriverReport report = RunDriver(&mdbs, SmallDriver(20), /*seed=*/3);
+  EXPECT_EQ(mdbs.trace_sink(), nullptr);
+  DriverReport report = RunDriver(&mdbs, SmallDriver(40), /*seed=*/3);
   ASSERT_GT(report.global_committed, 0);
+  ASSERT_GT(report.durability.recoveries, 0);
 
-  std::vector<TraceEvent> events = mdbs.trace_sink()->Drain();
   sim::MetricsRegistry registry;
   report.AddToRegistry(&registry);
   obs::AddSnapshotToRegistry(mdbs.metrics()->Snapshot(), &registry);
-  obs::AggregateTrace(events, &registry);
 
-  EXPECT_GT(registry.Counter("events.submit"), 0);
-  EXPECT_GT(registry.Counter("events.txn_commit"), 0);
-  // Phase latencies come from the metrics engine, which saw the same
-  // transitions the trace did.
-  EXPECT_EQ(registry.Counter("metrics.committed"), report.global_committed);
-  const sim::Summary* lifetime = registry.GetSummary("txn.lifetime");
-  ASSERT_NE(lifetime, nullptr);
-  EXPECT_EQ(lifetime->count(), registry.Counter("metrics.finished"));
-  EXPECT_GT(lifetime->min(), 0.0);
-  const sim::Summary* network = registry.GetSummary("txn.phase.network");
-  ASSERT_NE(network, nullptr);
-  EXPECT_EQ(network->count(), lifetime->count());
-  EXPECT_GT(network->max(), 0.0);
-  // Driver-side stats merged alongside the trace-derived series.
+  const sim::Summary* dwell = registry.GetSummary("wait.dwell.ser");
+  ASSERT_NE(dwell, nullptr);
+  EXPECT_GT(dwell->count(), 0);
+  EXPECT_LE(dwell->count(), report.gtm2.ser_wait_additions);
+  const sim::Summary* queue = registry.GetSummary("gtm2.queue_depth");
+  ASSERT_NE(queue, nullptr);
+  EXPECT_GE(queue->min(), 1.0);
+  ASSERT_NE(registry.GetSummary("gtm2.wait_depth"), nullptr);
+  const sim::Summary* recovery = registry.GetSummary("recovery.time");
+  ASSERT_NE(recovery, nullptr);
+  EXPECT_EQ(recovery->count(), report.durability.recoveries);
+  EXPECT_EQ(recovery->sum(),
+            static_cast<double>(report.durability.recovery_ticks));
   EXPECT_EQ(registry.Counter("driver.global_committed"),
             report.global_committed);
 }

@@ -3,10 +3,15 @@
 
 Usage:
   tools/check_trace.py TRACE.json [METRICS.json]
+  tools/check_trace.py METRICS.json
 
 Validates the Chrome trace-event JSON written by --trace_out= (the subset
 of the spec Perfetto/chrome://tracing require to load a file) and, when
-given, the structured run report written by --metrics_out=. Also checks the
+given, the structured run report written by --metrics_out=. A run report
+given alone (a run without --trace_out) gets every check that needs no
+trace. The report reads no trace: its numbers come from stats counters and
+the metrics engine, and the checks that need both files compare those
+owners with the trace's own event counts. Also checks the
 fault/retry sub-schema: crash "DOWN" spans must live on a site track (never
 the GTM's), attempt numbers must be monotonically increasing per global
 transaction, and net_fault/site_* instants must be well-formed. Exits
@@ -17,8 +22,10 @@ The static-analysis/downgrade sub-schema (mdbsim --analyze
 track; downgrade events may only appear in a run whose report carries a
 robust verdict with its certificate (and such a run must not emit a single
 ser operation); a non-robust verdict must instead carry a witness cycle
-and no downgrade events. When both files are given, the trace's downgrade
-count must match the report's events.downgrade counter.
+and no downgrade events. The report counts downgrades in
+gtm1.fast_path_attempts; when both files are given, the trace's downgrade
+count must match it, and a certified run's trace must hold no ser_release
+or ser_bef_seed instant.
 
 The durability sub-schema (mdbsim --durable): "RECOVERY" spans live on
 site tracks only and strictly inside that site's crash DOWN window (WAL
@@ -56,18 +63,20 @@ gtm_standby.promotions, gtm_standby.fencing_epoch and
 gtm_standby.lag_records, and a report can only claim promotions in a run
 marked gtm_standby.
 
-The GTM's two outbound channels must agree: when the report's trace
-section dropped nothing, each GTM1 lifecycle event count (events.submit,
-events.attempt_start, events.attempt_abort, events.txn_commit,
-events.txn_fail, events.txn_parked, events.txn_unparked) must equal the
-gtm1.* counter the GTM keeps for the same transition (submitted, attempts,
-aborted_attempts, committed, failed, parked, unparked).
+The GTM's two outbound channels must agree: when both files are given and
+the report's trace section dropped nothing, the trace's count of each GTM1
+lifecycle event (submit, attempt_start, attempt_abort, txn_commit,
+txn_fail, txn_parked, txn_unparked) must equal the gtm1.* counter the GTM
+keeps for the same transition (submitted, attempts, aborted_attempts,
+committed, failed, parked, unparked).
 
 The metrics-engine sub-schema (always-on unless --metrics=0): the report's
 "metrics" section must carry zero balance violations, per-phase ticks that
 sum EXACTLY to the total measured lifetime, the full nine-phase taxonomy,
 a bottleneck that really is the argmax phase, and a timeline whose windows
 increase strictly and whose per-window counters re-add to the run totals.
+Each phase's distribution is its txn.phase.<phase> summary, with one
+sample per finished transaction.
 The "trace" section's dropped counter is reported loudly (a warning, not a
 failure: dropping is legal, hiding it is not). Histogram bucket counts
 must now sum to the summary's exact count — the engine keeps every sample
@@ -125,6 +134,7 @@ def check_trace(path):
     promote_replayed = 0
     last_epoch = 0
     promote_tail = 0
+    kinds = {}  # event kind -> count (instants by name, attempt spans)
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             fail(f"{path}: event {i} is not an object")
@@ -198,6 +208,7 @@ def check_trace(path):
                              f"GTM DOWN window")
                     open_failover += 1
                 elif ev["cat"] == "attempt":
+                    kinds["attempt_start"] = kinds.get("attempt_start", 0) + 1
                     m = ATTEMPT_NAME.match(ev["name"])
                     if not m:
                         fail(f"{path}: event {i} attempt span named "
@@ -235,6 +246,7 @@ def check_trace(path):
                     open_failover -= 1
         elif ph == "i":
             name, args = ev["name"], ev.get("args", {})
+            kinds[name] = kinds.get(name, 0) + 1
             if name == "net_fault":
                 if args.get("detail") not in NET_FAULT_DETAILS:
                     fail(f"{path}: event {i} net_fault with detail "
@@ -348,7 +360,8 @@ def check_trace(path):
           f"resubmits={fault_counts['resubmits']}, "
           f"downgrades={downgrades}, recoveries={recovery_spans}, "
           f"gtm_crashes={gtm_crashes}, promotions={promotes})")
-    return {"downgrades": downgrades, "recovery_spans": recovery_spans,
+    return {"kinds": kinds, "downgrades": downgrades,
+            "recovery_spans": recovery_spans,
             "replayed_records": replayed_records,
             "gtm_crashes": gtm_crashes, "gtm_recovers": gtm_recovers,
             "gtm_replayed": gtm_replayed, "promotions": promotes,
@@ -356,14 +369,14 @@ def check_trace(path):
             "last_epoch": last_epoch, "promote_tail": promote_tail}
 
 
-def check_analysis(path, doc, trace_downgrades):
+def check_analysis(path, doc, trace_stats):
     """The robustness-analyzer sub-schema over the run report."""
     info, counters = doc["info"], doc["counters"]
-    downgrades = counters.get("events.downgrade", 0)
+    downgrades = counters.get("gtm1.fast_path_attempts", 0)
     verdict = info.get("analysis.verdict")
-    if trace_downgrades is not None and downgrades != trace_downgrades:
-        fail(f"{path}: events.downgrade={downgrades} but the trace has "
-             f"{trace_downgrades} downgrade instants")
+    if trace_stats is not None and downgrades != trace_stats["downgrades"]:
+        fail(f"{path}: gtm1.fast_path_attempts={downgrades} but the trace "
+             f"has {trace_stats['downgrades']} downgrade instants")
     if downgrades > 0:
         # Fast-path attempts are only legal under a certified robust
         # verdict, and a certified run must never route a ser operation.
@@ -375,10 +388,10 @@ def check_analysis(path, doc, trace_downgrades):
         if info.get("analysis.downgraded") != "1":
             fail(f"{path}: downgrade events but analysis.downgraded="
                  f"{info.get('analysis.downgraded')!r}")
-        for counter in ("events.ser_release", "events.ser_bef_seed"):
-            if counters.get(counter, 0):
+        for kind in ("ser_release", "ser_bef_seed"):
+            if trace_stats is not None and trace_stats["kinds"].get(kind):
                 fail(f"{path}: certified fast-path run emitted "
-                     f"{counters[counter]} {counter} events")
+                     f"{trace_stats['kinds'][kind]} {kind} events")
         if counters.get("gtm2.ser_wait_additions", 0):
             fail(f"{path}: certified fast-path run delayed ser operations")
     if verdict == "not_robust":
@@ -518,16 +531,17 @@ GTM1_EVENT_COUNTERS = {
 }
 
 
-def check_gtm_channels(path, doc):
+def check_gtm_channels(path, doc, trace_stats):
     """The event stream and the GTM's counters count each transition once."""
     counters = doc["counters"]
-    if doc.get("trace", {}).get("dropped") != 0:
+    if trace_stats is None or doc.get("trace", {}).get("dropped") != 0:
         return
     for kind, counter in GTM1_EVENT_COUNTERS.items():
-        events = counters.get(f"events.{kind}", 0)
+        events = trace_stats["kinds"].get(kind, 0)
         gtm1 = counters.get(f"gtm1.{counter}", 0)
         if events != gtm1:
-            fail(f"{path}: events.{kind}={events} but gtm1.{counter}={gtm1}")
+            fail(f"{path}: the trace has {events} {kind} events but "
+                 f"gtm1.{counter}={gtm1}")
     print(f"check_trace: {path}: GTM1 events agree with gtm1.* counters")
 
 
@@ -552,6 +566,10 @@ def check_metrics_engine(path, doc):
     if "metrics" not in doc:
         return
     m = doc["metrics"]
+    repeated = [name for name in doc["counters"]
+                if name.startswith("metrics.")]
+    if repeated:
+        fail(f"{path}: counters {repeated[:3]} repeat the metrics section")
     for key in ("window_size", "finished", "committed", "lifetime_ticks"):
         if not isinstance(m.get(key), int) or m[key] < 0:
             fail(f"{path}: metrics.{key} must be a non-negative integer")
@@ -568,24 +586,27 @@ def check_metrics_engine(path, doc):
     if set(m.get("phases", {})) != set(TXN_PHASES):
         fail(f"{path}: metrics.phases keys {sorted(m.get('phases', {}))} "
              f"!= the phase taxonomy {sorted(TXN_PHASES)}")
+    summaries = doc["summaries"]
     phase_ticks = {}
     for name in TXN_PHASES:
         phase = m["phases"][name]
-        for key in ("ticks", "count"):
-            if not isinstance(phase.get(key), int) or phase[key] < 0:
-                fail(f"{path}: phase {name}.{key} must be a non-negative "
-                     f"integer")
-        if not 0.0 <= phase.get("share", -1.0) <= 1.0:
-            fail(f"{path}: phase {name} share {phase.get('share')!r} "
+        if set(phase) != {"ticks", "share"}:
+            fail(f"{path}: phase {name} holds {sorted(phase)}, expected "
+                 f"only ticks and share (txn.phase.{name} holds the rest)")
+        if not isinstance(phase["ticks"], int) or phase["ticks"] < 0:
+            fail(f"{path}: phase {name}.ticks must be a non-negative "
+                 f"integer")
+        if not 0.0 <= phase["share"] <= 1.0:
+            fail(f"{path}: phase {name} share {phase['share']!r} "
                  f"outside [0,1]")
-        if phase["count"] != finished:
+        summary = summaries.get(f"txn.phase.{name}")
+        if summary is None:
+            fail(f"{path}: summary txn.phase.{name} missing")
+        if summary["count"] != finished:
             # Every phase summary gets one sample per finished transaction
             # (zero dwell records as zero), so the counts must all agree.
-            fail(f"{path}: phase {name} count {phase['count']} != "
+            fail(f"{path}: txn.phase.{name} count {summary['count']} != "
                  f"finished {finished}")
-        for q in ("p50", "p95", "p99", "p999"):
-            if q not in phase.get("quantiles", {}):
-                fail(f"{path}: phase {name} lacks quantile {q}")
         phase_ticks[name] = phase["ticks"]
     if sum(phase_ticks.values()) != m["lifetime_ticks"]:
         fail(f"{path}: phase ticks sum {sum(phase_ticks.values())} != "
@@ -630,12 +651,6 @@ def check_metrics_engine(path, doc):
         fail(f"{path}: timeline committed sum {totals['committed']} != "
              f"committed {m['committed']}")
 
-    # Cross-check against the flat registry the same report carries.
-    counters, summaries = doc["counters"], doc["summaries"]
-    if counters.get("metrics.finished", finished) != finished:
-        fail(f"{path}: counters['metrics.finished']="
-             f"{counters['metrics.finished']} != metrics.finished "
-             f"{finished}")
     lifetime = summaries.get("txn.lifetime")
     if lifetime is not None and lifetime["count"] != finished:
         fail(f"{path}: txn.lifetime summary count {lifetime['count']} != "
@@ -681,12 +696,11 @@ def check_metrics(path, trace_stats=None):
     missing = required - set(doc["summaries"])
     if missing:
         fail(f"{path}: expected summaries missing: {sorted(missing)}")
-    check_analysis(path, doc,
-                   trace_stats["downgrades"] if trace_stats else None)
+    check_analysis(path, doc, trace_stats)
     check_recovery(path, doc, trace_stats)
     check_gtm_recovery(path, doc, trace_stats)
     check_failover(path, doc, trace_stats)
-    check_gtm_channels(path, doc)
+    check_gtm_channels(path, doc, trace_stats)
     check_metrics_engine(path, doc)
     print(f"check_trace: {path}: {len(doc['counters'])} counters, "
           f"{len(doc['summaries'])} summaries OK")
@@ -696,6 +710,11 @@ def main():
     if len(sys.argv) < 2 or len(sys.argv) > 3:
         print(__doc__, file=sys.stderr)
         sys.exit(2)
+    if len(sys.argv) == 2:
+        with open(sys.argv[1]) as f:
+            if "traceEvents" not in json.load(f):
+                check_metrics(sys.argv[1])
+                return
     trace_stats = check_trace(sys.argv[1])
     if len(sys.argv) == 3:
         check_metrics(sys.argv[2], trace_stats=trace_stats)
